@@ -244,12 +244,13 @@ func BenchmarkFig12bDRAMBandwidth(b *testing.B) {
 // kernel construction plus a full simulation — and reports the two
 // headline hot-path numbers tracked across PRs in BENCH_PR<N>.json:
 // cells/sec (how many cells one core sustains) and ns/cycle (the cost
-// of one simulated cycle). Run with -benchmem to see the allocation
-// trajectory; the steady-state cycle loop is expected to be
+// of one simulated cycle, skipped quiet cycles included). CCWS is the
+// idle-heavy case for Run's fast-forward. Run with -benchmem to see the
+// allocation trajectory; the steady-state cycle loop is expected to be
 // allocation-free (see BenchmarkCellCycle and the internal/sm alloc
 // regression test).
 func BenchmarkCellRun(b *testing.B) {
-	for _, sc := range []string{"GTO", "CIAO-C"} {
+	for _, sc := range []string{"GTO", "CCWS", "CIAO-C"} {
 		b.Run(sc, func(b *testing.B) {
 			spec, err := workload.ByName("SYRK")
 			if err != nil {

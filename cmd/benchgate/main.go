@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	benchgate -baseline BENCH_PR9.json -current fresh.json -max-regress 15
+//	benchgate -baseline BENCH_PR12.json -current fresh.json -max-regress 15
 //
 // Only benchmarks reporting a cells/sec metric participate; CI runners
 // are noisy, so the default threshold is deliberately loose — it

@@ -138,7 +138,7 @@ func (c *CIAO) Attach(g *sm.GPU) {
 	n := g.NumWarps()
 	c.ilist = NewInterferenceList(n)
 	c.pairs = NewPairList(n)
-	c.stalled = c.stalled[:0]
+	c.stalled = make([]int, 0, n)
 	c.lastHigh, c.lastLow = 0, 0
 	c.highSnapHits = make([]uint64, n)
 	c.highIRS = make([]float64, n)
@@ -220,6 +220,16 @@ func (c *CIAO) OnCycle(g *sm.GPU, now uint64) {
 		updateIRS(g, c.highSnapHits, &c.highSnapInst, c.highIRS, false)
 		c.highEpoch(g)
 	}
+}
+
+// NextEvent implements sm.Controller. Epochs count instructions, so no
+// epoch falls due while nothing issues; zero-length epochs would run
+// on every cycle and so disable skipping.
+func (c *CIAO) NextEvent(_ *sm.GPU, now uint64) uint64 {
+	if c.params.LowEpoch == 0 || c.params.HighEpoch == 0 {
+		return now + 1
+	}
+	return sm.Never
 }
 
 // lowEpoch implements Algorithm 1 lines 4–19: release decisions.

@@ -171,8 +171,6 @@ func (l *L2) Access(now uint64, addr memory.Addr, wid int, isWrite bool) (done u
 			l.mem.Service(served, ev.Line, true)
 		}
 		s.Access(addr, wid, served, true)
-		l.stats.Accesses-- // internal touch, not an SM access
-		l.stats.Hits--
 		return served + 1, memory.HitL2
 	}
 	fillDone := l.mem.Service(served, addr, false)

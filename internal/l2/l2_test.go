@@ -65,6 +65,11 @@ func TestWriteAllocateNoFetch(t *testing.T) {
 	if reads := l.DRAM().Stats().Reads; reads != 0 {
 		t.Fatalf("cold write fetched %d lines from DRAM", reads)
 	}
+	// The slice's internal install touch is not an SM access: the write
+	// counts once, as a miss.
+	if s := l.Stats(); s.Accesses != s.Hits+s.Misses || s.Misses != 1 {
+		t.Fatalf("stats after cold write = %+v, want Accesses == Hits+Misses with 1 miss", s)
+	}
 	// Line must now be resident (write-allocate).
 	_, level = l.Access(done, 0x4000, 1, false)
 	if level != memory.HitL2 {

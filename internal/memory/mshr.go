@@ -175,9 +175,9 @@ func (m *MSHR) Allocate(req Request) (entry *MSHREntry, merged bool) {
 	return e, false
 }
 
-// NoteStall records that a request could not be accepted this cycle
+// NoteStalls records n cycles on which a request could not be accepted
 // (structural hazard), for statistics.
-func (m *MSHR) NoteStall() { m.stalls++ }
+func (m *MSHR) NoteStalls(n uint64) { m.stalls += n }
 
 // Fill completes the miss for line, removes its entry and returns it.
 // Fill returns nil if the line has no outstanding entry. The returned

@@ -83,10 +83,11 @@ func TestMSHRStats(t *testing.T) {
 	m := NewMSHR(2, 2)
 	m.Allocate(Request{Addr: 0x0})
 	m.Allocate(Request{Addr: 0x10})
-	m.NoteStall()
+	m.NoteStalls(1)
+	m.NoteStalls(3)
 	alloc, merges, stalls := m.Stats()
-	if alloc != 1 || merges != 1 || stalls != 1 {
-		t.Errorf("stats = (%d,%d,%d), want (1,1,1)", alloc, merges, stalls)
+	if alloc != 1 || merges != 1 || stalls != 4 {
+		t.Errorf("stats = (%d,%d,%d), want (1,1,4)", alloc, merges, stalls)
 	}
 	m.Reset()
 	alloc, merges, stalls = m.Stats()

@@ -19,10 +19,10 @@ type Event struct {
 // L1↔L2 interconnect or the response queue in Figure 7a.
 //
 // Ordering guarantee: among events that are ready at a given cycle,
-// PopReady/PeekReady/Drain serve them strictly in insertion (FIFO)
-// order; an unready event never blocks a ready one behind it. This is
-// the property the SM fill path relies on for deterministic replay —
-// two fills ready on the same cycle always retire in issue order.
+// PopReady serves them strictly in insertion (FIFO) order; an unready
+// event never blocks a ready one behind it. This is the property the
+// SM fill path relies on for deterministic replay — two fills ready on
+// the same cycle always retire in issue order.
 //
 // The queue is a ring buffer with a cached ReadyCycle lower bound, so
 // the common quiescent case ("is anything ready yet?") is answered in
@@ -156,61 +156,6 @@ func (q *LatencyQueue) PopReady(now uint64) (ev Event, ok bool) {
 	}
 	q.minReady = min
 	return Event{}, false
-}
-
-// PeekReady returns (without removing) the oldest ready event. Like
-// PopReady, a miss repairs the cached bound exactly.
-func (q *LatencyQueue) PeekReady(now uint64) (ev Event, ok bool) {
-	if q.n == 0 || q.minReady > now {
-		return Event{}, false
-	}
-	min := ^uint64(0)
-	for pos := 0; pos < q.n; pos++ {
-		e := q.buf[q.idx(pos)]
-		if e.ReadyCycle <= now {
-			return e, true
-		}
-		if e.ReadyCycle < min {
-			min = e.ReadyCycle
-		}
-	}
-	q.minReady = min
-	return Event{}, false
-}
-
-// Drain pops every event ready at cycle now, in FIFO-among-ready
-// order, invoking fn on each. It returns the number drained. Events
-// fn's side effects push onto the queue during the drain are served in
-// the same pass when already ready (matching a pop loop's semantics).
-func (q *LatencyQueue) Drain(now uint64, fn func(Event)) int {
-	drained := 0
-	for {
-		ev, ok := q.PopReady(now)
-		if !ok {
-			return drained
-		}
-		drained++
-		fn(ev)
-	}
-}
-
-// Remove deletes the event at logical position i (0 = oldest). It is
-// used by the CIAO migration path, which plucks a specific
-// response-queue slot.
-func (q *LatencyQueue) Remove(i int) Event {
-	return q.removeAt(i)
-}
-
-// FindLine returns the logical position of the first queued event
-// whose Line matches, or -1.
-func (q *LatencyQueue) FindLine(line Addr) int {
-	line = line.LineAddr()
-	for pos := 0; pos < q.n; pos++ {
-		if q.buf[q.idx(pos)].Line == line {
-			return pos
-		}
-	}
-	return -1
 }
 
 // Stats reports cumulative pushes and full-queue rejections.

@@ -62,35 +62,6 @@ func TestLatencyQueueCapacity(t *testing.T) {
 	}
 }
 
-func TestLatencyQueueFindAndRemove(t *testing.T) {
-	q := NewLatencyQueue("test", 0)
-	q.Push(Event{Line: 0x100, ReadyCycle: 1})
-	q.Push(Event{Line: 0x200, ReadyCycle: 2})
-
-	i := q.FindLine(0x240) // same line as 0x200
-	if i < 0 {
-		t.Fatal("FindLine failed to locate line")
-	}
-	ev := q.Remove(i)
-	if ev.Line != 0x200 {
-		t.Fatalf("removed line %s, want 0x200", ev.Line)
-	}
-	if q.FindLine(0x200) != -1 {
-		t.Fatal("line still present after Remove")
-	}
-}
-
-func TestLatencyQueuePeekDoesNotRemove(t *testing.T) {
-	q := NewLatencyQueue("test", 0)
-	q.Push(Event{Line: 7, ReadyCycle: 0})
-	if _, ok := q.PeekReady(0); !ok {
-		t.Fatal("peek missed ready event")
-	}
-	if q.Len() != 1 {
-		t.Fatal("peek removed the event")
-	}
-}
-
 func TestLatencyQueueReset(t *testing.T) {
 	q := NewLatencyQueue("test", 1)
 	q.Push(Event{Line: 7})
@@ -141,19 +112,19 @@ func TestLatencyQueueLazyMinRepair(t *testing.T) {
 	q.Push(Event{Line: 0x200, ReadyCycle: 40})
 	q.Push(Event{Line: 0x300, ReadyCycle: 30})
 
-	// Remove (the CIAO migration path) also leaves the bound lazy.
-	if ev := q.Remove(0); ev.Line != 0x100 {
-		t.Fatalf("Remove(0) = %+v, want line 0x100", ev)
+	// Popping the minimum leaves the bound lazy.
+	if ev, ok := q.PopReady(5); !ok || ev.Line != 0x100 {
+		t.Fatalf("PopReady(5) = %+v,%v, want line 0x100", ev, ok)
 	}
 	if rc, ok := q.NextReady(); !ok || rc > 30 {
-		t.Fatalf("after remove, NextReady = %d,%v, want bound <= 30", rc, ok)
+		t.Fatalf("after pop, NextReady = %d,%v, want bound <= 30", rc, ok)
 	}
-	// A missed peek sees every event and restores exactness too.
-	if _, ok := q.PeekReady(29); ok {
-		t.Fatal("PeekReady(29) found an event before the true minimum")
+	// A missed pop sees every event and restores exactness.
+	if _, ok := q.PopReady(29); ok {
+		t.Fatal("PopReady(29) found an event before the true minimum")
 	}
 	if rc, ok := q.NextReady(); !ok || rc != 30 {
-		t.Fatalf("after failed peek, NextReady = %d,%v, want exact 30,true", rc, ok)
+		t.Fatalf("after failed pop, NextReady = %d,%v, want exact 30,true", rc, ok)
 	}
 	// The repaired bound serves pops correctly.
 	if ev, ok := q.PopReady(30); !ok || ev.Line != 0x300 {
@@ -167,6 +138,8 @@ func TestLatencyQueueLazyMinRepair(t *testing.T) {
 	}
 }
 
+// TestLatencyQueueDrain pops every event ready at one cycle, the way
+// the SM retires fills.
 func TestLatencyQueueDrain(t *testing.T) {
 	q := NewLatencyQueue("t", 0)
 	q.Push(Event{Line: 0x100, ReadyCycle: 5})
@@ -174,13 +147,19 @@ func TestLatencyQueueDrain(t *testing.T) {
 	q.Push(Event{Line: 0x300, ReadyCycle: 5})
 	q.Push(Event{Line: 0x400, ReadyCycle: 7})
 	var got []Addr
-	n := q.Drain(10, func(ev Event) { got = append(got, ev.Line) })
-	if n != 3 || len(got) != 3 {
-		t.Fatalf("Drain = %d events, want 3", n)
+	for {
+		ev, ok := q.PopReady(10)
+		if !ok {
+			break
+		}
+		got = append(got, ev.Line)
 	}
 	// FIFO among ready: 0x100 and 0x300 (cycle 5) retire in push order,
 	// then 0x400; the unready 0x200 never blocks them.
 	want := []Addr{0x100, 0x300, 0x400}
+	if len(got) != len(want) {
+		t.Fatalf("drained %v, want %v", got, want)
+	}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("drain order %v, want %v", got, want)

@@ -45,6 +45,10 @@ func (s *BestSWL) Pick(g *sm.GPU, now uint64) int {
 	return s.PickGTO(g, now, sm.EligibleOrBarrierBoosted(g))
 }
 
+// NextEvent implements sm.Controller: the limit is static, so only
+// warp state changes the pick.
+func (s *BestSWL) NextEvent(*sm.GPU, uint64) uint64 { return sm.Never }
+
 // OnWarpFinished activates the next stalled warp when an active one
 // retires, keeping the concurrent warp count at the limit.
 func (s *BestSWL) OnWarpFinished(g *sm.GPU, wid int) {

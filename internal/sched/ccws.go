@@ -1,7 +1,8 @@
 package sched
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/sm"
 )
@@ -32,6 +33,7 @@ type CCWS struct {
 	UpdateEpoch uint64
 
 	scores    []float64
+	order     []int // OnCycle's ranking buffer, reused every epoch
 	lastCheck uint64
 }
 
@@ -55,6 +57,7 @@ func (s *CCWS) Attach(g *sm.GPU) {
 	for i := range s.scores {
 		s.scores[i] = s.BaseScore
 	}
+	s.order = make([]int, 0, g.NumWarps())
 	s.lastCheck = 0
 }
 
@@ -78,24 +81,24 @@ func (s *CCWS) OnCycle(g *sm.GPU, now uint64) {
 		s.scores[i] = s.BaseScore + (s.scores[i]-s.BaseScore)*s.Decay
 	}
 
-	order := make([]int, 0, g.NumWarps())
+	s.order = s.order[:0]
 	for i := 0; i < g.NumWarps(); i++ {
 		if !g.Warp(i).Finished {
-			order = append(order, i)
+			s.order = append(s.order, i)
 		}
 	}
 	// Highest locality first; older warps win ties.
-	sort.Slice(order, func(a, b int) bool {
-		if s.scores[order[a]] != s.scores[order[b]] {
-			return s.scores[order[a]] > s.scores[order[b]]
+	slices.SortFunc(s.order, func(a, b int) int {
+		if c := cmp.Compare(s.scores[b], s.scores[a]); c != 0 {
+			return c
 		}
-		return order[a] < order[b]
+		return cmp.Compare(a, b)
 	})
 
-	budget := float64(len(order)) * s.BaseScore
+	budget := float64(len(s.order)) * s.BaseScore
 	cum := 0.0
 	activated := 0
-	for _, wid := range order {
+	for _, wid := range s.order {
 		sc := s.scores[wid]
 		if sc < s.BaseScore {
 			sc = s.BaseScore
@@ -108,6 +111,9 @@ func (s *CCWS) OnCycle(g *sm.GPU, now uint64) {
 		}
 	}
 }
+
+// NextEvent implements sm.Controller: the next throttle-set refresh.
+func (s *CCWS) NextEvent(*sm.GPU, uint64) uint64 { return s.lastCheck + s.UpdateEpoch }
 
 // Pick implements sm.Controller.
 func (s *CCWS) Pick(g *sm.GPU, now uint64) int {

@@ -26,8 +26,14 @@ func (s *GTO) Pick(g *sm.GPU, now uint64) int {
 	return s.PickGTO(g, now, func(*sm.Warp) bool { return true })
 }
 
+// NextEvent implements sm.Controller: GTO has no epochs, and its
+// greedy pick repeats a failed retry until warp state changes.
+func (s *GTO) NextEvent(*sm.GPU, uint64) uint64 { return sm.Never }
+
 // LRR is a loose round-robin scheduler, provided as an extra baseline
-// for ablations: warps issue in rotating order with no greediness.
+// for ablations: warps issue in rotating order with no greediness. It
+// keeps Base's NextEvent (never skip): its rotating pointer moves past
+// a warp whose retry failed, so the next cycle may pick another.
 type LRR struct {
 	sm.Base
 	next int

@@ -121,6 +121,9 @@ func (s *StatPCAL) OnCycle(g *sm.GPU, now uint64) {
 	}
 }
 
+// NextEvent implements sm.Controller: the next bandwidth probe.
+func (s *StatPCAL) NextEvent(*sm.GPU, uint64) uint64 { return s.lastCheck + s.UpdateEpoch }
+
 // Pick schedules token warps always; non-token warps only while they
 // hold a bypass grant (or their CTA is stuck at a barrier).
 func (s *StatPCAL) Pick(g *sm.GPU, now uint64) int {

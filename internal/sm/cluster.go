@@ -81,7 +81,7 @@ func (c *Cluster) Done() bool {
 // Step advances every unfinished SM by one cycle, in SM order.
 func (c *Cluster) Step() {
 	for _, g := range c.sms {
-		if !g.Done() && g.cycle < g.cfg.MaxCycles {
+		if g.running() {
 			g.Step()
 		}
 	}
@@ -90,7 +90,10 @@ func (c *Cluster) Step() {
 
 // Run simulates to completion and returns the per-SM results plus the
 // aggregate chip IPC (sum of instructions over the longest SM's
-// cycles).
+// cycles). Like GPU.Run it fast-forwards, but only to the earliest
+// cycle at which any running SM wakes: every running SM steps on that
+// cycle, in SM order, so the shared L2 sees accesses in the same order
+// as under Step.
 func (c *Cluster) Run() (perSM []Result, chipIPC float64) {
 	maxCycles := uint64(0)
 	for _, g := range c.sms {
@@ -100,6 +103,22 @@ func (c *Cluster) Run() (perSM []Result, chipIPC float64) {
 	}
 	for !c.Done() && c.cycle < maxCycles {
 		c.Step()
+		if c.Done() {
+			break
+		}
+		// With no SM running, Step would only tick the clock to the cap.
+		next := maxCycles
+		for _, g := range c.sms {
+			if g.running() {
+				next = min(next, g.nextStep())
+			}
+		}
+		for _, g := range c.sms {
+			if g.running() {
+				g.skipTo(next)
+			}
+		}
+		c.cycle = next
 	}
 	var inst, cycles uint64
 	for _, g := range c.sms {

@@ -30,6 +30,17 @@ type Controller interface {
 	MemPath(g *GPU, wid int) MemPath
 	// OnCycle runs once per cycle before issue (epoch bookkeeping).
 	OnCycle(g *GPU, now uint64)
+	// NextEvent is called after a cycle now that issued nothing: Pick
+	// returned -1, or the picked warp failed a structural check (MSHR,
+	// response queue or MLP budget full). It returns the earliest cycle
+	// after now at which OnCycle or Pick may act differently, given that
+	// until then no fill retires, no instruction issues, and a failed
+	// warp retries every cycle. GPU.Run skips the cycles before it (and
+	// before the next fill, sample or warp NextReady), so a controller
+	// must keep OnCycle a no-op and Pick (and MemPath) repeating their
+	// answer on the cycles it skips. Return now+1 to never skip, or
+	// Never when only warp and memory state can change the answers.
+	NextEvent(g *GPU, now uint64) uint64
 	// OnIssue observes a successful issue.
 	OnIssue(g *GPU, now uint64, wid int, kind workload.InstrKind)
 	// OnVTAHit observes a lost-locality event: interfered warp's miss
@@ -53,6 +64,13 @@ func (Base) MemPath(*GPU, int) MemPath { return PathL1 }
 
 // OnCycle implements Controller.
 func (Base) OnCycle(*GPU, uint64) {}
+
+// Never is the NextEvent answer of a controller whose OnCycle and Pick
+// change only with warp and memory state, never with time alone.
+const Never = ^uint64(0)
+
+// NextEvent implements Controller conservatively: no cycle is skipped.
+func (Base) NextEvent(_ *GPU, now uint64) uint64 { return now + 1 }
 
 // OnIssue implements Controller.
 func (Base) OnIssue(*GPU, uint64, int, workload.InstrKind) {}

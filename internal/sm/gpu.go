@@ -18,6 +18,20 @@ const (
 	payloadBypass
 )
 
+// stepKind classifies a simulated cycle for the fast-forward in Run.
+type stepKind uint8
+
+const (
+	// stepBusy changed warp, queue or cache state: an instruction
+	// issued, a warp finished, or the deadlock valve freed warps.
+	stepBusy stepKind = iota
+	// stepIdle picked no warp.
+	stepIdle
+	// stepRetry picked a warp whose instruction failed a structural
+	// check; until the next event it fails the same way every cycle.
+	stepRetry
+)
+
 // GPU simulates one SM and its memory hierarchy for one kernel under
 // one scheduling controller.
 type GPU struct {
@@ -54,6 +68,13 @@ type GPU struct {
 	// nextSample is the cycle of the next time-series sample
 	// (maxUint64 when sampling is off), replacing a per-cycle modulo.
 	nextSample uint64
+
+	// last is what the latest Step did. After a quiet step (idle, or a
+	// retry that failed a structural check) Run skips ahead to the next
+	// event; retryWarp and retryMSHR say which retry to replay.
+	last      stepKind
+	retryWarp int
+	retryMSHR bool
 
 	imat *metrics.InterferenceMatrix
 	ts   metrics.TimeSeries
@@ -236,15 +257,76 @@ func (g *GPU) IRS(i int) float64 {
 func (g *GPU) Done() bool { return g.finished == len(g.warps) }
 
 // Run simulates until completion or the cycle cap, returning the final
-// statistics.
+// statistics. It is event-driven: after a quiet cycle it jumps to the
+// next cycle at which anything can change and applies the skipped
+// cycles' effects in bulk, so its result is bit-identical to calling
+// Step once per cycle.
 func (g *GPU) Run() Result {
-	for !g.Done() && g.cycle < g.cfg.MaxCycles {
+	for g.running() {
 		g.Step()
+		g.skipTo(g.nextStep())
 	}
 	return g.Result()
 }
 
-// Step advances one cycle.
+// running reports whether the GPU has cycles left to simulate.
+func (g *GPU) running() bool { return !g.Done() && g.cycle < g.cfg.MaxCycles }
+
+// nextStep returns the first cycle, from g.cycle on, that needs a
+// full Step. After a busy step that is g.cycle itself. After a quiet
+// step at now = g.cycle-1, every cycle repeats it until the earliest
+// of: a fill becoming ready, the controller's next event, a sample,
+// the cycle cap and, after an idle step, a warp's NextReady arriving
+// or the deadlock valve expiring (only possible with nothing in
+// flight).
+func (g *GPU) nextStep() uint64 {
+	next := g.cycle
+	if g.last == stepBusy {
+		return next
+	}
+	now := next - 1
+	w := min(g.cfg.MaxCycles, g.nextSample, g.ctrl.NextEvent(g, now))
+	if rc, ok := g.respQ.NextReady(); ok {
+		w = min(w, rc)
+	}
+	if g.last == stepIdle {
+		for _, id := range g.live {
+			if r := g.warps[id].NextReady; r > now {
+				w = min(w, r)
+			}
+		}
+		// A valve that fired at now without freeing anyone has nothing
+		// left to free until a controller event; only a future expiry
+		// is an event.
+		if expiry := g.lastIssue + g.cfg.DeadlockWindow + 1; g.respQ.Len() == 0 && expiry > now {
+			w = min(w, expiry)
+		}
+	}
+	return max(w, next)
+}
+
+// skipTo advances the clock to cycle c (≥ g.cycle) without stepping,
+// applying what the quiet cycles in between would have done: nothing
+// after an idle step; after a failed retry, one more failed retry of
+// the same warp per cycle.
+func (g *GPU) skipTo(c uint64) {
+	n := c - g.cycle
+	if n == 0 {
+		return
+	}
+	if g.last == stepRetry {
+		g.structStalls += n
+		if g.retryMSHR {
+			g.mshr.NoteStalls(n)
+		}
+		g.warps[g.retryWarp].NextReady = c
+		g.lastIssue = c - 1
+	}
+	g.cycle = c
+}
+
+// Step advances one cycle. It is the reference semantics Run
+// fast-forwards over.
 func (g *GPU) Step() {
 	now := g.cycle
 
@@ -267,13 +349,17 @@ func (g *GPU) Step() {
 	// 3. Issue.
 	wid := g.ctrl.Pick(g, now)
 	if wid >= 0 {
+		g.last = stepBusy // issue downgrades it on a structural stall
 		g.issue(wid, now)
 		g.lastIssue = now
-	} else if g.respQ.Len() == 0 && now-g.lastIssue > g.cfg.DeadlockWindow {
-		// Throttle deadlock: every unfinished warp is stalled (or
-		// barrier-blocked behind a stalled warp) with nothing in
-		// flight. Release the valves.
-		g.freeStalledWarps(now)
+	} else {
+		g.last = stepIdle // unless the valve below frees warps
+		if g.respQ.Len() == 0 && now-g.lastIssue > g.cfg.DeadlockWindow {
+			// Throttle deadlock: every unfinished warp is stalled (or
+			// barrier-blocked behind a stalled warp) with nothing in
+			// flight. Release the valves.
+			g.freeStalledWarps(now)
+		}
 	}
 
 	// 4. Sampling.
@@ -297,6 +383,7 @@ func (g *GPU) freeStalledWarps(now uint64) {
 	if freed {
 		g.deadlockFrees++
 		g.lastIssue = now
+		g.last = stepBusy
 	}
 }
 
@@ -308,7 +395,7 @@ func (g *GPU) issue(wid int, now uint64) {
 		g.finishWarp(wid)
 		return
 	}
-	issued := true
+	issued, mshrFull := true, false
 	switch ins.Kind {
 	case workload.Compute:
 		w.NextReady = now + uint64(g.cfg.DependLatency)
@@ -322,7 +409,7 @@ func (g *GPU) issue(wid int, now uint64) {
 		}
 		w.NextReady = now + lat + uint64(g.cfg.DependLatency) - 1
 	case workload.GlobalLoad:
-		issued = g.load(w, ins, now)
+		issued, mshrFull = g.load(w, ins, now)
 	case workload.GlobalStore:
 		issued = g.store(w, ins, now)
 	}
@@ -337,6 +424,7 @@ func (g *GPU) issue(wid int, now uint64) {
 		w.retry()
 		g.structStalls++
 		w.NextReady = now + 1
+		g.last, g.retryWarp, g.retryMSHR = stepRetry, wid, mshrFull
 		return
 	}
 	w.InstExecuted++
@@ -361,9 +449,10 @@ func (g *GPU) probeVTA(w *Warp, addr memory.Addr, now uint64, atShared bool) {
 	g.ctrl.OnVTAHit(g, now, w.ID, evictor, atShared)
 }
 
-// load serves a global load of up to MaxFanout coalesced lines;
-// reports false on a structural stall (nothing issued, retried later).
-func (g *GPU) load(w *Warp, ins *workload.Instruction, now uint64) bool {
+// load serves a global load of up to MaxFanout coalesced lines. On a
+// structural stall nothing issues (the warp retries later) and
+// mshrFull reports whether the MSHR check was the one that failed.
+func (g *GPU) load(w *Warp, ins *workload.Instruction, now uint64) (issued, mshrFull bool) {
 	path := g.ctrl.MemPath(g, w.ID)
 	if path == PathSharedCache && g.shc == nil {
 		path = PathL1
@@ -372,17 +461,14 @@ func (g *GPU) load(w *Warp, ins *workload.Instruction, now uint64) bool {
 	// MLP budget: block until in-flight fills drain enough for the
 	// whole burst.
 	if w.Outstanding+len(addrs) > g.cfg.MaxOutstandingLines {
-		return false
+		return false, false
 	}
-	// Conservative structural pre-check so a burst either issues
+	// Conservative structural pre-checks so a burst either issues
 	// completely or not at all.
 	if g.respQ.Len()+len(addrs) > g.cfg.ResponseQueueCap {
-		return false
+		return false, false
 	}
-	switch path {
-	case PathSharedCache:
-		return g.loadShared(w, addrs, now)
-	case PathBypass:
+	if path == PathBypass {
 		for _, a := range addrs {
 			done := g.l2c.Bypass(now, a, false)
 			g.respQ.Push(memory.Event{
@@ -393,17 +479,21 @@ func (g *GPU) load(w *Warp, ins *workload.Instruction, now uint64) bool {
 			})
 			w.Outstanding++
 		}
-		return true
-	default:
-		return g.loadL1(w, addrs, now)
+		return true, false
 	}
+	if g.mshr.Outstanding()+len(addrs) > g.mshr.Capacity() {
+		g.mshr.NoteStalls(1)
+		return false, true
+	}
+	if path == PathSharedCache {
+		g.loadShared(w, addrs, now)
+	} else {
+		g.loadL1(w, addrs, now)
+	}
+	return true, false
 }
 
-func (g *GPU) loadL1(w *Warp, addrs []memory.Addr, now uint64) bool {
-	if g.mshr.Outstanding()+len(addrs) > g.mshr.Capacity() {
-		g.mshr.NoteStall()
-		return false
-	}
+func (g *GPU) loadL1(w *Warp, addrs []memory.Addr, now uint64) {
 	misses := 0
 	for _, a := range addrs {
 		// Secondary access to an in-flight line: merge silently. It is
@@ -447,16 +537,11 @@ func (g *GPU) loadL1(w *Warp, addrs []memory.Addr, now uint64) bool {
 	if misses == 0 {
 		w.NextReady = now + uint64(g.cfg.L1.HitLatency) + uint64(g.cfg.DependLatency) - 1
 	}
-	return true
 }
 
 // loadShared serves an isolated warp's load via the shared-memory
 // cache, including the L1D→shared migration for coherence (§IV-B).
-func (g *GPU) loadShared(w *Warp, addrs []memory.Addr, now uint64) bool {
-	if g.mshr.Outstanding()+len(addrs) > g.mshr.Capacity() {
-		g.mshr.NoteStall()
-		return false
-	}
+func (g *GPU) loadShared(w *Warp, addrs []memory.Addr, now uint64) {
 	misses, migrations := 0, 0
 	for _, a := range addrs {
 		// Secondary access to an in-flight shared fill: merge silently.
@@ -511,7 +596,6 @@ func (g *GPU) loadShared(w *Warp, addrs []memory.Addr, now uint64) bool {
 	default:
 		w.NextReady = now + uint64(g.cfg.SharedHitLatency) + uint64(g.cfg.DependLatency) - 1
 	}
-	return true
 }
 
 // fillShared installs a line into the shared cache, feeding evictions

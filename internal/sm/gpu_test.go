@@ -375,13 +375,16 @@ func TestDeadlockValve(t *testing.T) {
 }
 
 // stallEverything stalls all warps at attach and picks only active
-// warps, exercising the deadlock valve.
+// warps, exercising the deadlock valve. It has no epochs, so Run jumps
+// straight from the first idle cycle to the valve's expiry.
 type stallEverything struct {
 	sm.Base
 	sm.GreedyThenOldest
 }
 
 func (s *stallEverything) Name() string { return "stall-everything" }
+
+func (s *stallEverything) NextEvent(*sm.GPU, uint64) uint64 { return sm.Never }
 
 func (s *stallEverything) Attach(g *sm.GPU) {
 	for i := 0; i < g.NumWarps(); i++ {

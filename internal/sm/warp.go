@@ -43,7 +43,6 @@ type Warp struct {
 	// failed a structural hazard (MSHR full, response queue full) and
 	// must be handed out again; the instruction stays in buf.
 	retryPending bool
-	stallCount   uint64
 
 	// buf holds instructions pre-generated from the stream in batches,
 	// so the per-issue path hands out a pointer into stable storage
@@ -125,10 +124,7 @@ func (w *Warp) next() (*workload.Instruction, bool) {
 
 // retry re-queues the instruction most recently handed out by next,
 // after a structural hazard.
-func (w *Warp) retry() {
-	w.retryPending = true
-	w.stallCount++
-}
+func (w *Warp) retry() { w.retryPending = true }
 
 // drained reports that the warp has no instruction left anywhere:
 // stream exhausted, batch buffer consumed, no retry pending.
