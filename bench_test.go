@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/sched"
+	"repro/internal/service"
 	"repro/internal/sm"
 	"repro/internal/sweep"
 	"repro/internal/workload"
@@ -23,7 +24,13 @@ import (
 const benchInstr = 1500
 
 func benchOpt() harness.Options {
-	return harness.Options{InstrPerWarp: benchInstr, Parallelism: 0}
+	return harness.Options{InstrPerWarp: benchInstr}
+}
+
+// benchCells runs a figure's cells on a fresh engine, so no iteration
+// is served from another's cache.
+func benchCells() harness.CellRunner {
+	return service.NewEngine(service.Config{}).CellRunner(service.OptionSpec{InstrPerWarp: benchInstr})
 }
 
 // BenchmarkTable1Config verifies and times construction of the Table I
@@ -122,7 +129,7 @@ func BenchmarkFig8aIPC(b *testing.B) {
 	var res *harness.Fig8Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = harness.RunFig8(benchOpt())
+		res, err = harness.RunFig8(benchCells())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -141,7 +148,7 @@ func BenchmarkFig8bSharedMemUtilization(b *testing.B) {
 	var res *harness.Fig8Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = harness.RunFig8(benchOpt())
+		res, err = harness.RunFig8(benchCells())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -182,7 +189,7 @@ func BenchmarkFig11aEpochSensitivity(b *testing.B) {
 	var res *harness.SensitivityResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = harness.RunEpochSensitivity([]uint64{1000, 5000, 10000, 50000}, benchOpt())
+		res, err = harness.RunEpochSensitivity([]uint64{1000, 5000, 10000, 50000}, benchCells())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -205,7 +212,7 @@ func BenchmarkFig11aEpochSensitivity(b *testing.B) {
 // BenchmarkFig11bCutoffSensitivity sweeps the high-cutoff threshold.
 func BenchmarkFig11bCutoffSensitivity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := harness.RunCutoffSensitivity([]float64{0.04, 0.02, 0.01, 0.005}, benchOpt()); err != nil {
+		if _, err := harness.RunCutoffSensitivity([]float64{0.04, 0.02, 0.01, 0.005}, benchCells()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -216,7 +223,7 @@ func BenchmarkFig12aCacheConfigs(b *testing.B) {
 	var res *harness.Fig12Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = harness.RunFig12a(benchOpt())
+		res, err = harness.RunFig12a(benchCells())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -231,7 +238,7 @@ func BenchmarkFig12bDRAMBandwidth(b *testing.B) {
 	var res *harness.Fig12Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = harness.RunFig12b(benchOpt())
+		res, err = harness.RunFig12b(benchCells())
 		if err != nil {
 			b.Fatal(err)
 		}

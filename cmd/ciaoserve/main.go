@@ -100,7 +100,7 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
-		workers   = flag.Int("workers", 0, "max concurrently executing experiments (0 = GOMAXPROCS)")
+		workers   = flag.Int("workers", 0, "max concurrent simulations, figure cells included (0 = GOMAXPROCS)")
 		entries   = flag.Int("cache", 256, "result cache capacity in entries (<= 0 disables)")
 		jobs      = flag.Int("jobs", 1024, "max retained async job records (oldest finished evicted first)")
 		sweepDir  = flag.String("sweepdir", "sweeps", "directory for on-disk sweep results")

@@ -89,9 +89,13 @@ func runJSON(experiment, bench, sched string, instr, seed uint64) error {
 }
 
 func run(experiment, bench, sched string, opt harness.Options) error {
+	// The matrix figures run their cells through an engine, as
+	// ciaoserve and -json do.
+	cells := service.NewEngine(service.Config{}).CellRunner(
+		service.OptionSpec{InstrPerWarp: opt.InstrPerWarp, Seed: opt.Seed})
 	switch experiment {
 	case "fig8":
-		res, err := harness.RunFig8(opt)
+		res, err := harness.RunFig8(cells)
 		if err != nil {
 			return err
 		}
@@ -150,7 +154,7 @@ func run(experiment, bench, sched string, opt harness.Options) error {
 		return timeSeries(opt, []string{"SYRK", "KMN"}, []string{"CIAO-T", "CIAO-P", "CIAO-C"})
 
 	case "fig11a":
-		res, err := harness.RunEpochSensitivity([]uint64{1000, 5000, 10000, 50000}, opt)
+		res, err := harness.RunEpochSensitivity([]uint64{1000, 5000, 10000, 50000}, cells)
 		if err != nil {
 			return err
 		}
@@ -158,7 +162,7 @@ func run(experiment, bench, sched string, opt harness.Options) error {
 		return nil
 
 	case "fig11b":
-		res, err := harness.RunCutoffSensitivity([]float64{0.04, 0.02, 0.01, 0.005}, opt)
+		res, err := harness.RunCutoffSensitivity([]float64{0.04, 0.02, 0.01, 0.005}, cells)
 		if err != nil {
 			return err
 		}
@@ -166,7 +170,7 @@ func run(experiment, bench, sched string, opt harness.Options) error {
 		return nil
 
 	case "fig12a":
-		res, err := harness.RunFig12a(opt)
+		res, err := harness.RunFig12a(cells)
 		if err != nil {
 			return err
 		}
@@ -174,7 +178,7 @@ func run(experiment, bench, sched string, opt harness.Options) error {
 		return nil
 
 	case "fig12b":
-		res, err := harness.RunFig12b(opt)
+		res, err := harness.RunFig12b(cells)
 		if err != nil {
 			return err
 		}
@@ -277,9 +281,6 @@ func fig1a(opt harness.Options) error {
 }
 
 func timeSeries(opt harness.Options, benches, scheds []string) error {
-	if opt.SampleInterval == 0 {
-		opt.SampleInterval = 2000
-	}
 	fmt.Println("series,cycle,instructions,ipc,active,interference,l1hit")
 	for _, b := range benches {
 		res, err := harness.RunTimeSeries(b, scheds, opt)

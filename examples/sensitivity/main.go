@@ -12,20 +12,21 @@ import (
 	"sort"
 
 	"repro/internal/harness"
+	"repro/internal/service"
 )
 
 func main() {
-	opt := harness.Options{InstrPerWarp: 3000}
+	cells := service.NewEngine(service.Config{}).CellRunner(service.OptionSpec{InstrPerWarp: 3000})
 
 	epochs := []uint64{1000, 5000, 10000, 50000}
-	epochRes, err := harness.RunEpochSensitivity(epochs, opt)
+	epochRes, err := harness.RunEpochSensitivity(epochs, cells)
 	if err != nil {
 		log.Fatal(err)
 	}
 	printSweep("high-cutoff epoch (instructions), IPC normalized to 5000", epochRes)
 
 	cutoffs := []float64{0.04, 0.02, 0.01, 0.005}
-	cutRes, err := harness.RunCutoffSensitivity(cutoffs, opt)
+	cutRes, err := harness.RunCutoffSensitivity(cutoffs, cells)
 	if err != nil {
 		log.Fatal(err)
 	}

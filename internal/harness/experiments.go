@@ -3,10 +3,7 @@ package harness
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/sched"
-	"repro/internal/sm"
 	"repro/internal/workload"
 )
 
@@ -25,25 +22,28 @@ type Fig8Result struct {
 	// SharedUtil[class] is the mean CIAO-C shared-cache utilisation
 	// (Figure 8b).
 	SharedUtil map[workload.Class]float64
-	Matrix     *Matrix
 }
 
 // RunFig8 reproduces Figure 8: the seven schedulers over the full
 // 21-benchmark suite.
-func RunFig8(opt Options) (*Fig8Result, error) {
+func RunFig8(run CellRunner) (*Fig8Result, error) {
 	specs := workload.Suite()
 	factories := Schedulers()
-	m, err := RunMatrix(specs, factories, opt)
+	var cells []Cell
+	for _, spec := range specs {
+		for _, f := range factories {
+			cells = append(cells, Cell{Bench: spec.Name, Sched: f.Name})
+		}
+	}
+	m, err := runGrid(run, cells)
 	if err != nil {
 		return nil, err
 	}
 	out := &Fig8Result{
-		Schedulers:     nil,
 		Normalized:     map[string]map[string]float64{},
 		ClassGeoMean:   map[workload.Class]map[string]float64{},
 		OverallGeoMean: map[string]float64{},
 		SharedUtil:     map[workload.Class]float64{},
-		Matrix:         m,
 	}
 	for _, f := range factories {
 		out.Schedulers = append(out.Schedulers, f.Name)
@@ -54,9 +54,13 @@ func RunFig8(opt Options) (*Fig8Result, error) {
 	utilN := map[workload.Class]int{}
 	for _, spec := range specs {
 		out.Benchmarks = append(out.Benchmarks, spec.Name)
+		base := m[Cell{Bench: spec.Name, Sched: "GTO"}].IPC
 		row := map[string]float64{}
 		for _, f := range factories {
-			n := m.NormalizedIPC(spec.Name, f.Name, "GTO")
+			n := 0.0
+			if base != 0 {
+				n = m[Cell{Bench: spec.Name, Sched: f.Name}].IPC / base
+			}
 			row[f.Name] = n
 			if perClass[spec.Class] == nil {
 				perClass[spec.Class] = map[string][]float64{}
@@ -65,10 +69,8 @@ func RunFig8(opt Options) (*Fig8Result, error) {
 			overall[f.Name] = append(overall[f.Name], n)
 		}
 		out.Normalized[spec.Name] = row
-		if r, ok := m.Get(spec.Name, "CIAO-C"); ok {
-			utilSum[spec.Class] += r.SharedUtil
-			utilN[spec.Class]++
-		}
+		utilSum[spec.Class] += m[Cell{Bench: spec.Name, Sched: "CIAO-C"}].SharedUtil
+		utilN[spec.Class]++
 	}
 	for cls, per := range perClass {
 		out.ClassGeoMean[cls] = map[string]float64{}
@@ -80,9 +82,7 @@ func RunFig8(opt Options) (*Fig8Result, error) {
 		out.OverallGeoMean[s] = metrics.GeoMean(vals)
 	}
 	for cls, n := range utilN {
-		if n > 0 {
-			out.SharedUtil[cls] = utilSum[cls] / float64(n)
-		}
+		out.SharedUtil[cls] = utilSum[cls] / float64(n)
 	}
 	return out, nil
 }
@@ -256,74 +256,47 @@ type SensitivityResult struct {
 // RunEpochSensitivity reproduces Figure 11a: CIAO-C IPC across
 // high-cutoff epoch values on the sensitivity benchmark set,
 // normalised to the 5000-instruction default.
-func RunEpochSensitivity(epochs []uint64, opt Options) (*SensitivityResult, error) {
-	return runCIAOSensitivity(opt, floats(epochs), func(c *core.CIAO, v float64) {
-		p := c.Params()
-		p.HighEpoch = uint64(v)
-		*c = *core.New(c.Mode(), p)
-	}, 5000)
+func RunEpochSensitivity(epochs []uint64, run CellRunner) (*SensitivityResult, error) {
+	values := make([]float64, len(epochs))
+	for i, e := range epochs {
+		values[i] = float64(e)
+	}
+	return runCIAOSensitivity(run, values, 5000, func(v float64) Override {
+		return Override{CIAOHighEpoch: uint64(v)}
+	})
 }
 
 // RunCutoffSensitivity reproduces Figure 11b: CIAO-C IPC across
 // high-cutoff thresholds (low-cutoff fixed at half), normalised to the
 // 1% default.
-func RunCutoffSensitivity(cutoffs []float64, opt Options) (*SensitivityResult, error) {
-	return runCIAOSensitivity(opt, cutoffs, func(c *core.CIAO, v float64) {
-		p := c.Params()
-		p.HighCutoff = v
-		p.LowCutoff = v / 2
-		*c = *core.New(c.Mode(), p)
-	}, 0.01)
+func RunCutoffSensitivity(cutoffs []float64, run CellRunner) (*SensitivityResult, error) {
+	return runCIAOSensitivity(run, cutoffs, 0.01, func(v float64) Override {
+		return Override{CIAOHighCutoff: v, CIAOLowCutoff: v / 2}
+	})
 }
 
-func floats(vs []uint64) []float64 {
-	out := make([]float64, len(vs))
-	for i, v := range vs {
-		out[i] = float64(v)
-	}
-	return out
-}
-
-func runCIAOSensitivity(opt Options, values []float64, tune func(*core.CIAO, float64), def float64) (*SensitivityResult, error) {
+// runCIAOSensitivity runs CIAO-C over the sensitivity set at the
+// default value def and at each of values, with at turning a value
+// into its machine.
+func runCIAOSensitivity(run CellRunner, values []float64, def float64, at func(float64) Override) (*SensitivityResult, error) {
 	specs := workload.SensitivitySet()
-	out := &SensitivityResult{Values: values, Normalized: map[float64]map[string]float64{}}
-
-	runAt := func(v float64) (map[string]float64, error) {
-		o := opt
-		o.ControllerHook = func(ctrl sm.Controller) {
-			if c, ok := ctrl.(*core.CIAO); ok {
-				tune(c, v)
-			}
-		}
-		f := SchedulerFactory{
-			Name:             "CIAO-C",
-			New:              func() sm.Controller { return core.NewC() },
-			NeedsSharedCache: true,
-		}
-		m, err := RunMatrix(specs, []SchedulerFactory{f}, o)
-		if err != nil {
-			return nil, err
-		}
-		ipcs := map[string]float64{}
+	cell := func(bench string, v float64) Cell { return Cell{Bench: bench, Sched: "CIAO-C", Config: at(v)} }
+	var cells []Cell
+	for _, v := range append([]float64{def}, values...) {
 		for _, s := range specs {
-			ipcs[s.Name] = m.IPC(s.Name, "CIAO-C")
+			cells = append(cells, cell(s.Name, v))
 		}
-		return ipcs, nil
 	}
-
-	base, err := runAt(def)
+	m, err := runGrid(run, cells)
 	if err != nil {
 		return nil, err
 	}
+	out := &SensitivityResult{Values: values, Normalized: map[float64]map[string]float64{}}
 	for _, v := range values {
-		ipcs, err := runAt(v)
-		if err != nil {
-			return nil, err
-		}
 		row := map[string]float64{}
-		for name, ipc := range ipcs {
-			if base[name] > 0 {
-				row[name] = ipc / base[name]
+		for _, s := range specs {
+			if base := m[cell(s.Name, def)].IPC; base > 0 {
+				row[s.Name] = m[cell(s.Name, v)].IPC / base
 			}
 		}
 		out.Normalized[v] = row
@@ -342,108 +315,68 @@ type Fig12Result struct {
 
 // RunFig12a compares GTO, GTO-cap (48KB L1D / 16KB shared), GTO-8way
 // and CIAO-C on the memory-intensive suite.
-func RunFig12a(opt Options) (*Fig12Result, error) {
-	specs := workload.MemoryIntensive()
-	gto := SchedulerFactory{Name: "GTO", New: func() sm.Controller { return sched.NewGTO() }}
-	ciao := SchedulerFactory{Name: "CIAO-C", New: func() sm.Controller { return core.NewC() }, NeedsSharedCache: true}
-	variants := []configVariant{
-		{Name: "GTO", F: gto},
-		{Name: "GTO-cap", F: gto, Hook: func(c *sm.Config) {
-			// Trade shared memory for L1D (Fermi's 48KB L1 mode is
-			// 6-way: 64 power-of-two sets).
-			c.L1.SizeBytes = 48 << 10
-			c.L1.Ways = 6
-			c.SharedMemBytes = 16 << 10
-		}},
-		{Name: "GTO-8way", F: gto, Hook: func(c *sm.Config) { c.L1.Ways = 8 }},
-		{Name: "CIAO-C", F: ciao},
-	}
-	return runConfigStudy(specs, variants, opt)
+func RunFig12a(run CellRunner) (*Fig12Result, error) {
+	return runConfigStudy(run, []configVariant{
+		{Name: "GTO", Sched: "GTO"},
+		// Trade shared memory for L1D (Fermi's 48KB L1 mode is 6-way:
+		// 64 power-of-two sets).
+		{Name: "GTO-cap", Sched: "GTO", Config: Override{L1SizeKB: 48, L1Ways: 6, SharedMemKB: 16}},
+		{Name: "GTO-8way", Sched: "GTO", Config: Override{L1Ways: 8}},
+		{Name: "CIAO-C", Sched: "CIAO-C"},
+	})
 }
 
 // RunFig12b compares statPCAL-2X and CIAO-C-2X (doubled DRAM
 // bandwidth), normalised to baseline GTO.
-func RunFig12b(opt Options) (*Fig12Result, error) {
-	specs := workload.MemoryIntensive()
-	double := func(c *sm.Config) { c.L2Config.DRAM.BandwidthMultiplier = 2 }
-	statp := SchedulerFactory{Name: "statPCAL", New: func() sm.Controller { return sched.NewStatPCAL() }}
-	ciao := SchedulerFactory{Name: "CIAO-C", New: func() sm.Controller { return core.NewC() }, NeedsSharedCache: true}
-	gto := SchedulerFactory{Name: "GTO", New: func() sm.Controller { return sched.NewGTO() }}
-	variants := []configVariant{
-		{Name: "GTO", F: gto},
-		{Name: "statPCAL-2X", F: statp, Hook: double},
-		{Name: "CIAO-C-2X", F: ciao, Hook: double},
-	}
-	return runConfigStudy(specs, variants, opt)
+func RunFig12b(run CellRunner) (*Fig12Result, error) {
+	double := Override{DRAMBandwidthX: 2}
+	return runConfigStudy(run, []configVariant{
+		{Name: "GTO", Sched: "GTO"},
+		{Name: "statPCAL-2X", Sched: "statPCAL", Config: double},
+		{Name: "CIAO-C-2X", Sched: "CIAO-C", Config: double},
+	})
 }
 
+// configVariant is one column of a configuration study: a scheduler on
+// a machine.
 type configVariant struct {
-	Name string
-	F    SchedulerFactory
-	Hook func(*sm.Config)
+	Name   string
+	Sched  string
+	Config Override
 }
 
-func runConfigStudy(specs []workload.Spec, variants []configVariant, opt Options) (*Fig12Result, error) {
+// runConfigStudy runs every variant over the memory-intensive suite,
+// normalised to baseline GTO.
+func runConfigStudy(run CellRunner, variants []configVariant) (*Fig12Result, error) {
+	specs := workload.MemoryIntensive()
+	var cells []Cell
+	for _, v := range variants {
+		for _, s := range specs {
+			cells = append(cells, Cell{Bench: s.Name, Sched: v.Sched, Config: v.Config})
+		}
+	}
+	m, err := runGrid(run, cells)
+	if err != nil {
+		return nil, err
+	}
 	out := &Fig12Result{
 		Normalized: map[string]map[string]float64{},
 		GeoMean:    map[string]float64{},
 	}
-	base := map[string]float64{}
 	for _, v := range variants {
 		out.Configs = append(out.Configs, v.Name)
-		o := opt
-		if v.Hook != nil {
-			prev := opt.ConfigHook
-			o.ConfigHook = func(c *sm.Config) {
-				if prev != nil {
-					prev(c)
-				}
-				v.Hook(c)
-			}
-		}
-		m, err := RunMatrix(specs, []SchedulerFactory{v.F}, o)
-		if err != nil {
-			return nil, err
-		}
 		row := map[string]float64{}
 		var vals []float64
 		for _, s := range specs {
-			ipc := m.IPC(s.Name, v.F.Name)
-			if v.Name == "GTO" {
-				base[s.Name] = ipc
-			}
 			n := 0.0
-			if base[s.Name] > 0 {
-				n = ipc / base[s.Name]
+			if base := m[Cell{Bench: s.Name, Sched: "GTO"}].IPC; base > 0 {
+				n = m[Cell{Bench: s.Name, Sched: v.Sched, Config: v.Config}].IPC / base
 			}
 			row[s.Name] = n
 			vals = append(vals, n)
 		}
 		out.Normalized[v.Name] = row
-		out.GeoMean[v.Name] = geoMeanOf(vals)
+		out.GeoMean[v.Name] = metrics.GeoMean(vals)
 	}
 	return out, nil
-}
-
-func geoMeanOf(vals []float64) float64 { return metrics.GeoMean(vals) }
-
-// ProfileBestSWL sweeps static warp limits for a benchmark and returns
-// the limit with the highest IPC — the procedure behind Table II's
-// Nwrp column.
-func ProfileBestSWL(spec workload.Spec, limits []int, opt Options) (best int, bestIPC float64, err error) {
-	for _, lim := range limits {
-		lim := lim
-		f := SchedulerFactory{
-			Name: "Best-SWL",
-			New:  func() sm.Controller { return sched.NewBestSWL(lim) },
-		}
-		r, _, e := RunOne(spec, f, opt)
-		if e != nil {
-			return 0, 0, e
-		}
-		if r.IPC > bestIPC {
-			best, bestIPC = lim, r.IPC
-		}
-	}
-	return best, bestIPC, nil
 }

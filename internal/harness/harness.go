@@ -1,14 +1,13 @@
 // Package harness drives the paper's experiments: it instantiates
-// benchmark × scheduler × configuration cells, runs them in parallel
-// across goroutines (each cell is an independent single-goroutine
-// simulation), and aggregates the rows/series each table and figure of
-// the evaluation reports.
+// benchmark × scheduler × configuration cells (each an independent
+// single-goroutine simulation) and aggregates the rows/series each
+// table and figure of the evaluation reports. Figures that are a grid
+// of cells hand them to a CellRunner, which the service engine
+// supplies.
 package harness
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/sched"
@@ -58,20 +57,11 @@ type Options struct {
 	InstrPerWarp uint64
 	// Seed overrides the spec's seed when non-zero.
 	Seed uint64
-	// NumWarps overrides the resident warp count when non-zero; it
-	// must stay divisible into the spec's CTAs (workload validation
-	// rejects it otherwise).
-	NumWarps int
-	// ConfigHook mutates the SM config before construction (used by
-	// the Figure 11/12 sweeps).
-	ConfigHook func(*sm.Config)
-	// ControllerHook mutates the freshly built controller (used by
-	// the sensitivity sweeps to change CIAO parameters).
-	ControllerHook func(sm.Controller)
 	// SampleInterval overrides time-series sampling (0 keeps default).
 	SampleInterval uint64
-	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS).
-	Parallelism int
+	// Override reshapes the machine and the CIAO parameters; the zero
+	// value is the Table I baseline.
+	Override Override
 }
 
 func (o Options) applySpec(spec workload.Spec) workload.Spec {
@@ -81,8 +71,8 @@ func (o Options) applySpec(spec workload.Spec) workload.Spec {
 	if o.Seed != 0 {
 		spec.Seed = o.Seed
 	}
-	if o.NumWarps > 0 {
-		spec.NumWarps = o.NumWarps
+	if o.Override.WarpsPerSM > 0 {
+		spec.NumWarps = o.Override.WarpsPerSM
 	}
 	return spec
 }
@@ -93,9 +83,7 @@ func (o Options) buildConfig(f SchedulerFactory) sm.Config {
 	if o.SampleInterval > 0 {
 		cfg.SampleInterval = o.SampleInterval
 	}
-	if o.ConfigHook != nil {
-		o.ConfigHook(&cfg)
-	}
+	o.Override.applyConfig(&cfg)
 	return cfg
 }
 
@@ -107,11 +95,7 @@ func RunOne(spec workload.Spec, f SchedulerFactory, opt Options) (sm.Result, *sm
 	if err != nil {
 		return sm.Result{}, nil, err
 	}
-	ctrl := f.New()
-	if opt.ControllerHook != nil {
-		opt.ControllerHook(ctrl)
-	}
-	g, err := sm.NewGPU(opt.buildConfig(f), kernel, ctrl, nil)
+	g, err := sm.NewGPU(opt.buildConfig(f), kernel, opt.Override.controller(f), nil)
 	if err != nil {
 		return sm.Result{}, nil, err
 	}
@@ -120,84 +104,46 @@ func RunOne(spec workload.Spec, f SchedulerFactory, opt Options) (sm.Result, *sm
 	return r, g, nil
 }
 
-// Cell identifies one benchmark × scheduler simulation.
+// RunCell simulates the named benchmark under the named scheduler and
+// returns the result in its JSON form.
+func RunCell(bench, sched string, opt Options) (CellResult, error) {
+	f, err := SchedulerByName(sched)
+	if err != nil {
+		return CellResult{}, err
+	}
+	w, err := workload.ByName(bench)
+	if err != nil {
+		return CellResult{}, err
+	}
+	r, g, err := RunOne(w, f, opt)
+	if err != nil {
+		return CellResult{}, err
+	}
+	return NewCellResult(bench, r, g.Interference().Total()), nil
+}
+
+// Cell identifies one benchmark × scheduler simulation on the machine
+// Config describes.
 type Cell struct {
-	Bench string
-	Sched string
+	Bench  string
+	Sched  string
+	Config Override
 }
 
-// Matrix holds the results of a benchmark × scheduler sweep.
-type Matrix struct {
-	Results map[Cell]sm.Result
-}
+// CellRunner simulates cells and returns their results in cell order.
+// Figures built from a grid of cells take one, so the caller decides
+// how the cells are scheduled and whether results are reused.
+type CellRunner func([]Cell) ([]CellResult, error)
 
-// Get returns the result for (bench, sched).
-func (m *Matrix) Get(bench, sched string) (sm.Result, bool) {
-	r, ok := m.Results[Cell{bench, sched}]
-	return r, ok
-}
-
-// IPC returns the IPC for (bench, sched), or 0.
-func (m *Matrix) IPC(bench, sched string) float64 {
-	r, ok := m.Get(bench, sched)
-	if !ok {
-		return 0
+// runGrid runs cells and indexes their results by cell.
+func runGrid(run CellRunner, cells []Cell) (map[Cell]CellResult, error) {
+	res, err := run(cells)
+	if err != nil {
+		return nil, err
 	}
-	return r.IPC
-}
-
-// NormalizedIPC returns IPC(bench, sched) / IPC(bench, base).
-func (m *Matrix) NormalizedIPC(bench, sched, base string) float64 {
-	b := m.IPC(bench, base)
-	if b == 0 {
-		return 0
+	out := make(map[Cell]CellResult, len(cells))
+	for i, c := range cells {
+		out[c] = res[i]
 	}
-	return m.IPC(bench, sched) / b
-}
-
-// RunMatrix sweeps specs × factories in parallel.
-func RunMatrix(specs []workload.Spec, factories []SchedulerFactory, opt Options) (*Matrix, error) {
-	type job struct {
-		spec workload.Spec
-		f    SchedulerFactory
-	}
-	jobs := make([]job, 0, len(specs)*len(factories))
-	for _, s := range specs {
-		for _, f := range factories {
-			jobs = append(jobs, job{s, f})
-		}
-	}
-
-	par := opt.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > len(jobs) {
-		par = len(jobs)
-	}
-
-	results := make([]sm.Result, len(jobs))
-	errs := make([]error, len(jobs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, par)
-	for i, j := range jobs {
-		wg.Add(1)
-		go func(i int, j job) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			r, _, err := RunOne(j.spec, j.f, opt)
-			results[i], errs[i] = r, err
-		}(i, j)
-	}
-	wg.Wait()
-
-	m := &Matrix{Results: make(map[Cell]sm.Result, len(jobs))}
-	for i, j := range jobs {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("harness: %s/%s: %w", j.spec.Name, j.f.Name, errs[i])
-		}
-		m.Results[Cell{j.spec.Name, j.f.Name}] = results[i]
-	}
-	return m, nil
+	return out, nil
 }

@@ -4,14 +4,31 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/sm"
 	"repro/internal/workload"
 )
 
 // testOpt keeps integration runs short.
 func testOpt() Options {
-	return Options{InstrPerWarp: 800, Parallelism: 4}
+	return Options{InstrPerWarp: 800}
+}
+
+// seqRunner runs a figure's cells one after another with opt. The
+// service engine, which runs them everywhere else, sits above this
+// package.
+func seqRunner(opt Options) CellRunner {
+	return func(cells []Cell) ([]CellResult, error) {
+		out := make([]CellResult, len(cells))
+		for i, c := range cells {
+			o := opt
+			o.Override = c.Config
+			r, err := RunCell(c.Bench, c.Sched, o)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = r
+		}
+		return out, nil
+	}
 }
 
 func TestSchedulersComplete(t *testing.T) {
@@ -65,52 +82,6 @@ func TestRunOne(t *testing.T) {
 	}
 	if r.Scheduler != "GTO" || g == nil {
 		t.Fatal("result metadata wrong")
-	}
-}
-
-func TestRunMatrixParallelDeterminism(t *testing.T) {
-	specs := []workload.Spec{}
-	for _, n := range []string{"SYRK", "Backprop"} {
-		s, err := workload.ByName(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		specs = append(specs, s)
-	}
-	fs := Schedulers()[:3]
-	m1, err := RunMatrix(specs, fs, testOpt())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := RunMatrix(specs, fs, testOpt())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for cell, r1 := range m1.Results {
-		r2 := m2.Results[cell]
-		if r1.IPC != r2.IPC || r1.Cycles != r2.Cycles {
-			t.Fatalf("%v not deterministic across parallel runs", cell)
-		}
-	}
-}
-
-func TestMatrixAccessors(t *testing.T) {
-	spec, _ := workload.ByName("SYRK")
-	m, err := RunMatrix([]workload.Spec{spec}, Schedulers()[:1], testOpt())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.IPC("SYRK", "GTO") <= 0 {
-		t.Fatal("IPC accessor broken")
-	}
-	if m.IPC("SYRK", "missing") != 0 {
-		t.Fatal("missing cell should yield 0")
-	}
-	if n := m.NormalizedIPC("SYRK", "GTO", "GTO"); n != 1 {
-		t.Fatalf("self-normalized IPC = %f", n)
-	}
-	if m.NormalizedIPC("SYRK", "GTO", "missing") != 0 {
-		t.Fatal("normalizing to a missing base should yield 0")
 	}
 }
 
@@ -187,8 +158,7 @@ func TestRunFig8SmallScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full matrix in -short mode")
 	}
-	opt := Options{InstrPerWarp: 500}
-	res, err := RunFig8(opt)
+	res, err := RunFig8(seqRunner(Options{InstrPerWarp: 500}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,8 +182,7 @@ func TestRunFig8SmallScale(t *testing.T) {
 }
 
 func TestEpochSensitivityNormalizesToDefault(t *testing.T) {
-	opt := testOpt()
-	res, err := RunEpochSensitivity([]uint64{5000}, opt)
+	res, err := RunEpochSensitivity([]uint64{5000}, seqRunner(testOpt()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,35 +193,11 @@ func TestEpochSensitivityNormalizesToDefault(t *testing.T) {
 	}
 }
 
-func TestCutoffSensitivityAppliesParams(t *testing.T) {
-	// Verify the controller hook actually rewrites CIAO parameters.
-	var got core.Params
-	opt := testOpt()
-	opt.ControllerHook = func(ctrl sm.Controller) {
-		if c, ok := ctrl.(*core.CIAO); ok {
-			p := c.Params()
-			p.HighCutoff = 0.04
-			p.LowCutoff = 0.02
-			*c = *core.New(c.Mode(), p)
-			got = c.Params()
-		}
-	}
-	spec, _ := workload.ByName("SYRK")
-	f := SchedulerFactory{Name: "CIAO-C", New: func() sm.Controller { return core.NewC() }, NeedsSharedCache: true}
-	if _, _, err := RunOne(spec, f, opt); err != nil {
-		t.Fatal(err)
-	}
-	if got.HighCutoff != 0.04 || got.LowCutoff != 0.02 {
-		t.Fatalf("hook did not apply: %+v", got)
-	}
-}
-
 func TestRunFig12aConfigs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("config study in -short mode")
 	}
-	opt := Options{InstrPerWarp: 400}
-	res, err := RunFig12a(opt)
+	res, err := RunFig12a(seqRunner(Options{InstrPerWarp: 400}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,26 +219,11 @@ func TestRunFig12bDoublesBandwidth(t *testing.T) {
 	if testing.Short() {
 		t.Skip("config study in -short mode")
 	}
-	opt := Options{InstrPerWarp: 400}
-	res, err := RunFig12b(opt)
+	res, err := RunFig12b(seqRunner(Options{InstrPerWarp: 400}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.GeoMean["CIAO-C-2X"] <= 0 || res.GeoMean["statPCAL-2X"] <= 0 {
 		t.Fatalf("2X geomeans = %+v", res.GeoMean)
-	}
-}
-
-func TestProfileBestSWL(t *testing.T) {
-	spec, _ := workload.ByName("SYRK")
-	best, ipc, err := ProfileBestSWL(spec, []int{2, 6, 48}, testOpt())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best != 2 && best != 6 && best != 48 {
-		t.Fatalf("profiled limit = %d not among candidates", best)
-	}
-	if ipc <= 0 {
-		t.Fatalf("best IPC = %f", ipc)
 	}
 }

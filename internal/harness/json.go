@@ -26,9 +26,7 @@ func classKeys[V any](in map[workload.Class]V) map[string]V {
 // FormatValue renders a swept parameter value as its JSON map key.
 func FormatValue(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-// MarshalJSON implements json.Marshaler. The raw Matrix is omitted:
-// its struct-keyed map has no JSON form and every figure quantity is
-// already aggregated into the other fields.
+// MarshalJSON implements json.Marshaler.
 func (r *Fig8Result) MarshalJSON() ([]byte, error) {
 	return json.Marshal(struct {
 		Benchmarks     []string                      `json:"benchmarks"`

@@ -9,10 +9,10 @@ import (
 )
 
 // Override is the declarative, JSON-addressable form of a cell's
-// machine and controller configuration. The paper's figure functions
-// mutate configs with ad-hoc Go hooks; Override exposes the same knobs
-// as plain data so arbitrary cells — not just the paper's fixed ones —
-// can be requested over the wire, content-addressed, and swept.
+// machine and controller configuration. The paper's figures describe
+// their configuration studies with it, and because it is plain data
+// any cell — not just the figures' fixed ones — can be requested over
+// the wire, content-addressed, and swept.
 //
 // Zero fields keep the Table I defaults, so the zero Override is the
 // baseline machine.
@@ -25,7 +25,8 @@ type Override struct {
 	// SharedMemKB resizes shared memory (Table I: 48).
 	SharedMemKB int `json:"shared_mem_kb,omitempty"`
 	// WarpsPerSM caps resident warps (Table I: 48); it must divide
-	// into the benchmark's CTAs (multiples of 8 for the whole suite).
+	// into the benchmark's CTAs (multiples of 8 for the whole suite)
+	// and stay at most workload.MaxWarps.
 	WarpsPerSM int `json:"warps_per_sm,omitempty"`
 	// VTAEntriesPerWarp changes the victim-tag-array depth (Table I: 8).
 	VTAEntriesPerWarp int `json:"vta_entries,omitempty"`
@@ -57,6 +58,9 @@ func (o Override) Validate() error {
 	if o.WarpsPerSM > 0 && o.WarpsPerSM%workload.DefaultWarpsPerCTA != 0 {
 		return fmt.Errorf("harness: warps_per_sm %d not a multiple of the CTA size %d",
 			o.WarpsPerSM, workload.DefaultWarpsPerCTA)
+	}
+	if o.WarpsPerSM > workload.MaxWarps {
+		return fmt.Errorf("harness: warps_per_sm %d above %d", o.WarpsPerSM, workload.MaxWarps)
 	}
 	if o.CIAOHighCutoff < 0 || o.CIAOHighCutoff >= 1 || o.CIAOLowCutoff < 0 || o.CIAOLowCutoff >= 1 {
 		return fmt.Errorf("harness: CIAO cutoffs must lie in [0,1)")
@@ -105,44 +109,23 @@ func (o Override) applyConfig(c *sm.Config) {
 	}
 }
 
-// Apply folds the override into opt, chaining after (and therefore on
-// top of) any hooks already present.
-func (o Override) Apply(opt Options) Options {
-	if o.IsZero() {
-		return opt
+// controller builds f's controller with the CIAO parameters applied;
+// other controllers ignore them.
+func (o Override) controller(f SchedulerFactory) sm.Controller {
+	ctrl := f.New()
+	c, ok := ctrl.(*core.CIAO)
+	if !ok || (o.CIAOHighEpoch == 0 && o.CIAOHighCutoff == 0 && o.CIAOLowCutoff == 0) {
+		return ctrl
 	}
-	if o.WarpsPerSM > 0 {
-		opt.NumWarps = o.WarpsPerSM
+	p := c.Params()
+	if o.CIAOHighEpoch > 0 {
+		p.HighEpoch = o.CIAOHighEpoch
 	}
-	prevCfg := opt.ConfigHook
-	opt.ConfigHook = func(c *sm.Config) {
-		if prevCfg != nil {
-			prevCfg(c)
-		}
-		o.applyConfig(c)
+	if o.CIAOHighCutoff > 0 {
+		p.HighCutoff = o.CIAOHighCutoff
 	}
-	if o.CIAOHighEpoch > 0 || o.CIAOHighCutoff > 0 || o.CIAOLowCutoff > 0 {
-		prevCtrl := opt.ControllerHook
-		opt.ControllerHook = func(ctrl sm.Controller) {
-			if prevCtrl != nil {
-				prevCtrl(ctrl)
-			}
-			c, ok := ctrl.(*core.CIAO)
-			if !ok {
-				return
-			}
-			p := c.Params()
-			if o.CIAOHighEpoch > 0 {
-				p.HighEpoch = o.CIAOHighEpoch
-			}
-			if o.CIAOHighCutoff > 0 {
-				p.HighCutoff = o.CIAOHighCutoff
-			}
-			if o.CIAOLowCutoff > 0 {
-				p.LowCutoff = o.CIAOLowCutoff
-			}
-			*c = *core.New(c.Mode(), p)
-		}
+	if o.CIAOLowCutoff > 0 {
+		p.LowCutoff = o.CIAOLowCutoff
 	}
-	return opt
+	return core.New(c.Mode(), p)
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/sm"
 	"repro/internal/workload"
 )
 
@@ -22,6 +21,9 @@ func TestOverrideValidate(t *testing.T) {
 		{"ciao", Override{CIAOHighEpoch: 1000, CIAOHighCutoff: 0.02, CIAOLowCutoff: 0.01}, ""},
 		{"negative", Override{L1SizeKB: -1}, "negative"},
 		{"warp granularity", Override{WarpsPerSM: 30}, "warps_per_sm"},
+		{"most warps", Override{WarpsPerSM: workload.MaxWarps}, ""},
+		// Would allocate a 2^40-entry interference matrix.
+		{"too many warps", Override{WarpsPerSM: 1 << 20}, "above"},
 		{"bad sets", Override{L1SizeKB: 17}, "power of two"},
 		{"cutoff range", Override{CIAOHighCutoff: 1.5}, "cutoffs"},
 		{"inverted cutoffs", Override{CIAOHighCutoff: 0.01, CIAOLowCutoff: 0.02}, "ciao_low_cutoff"},
@@ -46,13 +48,14 @@ func TestOverrideValidate(t *testing.T) {
 }
 
 func TestOverrideApplyConfig(t *testing.T) {
-	// An existing hook must run first and stay effective for fields
-	// the override leaves alone.
-	base := Options{ConfigHook: func(c *sm.Config) { c.MSHRMergeMax = 99 }}
 	o := Override{L1SizeKB: 32, L1Ways: 8, SharedMemKB: 32, DRAMBandwidthX: 2, WarpsPerSM: 16}
-	opt := o.Apply(base)
-	if opt.NumWarps != 16 {
-		t.Errorf("NumWarps = %d", opt.NumWarps)
+	opt := Options{SampleInterval: 777, Override: o}
+	spec, err := workload.ByName("SYRK")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := opt.applySpec(spec).NumWarps; got != 16 {
+		t.Errorf("NumWarps = %d", got)
 	}
 	f, err := SchedulerByName("GTO")
 	if err != nil {
@@ -68,26 +71,36 @@ func TestOverrideApplyConfig(t *testing.T) {
 	if cfg.L2Config.DRAM.BandwidthMultiplier != 2 {
 		t.Errorf("bandwidth = %d", cfg.L2Config.DRAM.BandwidthMultiplier)
 	}
-	if cfg.MSHRMergeMax != 99 {
-		t.Error("pre-existing ConfigHook was dropped")
+	if cfg.SampleInterval != 777 {
+		t.Error("override dropped the sample interval")
 	}
 }
 
 func TestOverrideApplyCIAO(t *testing.T) {
 	o := Override{CIAOHighEpoch: 1234, CIAOHighCutoff: 0.04, CIAOLowCutoff: 0.02}
-	opt := o.Apply(Options{})
-	if opt.ControllerHook == nil {
-		t.Fatal("no controller hook")
+	f, err := SchedulerByName("CIAO-C")
+	if err != nil {
+		t.Fatal(err)
 	}
-	c := core.NewC()
-	opt.ControllerHook(c)
+	c, ok := o.controller(f).(*core.CIAO)
+	if !ok {
+		t.Fatal("CIAO-C override built a non-CIAO controller")
+	}
 	p := c.Params()
 	if p.HighEpoch != 1234 || p.HighCutoff != 0.04 || p.LowCutoff != 0.02 {
 		t.Errorf("params = %+v", p)
 	}
+	if c.Mode() != core.ModeC {
+		t.Errorf("mode = %v, want CIAO-C", c.Mode())
+	}
 	// Non-CIAO controllers are left alone.
-	gto, _ := SchedulerByName("GTO")
-	opt.ControllerHook(gto.New()) // must not panic
+	gto, err := SchedulerByName("GTO")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if name := o.controller(gto).Name(); name != "GTO" {
+		t.Errorf("GTO override built %s", name)
+	}
 }
 
 func TestOverrideWarpsReachSimulation(t *testing.T) {
@@ -99,8 +112,7 @@ func TestOverrideWarpsReachSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := Override{WarpsPerSM: 16}.Apply(Options{InstrPerWarp: 300})
-	r, _, err := RunOne(spec, f, opt)
+	r, _, err := RunOne(spec, f, Options{InstrPerWarp: 300, Override: Override{WarpsPerSM: 16}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/harness"
 	"repro/internal/metrics"
 )
 
@@ -31,8 +32,11 @@ type RunFunc func(Spec) ([]byte, error)
 // Engine executes experiment specs with three layers of work
 // avoidance: a content-addressed LRU result cache, single-flight
 // coalescing of identical in-flight specs, and a bounded worker pool
-// so a burst of distinct requests cannot oversubscribe the host (each
-// simulation already fans out internally via harness.RunMatrix).
+// so a burst of distinct requests cannot oversubscribe the host. A
+// matrix figure (fig8, fig11a/b, fig12a/b) is not one simulation: its
+// cells run as ordinary "run" specs through the same cache, coalescing
+// and pool, so they share results with /run and sweeps, and the
+// figure itself holds no worker slot.
 type Engine struct {
 	run   RunFunc
 	cache *ResultCache
@@ -98,7 +102,8 @@ func NewEngine(cfg Config) *Engine {
 func (e *Engine) Cache() *ResultCache { return e.cache }
 
 // Simulations returns how many times the executor actually ran —
-// cache hits and coalesced waits do not count.
+// cache hits and coalesced waits do not count. A matrix figure counts
+// each cell it simulated.
 func (e *Engine) Simulations() uint64 { return e.runs.Value() }
 
 // JobsSubmitted returns how many async jobs Submit accepted.
@@ -155,13 +160,7 @@ func (e *Engine) Run(spec Spec) ([]byte, Source, error) {
 	e.inflight[key] = f
 	e.mu.Unlock()
 
-	e.waiting.Add(1)
-	e.slots <- struct{}{}
-	e.waiting.Add(-1)
-	e.runs.Inc()
-	payload, err := e.run(spec)
-	<-e.slots
-
+	payload, err := e.execute(spec)
 	if err == nil {
 		e.cache.Put(key, payload)
 	}
@@ -175,6 +174,70 @@ func (e *Engine) Run(spec Spec) ([]byte, Source, error) {
 		return nil, "", err
 	}
 	return payload, SourceComputed, nil
+}
+
+// execute computes a spec the cache and the in-flight table missed.
+// A matrix figure takes no worker slot: its cells take slots of their
+// own, and a figure holding one while they wait could deadlock a
+// one-worker engine.
+func (e *Engine) execute(spec Spec) ([]byte, error) {
+	if fig := matrixFigures[spec.Experiment]; fig != nil {
+		v, err := fig(e.CellRunner(spec.Options))
+		if err != nil {
+			return nil, err
+		}
+		return json.Marshal(v)
+	}
+	e.waiting.Add(1)
+	e.slots <- struct{}{}
+	e.waiting.Add(-1)
+	defer func() { <-e.slots }()
+	e.runs.Inc()
+	return e.run(spec)
+}
+
+// CellRunner returns a runner that executes each cell as a "run" spec
+// with opts through Run, so cells share the cache, coalescing and
+// worker pool with every other request. One call keeps at most Workers
+// cells in flight, so a figure cannot flood the slot queue ahead of
+// other clients.
+func (e *Engine) CellRunner(opts OptionSpec) harness.CellRunner {
+	return func(cells []harness.Cell) ([]harness.CellResult, error) {
+		out := make([]harness.CellResult, len(cells))
+		errs := make([]error, len(cells))
+		sem := make(chan struct{}, cap(e.slots))
+		var wg sync.WaitGroup
+		for i, c := range cells {
+			sem <- struct{}{}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer func() { <-sem }()
+				out[i], errs[i] = e.runCell(c, opts)
+			}()
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				return nil, fmt.Errorf("service: cell %s/%s: %w", cells[i].Bench, cells[i].Sched, err)
+			}
+		}
+		return out, nil
+	}
+}
+
+func (e *Engine) runCell(c harness.Cell, opts OptionSpec) (harness.CellResult, error) {
+	spec := Spec{Experiment: ExpRun, Bench: c.Bench, Sched: c.Sched, Options: opts}
+	if !c.Config.IsZero() {
+		spec.Config = &c.Config
+	}
+	payload, _, err := e.Run(spec)
+	if err != nil {
+		return harness.CellResult{}, err
+	}
+	var r harness.CellResult
+	err = json.Unmarshal(payload, &r)
+	return r, err
 }
 
 // JobState is a job's lifecycle phase.

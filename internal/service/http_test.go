@@ -169,8 +169,8 @@ func TestHTTPExperimentJobLifecycle(t *testing.T) {
 	if st2.Source != SourceCache {
 		t.Errorf("resubmit source = %q, want cache", st2.Source)
 	}
-	if calls.Load() != 1 {
-		t.Errorf("simulations = %d, want 1", calls.Load())
+	if calls.Load() != 147 {
+		t.Errorf("simulations = %d, want 147 (one per fig8 cell)", calls.Load())
 	}
 }
 
@@ -183,6 +183,9 @@ func TestHTTPBadRequests(t *testing.T) {
 		{"/run", `{"experiment":"fig8"}`}, // figures go to /experiment
 		{"/run", `not json`},
 		{"/run", `{"unknown_field":1}`},
+		// A warp count this large would exhaust memory building the
+		// interference matrix.
+		{"/run", `{"bench":"SYRK","sched":"GTO","config":{"warps_per_sm":1048576}}`},
 		{"/experiment", `{"experiment":"fig99"}`},
 	}
 	for _, c := range cases {

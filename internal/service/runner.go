@@ -6,48 +6,53 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/overhead"
-	"repro/internal/workload"
 )
 
 // Execute runs the experiment named by spec to completion and returns
-// its stable JSON encoding. It is a pure function of the spec — no
-// caching, no concurrency limits — and is shared by the engine, the
-// ciaoserve handlers and ciaosim -json.
+// its stable JSON encoding. It is a pure function of the spec and is
+// shared by the engine, the ciaoserve handlers and ciaosim -json. A
+// matrix figure runs its cells through an engine of its own, which
+// ends with the call, so nothing is cached across calls.
 func Execute(spec Spec) ([]byte, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	opt := spec.Options.Options()
-	v, err := execute(spec, opt)
+	if matrixFigures[spec.Experiment] != nil {
+		payload, _, err := NewEngine(Config{}).Run(spec)
+		return payload, err
+	}
+	v, err := execute(spec)
 	if err != nil {
 		return nil, err
 	}
 	return json.Marshal(v)
 }
 
-func execute(spec Spec, opt harness.Options) (any, error) {
+// matrixFigures are the figures that are a fixed grid of cells plus an
+// aggregation over the cells' results; the engine runs their cells as
+// ordinary "run" specs.
+var matrixFigures = map[string]func(harness.CellRunner) (any, error){
+	ExpFig8: func(run harness.CellRunner) (any, error) { return harness.RunFig8(run) },
+	ExpFig11a: func(run harness.CellRunner) (any, error) {
+		return harness.RunEpochSensitivity([]uint64{1000, 5000, 10000, 50000}, run)
+	},
+	ExpFig11b: func(run harness.CellRunner) (any, error) {
+		return harness.RunCutoffSensitivity([]float64{0.04, 0.02, 0.01, 0.005}, run)
+	},
+	ExpFig12a: func(run harness.CellRunner) (any, error) { return harness.RunFig12a(run) },
+	ExpFig12b: func(run harness.CellRunner) (any, error) { return harness.RunFig12b(run) },
+}
+
+func execute(spec Spec) (any, error) {
+	opt := spec.Options.Options()
 	if spec.Config != nil {
 		// Validate() restricts Config to the experiments whose runs it
 		// actually reaches (run, timeseries).
-		opt = spec.Config.Apply(opt)
+		opt.Override = *spec.Config
 	}
 	switch spec.Experiment {
 	case ExpRun:
-		f, err := harness.SchedulerByName(spec.Sched)
-		if err != nil {
-			return nil, err
-		}
-		w, err := workload.ByName(spec.Bench)
-		if err != nil {
-			return nil, err
-		}
-		r, g, err := harness.RunOne(w, f, opt)
-		if err != nil {
-			return nil, err
-		}
-		return harness.NewCellResult(spec.Bench, r, g.Interference().Total()), nil
-	case ExpFig8:
-		return harness.RunFig8(opt)
+		return harness.RunCell(spec.Bench, spec.Sched, opt)
 	case ExpFig1b:
 		return harness.RunFig1b(opt)
 	case ExpFig4:
@@ -56,14 +61,6 @@ func execute(spec Spec, opt harness.Options) (any, error) {
 		return runSeries(opt, []string{"ATAX", "Backprop"}, []string{"Best-SWL", "CCWS", "CIAO-T"})
 	case ExpFig10:
 		return runSeries(opt, []string{"SYRK", "KMN"}, []string{"CIAO-T", "CIAO-P", "CIAO-C"})
-	case ExpFig11a:
-		return harness.RunEpochSensitivity([]uint64{1000, 5000, 10000, 50000}, opt)
-	case ExpFig11b:
-		return harness.RunCutoffSensitivity([]float64{0.04, 0.02, 0.01, 0.005}, opt)
-	case ExpFig12a:
-		return harness.RunFig12a(opt)
-	case ExpFig12b:
-		return harness.RunFig12b(opt)
 	case ExpTimeSeries:
 		return harness.RunTimeSeries(spec.Bench, spec.Schedulers, opt)
 	case ExpOverhead:
@@ -75,9 +72,6 @@ func execute(spec Spec, opt harness.Options) (any, error) {
 // runSeries gathers the fixed figure-9/10 trace sets, one
 // TimeSeriesSet per benchmark.
 func runSeries(opt harness.Options, benches, scheds []string) (any, error) {
-	if opt.SampleInterval == 0 {
-		opt.SampleInterval = 2000
-	}
 	out := make(map[string]*harness.TimeSeriesSet, len(benches))
 	for _, b := range benches {
 		set, err := harness.RunTimeSeries(b, scheds, opt)

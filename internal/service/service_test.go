@@ -2,11 +2,14 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/harness"
 )
 
 func TestSpecKeyCanonicalization(t *testing.T) {
@@ -197,7 +200,7 @@ func TestEngineErrorsAreNotCached(t *testing.T) {
 		}
 		return []byte(`{}`), nil
 	}})
-	spec := Spec{Experiment: ExpFig8}
+	spec := Spec{Experiment: ExpRun, Bench: "SYRK", Sched: "GTO"}
 	if _, _, err := e.Run(spec); err == nil {
 		t.Fatal("want error")
 	}
@@ -207,6 +210,103 @@ func TestEngineErrorsAreNotCached(t *testing.T) {
 	}
 	if calls.Load() != 2 {
 		t.Errorf("calls = %d, want 2", calls.Load())
+	}
+}
+
+// fakeCells fakes a "run" simulation with a small CellResult whose
+// numbers depend on the cell, and counts the calls.
+func fakeCells(calls *atomic.Int64) RunFunc {
+	return func(s Spec) ([]byte, error) {
+		calls.Add(1)
+		if s.Experiment != ExpRun {
+			return nil, fmt.Errorf("fake runs cells only, got %q", s.Experiment)
+		}
+		k := s.Key()
+		return json.Marshal(harness.CellResult{Bench: s.Bench, Sched: s.Sched,
+			IPC: 1 + float64(k[0]%8)/8, SharedUtil: float64(k[1]%4) / 4})
+	}
+}
+
+// runWithin fails the test if e.Run(spec) does not return within a
+// generous bound, which is how a slot deadlock shows.
+func runWithin(t *testing.T, e *Engine, spec Spec) ([]byte, Source) {
+	t.Helper()
+	type result struct {
+		payload []byte
+		src     Source
+		err     error
+	}
+	done := make(chan result, 1)
+	go func() {
+		payload, src, err := e.Run(spec)
+		done <- result{payload, src, err}
+	}()
+	select {
+	case r := <-done:
+		if r.err != nil {
+			t.Fatalf("%s: %v", spec.Experiment, r.err)
+		}
+		return r.payload, r.src
+	case <-time.After(30 * time.Second):
+		t.Fatalf("%s did not finish: deadlocked on worker slots?", spec.Experiment)
+		return nil, ""
+	}
+}
+
+// TestEngineFigureCells: a matrix figure's cells are ordinary "run"
+// specs. On a one-worker engine the figure finishes (it holds no slot
+// while its cells wait for one), each cell costs one simulation, a
+// repeat costs none, and the cells serve /run and other figures.
+func TestEngineFigureCells(t *testing.T) {
+	var calls atomic.Int64
+	e := NewEngine(Config{Workers: 1, Run: fakeCells(&calls)})
+	opts := OptionSpec{InstrPerWarp: 300, Seed: 7}
+	fig8 := Spec{Experiment: ExpFig8, Options: opts}
+
+	if _, src := runWithin(t, e, fig8); src != SourceComputed {
+		t.Errorf("fig8 source = %q, want computed", src)
+	}
+	if n := e.Simulations(); n != 147 {
+		t.Errorf("fig8 simulations = %d, want 147 (7 schedulers x 21 benchmarks)", n)
+	}
+	if _, src := runWithin(t, e, fig8); src != SourceCache {
+		t.Errorf("repeated fig8 source = %q, want cache", src)
+	}
+	if n := e.Simulations(); n != 147 {
+		t.Errorf("repeated fig8 cost %d simulations, want 0", n-147)
+	}
+	cell := Spec{Experiment: ExpRun, Bench: "SYRK", Sched: "CIAO-C", Options: opts}
+	if _, src := runWithin(t, e, cell); src != SourceCache {
+		t.Errorf("/run of a fig8 cell: source = %q, want cache", src)
+	}
+	// Fig 12a's GTO and CIAO-C columns are fig8 cells.
+	runWithin(t, e, Spec{Experiment: ExpFig12a, Options: opts})
+	if n := e.Simulations() - 147; n != 26 {
+		t.Errorf("fig12a after fig8 cost %d simulations, want 26", n)
+	}
+
+	// Fig 11a's default column is its 5000-instruction column.
+	e = NewEngine(Config{Workers: 1, Run: fakeCells(&calls)})
+	runWithin(t, e, Spec{Experiment: ExpFig11a, Options: opts})
+	if n := e.Simulations(); n != 28 {
+		t.Errorf("fig11a simulations = %d, want 28", n)
+	}
+	if calls.Load() != int64(147+26+28) {
+		t.Errorf("executor calls = %d, want %d", calls.Load(), 147+26+28)
+	}
+}
+
+// TestEngineFigureParallelDeterminism: a figure's payload does not
+// depend on how many of its cells run at once.
+func TestEngineFigureParallelDeterminism(t *testing.T) {
+	var calls atomic.Int64
+	for exp := range matrixFigures {
+		spec := Spec{Experiment: exp, Options: OptionSpec{InstrPerWarp: 300}}
+		serial, _ := runWithin(t, NewEngine(Config{Workers: 1, Run: fakeCells(&calls)}), spec)
+		parallel, _ := runWithin(t, NewEngine(Config{Workers: 4, Run: fakeCells(&calls)}), spec)
+		if !bytes.Equal(serial, parallel) {
+			t.Errorf("%s: Workers 4 payload differs from Workers 1:\n%s\n%s", exp, parallel, serial)
+		}
 	}
 }
 

@@ -18,10 +18,10 @@ import (
 	"repro/internal/workload"
 )
 
-// OptionSpec is the JSON-addressable subset of harness.Options.
-// Execution-only knobs (Parallelism, hooks) are deliberately excluded:
-// they do not change the simulated result, so they must not change the
-// cache key.
+// OptionSpec is the JSON-addressable form of harness.Options, minus
+// the machine override, which a spec carries as Config. Every field
+// changes the simulated result, so every field is part of the cache
+// key.
 type OptionSpec struct {
 	// InstrPerWarp overrides the suite's per-warp budget when non-zero.
 	InstrPerWarp uint64 `json:"instr_per_warp,omitempty"`

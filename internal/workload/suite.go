@@ -15,6 +15,9 @@ const (
 	DefaultWarps = 48
 	// DefaultWarpsPerCTA groups warps into 6 CTAs.
 	DefaultWarpsPerCTA = 8
+	// MaxWarps bounds a kernel's resident warps wherever a request
+	// sets them: the interference matrix grows with their square.
+	MaxWarps = 1024
 	// DefaultInstrPerWarp is the per-warp instruction budget.
 	DefaultInstrPerWarp = 6000
 	// DefaultSeed seeds all suite streams.

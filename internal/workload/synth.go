@@ -242,8 +242,8 @@ func (d Descriptor) Validate() error {
 	if d.InputKB*1024 < memory.LineSize || d.InputKB > 1<<20 {
 		return fail("input_kb %d outside [1,%d]", d.InputKB, 1<<20)
 	}
-	if d.Warps < 1 || d.Warps > 1024 {
-		return fail("warps %d outside [1,1024]", d.Warps)
+	if d.Warps < 1 || d.Warps > MaxWarps {
+		return fail("warps %d outside [1,%d]", d.Warps, MaxWarps)
 	}
 	if d.CTA < 1 || d.Warps%d.CTA != 0 {
 		return fail("%d warps not divisible into CTAs of %d", d.Warps, d.CTA)
