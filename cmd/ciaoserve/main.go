@@ -7,23 +7,13 @@
 // journals to coord.journal.ndjson next to each sweep's results, and
 // on startup interrupted sweeps are recovered from those journals and
 // resume serving /coord under their original ids (disable with
-// -no-recover).
+// -no-recover). One ciaoserve owns a -sweepdir.
 //
 // Sweep results live in a tiered store: an append-only NDJSON tail
 // per sweep, compacted (automatically past -compact-after records, or
 // on demand) into immutable, optionally gzip'd segments that read
 // back as one logical stream. Live /sweeps/{id}/results followers
 // share one broadcast of the append path instead of polling the file.
-//
-// Two servers federate through -advertise/-peer: each stamps the
-// journals it writes with its own URL, leaves the other's journals
-// alone at boot (redirecting their workers there), and — watching the
-// other through -peer health probes, or told to via POST /coord/adopt
-// — adopts the orphaned sweeps of a dead sibling by replaying their
-// journals, so surviving workers keep their leases across the
-// hand-off. A shared -sweepdir is no longer required: while the peer
-// is healthy its live sweeps are mirrored here over HTTP (segment
-// blobs, tail, journal), and adoption replays the mirror.
 //
 // Endpoints:
 //
@@ -43,10 +33,6 @@
 //	                             live tail; ?follow=0 for a snapshot)
 //	POST   /sweeps/{id}/compact  compact the live tail's settled prefix
 //	                             into an immutable segment now
-//	GET    /sweeps/{id}/segments segment blob names; append /{name} for
-//	                             the raw blob (what a peer mirrors)
-//	GET    /sweeps/{id}/store/{manifest|tail|journal}
-//	                             the rest of the sweep directory, raw
 //	DELETE /sweeps/{id}          cancel a sweep (results kept on disk)
 //	POST   /coord/lease          worker: acquire a shard lease (workers
 //	                             advertise capability tags + max-cells
@@ -54,7 +40,6 @@
 //	                             matching worker)
 //	POST   /coord/heartbeat      worker: renew a lease
 //	POST   /coord/complete       worker: upload a shard's records
-//	POST   /coord/adopt          adopt orphaned sweeps from a dead peer
 //	GET    /coord/status         shard tables of live distributed sweeps
 //	POST   /coord/admin/expire   force-expire a lease ({"sweep","shard"})
 //	POST   /coord/admin/quarantine    park a poisonous shard; the sweep
@@ -90,7 +75,6 @@ import (
 	"log"
 	"net/http"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -108,8 +92,6 @@ func main() {
 		leaseTTL  = flag.Duration("leasettl", coord.DefaultTTL, "distributed sweeps: lease TTL without a heartbeat")
 		maxLeases = flag.Int("maxleases", coord.DefaultMaxLeases, "distributed sweeps: leases per shard before the sweep fails terminally")
 		noRecover = flag.Bool("no-recover", false, "skip crash recovery of interrupted distributed sweeps under -sweepdir")
-		advertise = flag.String("advertise", "", "federation: this server's URL, stamped into sweep journals as their owner (enables peer adoption)")
-		peer      = flag.String("peer", "", "federation: sibling server URL; its live sweeps are mirrored here over HTTP and its orphaned sweeps adopted when it stops answering /healthz (a shared -sweepdir also works, mirroring then no-ops)")
 
 		compactAfter = flag.Int("compact-after", 4096, "result store: auto-compact a sweep's live tail into an immutable segment once it holds this many records (0 = only on POST /sweeps/{id}/compact)")
 		gzipSegments = flag.Bool("gzip-segments", false, "result store: gzip-compress newly written segments")
@@ -131,8 +113,6 @@ func main() {
 		shardSize:    *shardSize,
 		leaseTTL:     *leaseTTL,
 		maxLeases:    *maxLeases,
-		advertise:    *advertise,
-		peer:         *peer,
 		compactAfter: *compactAfter,
 		gzipSegments: *gzipSegments,
 		syncResults:  *syncResults,
@@ -154,10 +134,6 @@ func main() {
 			log.Printf("recovered %d distributed sweep(s) from %s", n, *sweepDir)
 		}
 	}
-	if *peer != "" {
-		go watchPeer(*peer, *leaseTTL, s.sweeps.AdoptOrphans, s.sweeps.MirrorFrom)
-	}
-
 	srv := &http.Server{
 		Addr:    *addr,
 		Handler: s.handler,
@@ -192,65 +168,5 @@ func main() {
 		if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 			log.Printf("serve: %v", err)
 		}
-	}
-}
-
-// peerFailThreshold: consecutive failed health probes before the peer
-// is presumed dead and its orphaned sweeps adopted. One failure is a
-// blip (a restart, a slow GC pause); several in a row across probe
-// intervals is an outage worth taking the fleet over for.
-const peerFailThreshold = 3
-
-// watchPeer probes the sibling server's /healthz. While the peer is
-// healthy, each probe also refreshes this server's warm-standby
-// mirror of the peer's live distributed sweeps — segment blobs, tail
-// and journal fetched over HTTP into this server's own -sweepdir —
-// so federation no longer requires a shared filesystem (on a shared
-// directory the mirror refuses to touch the peer's files and the old
-// behaviour is unchanged). Once the peer has stayed unreachable for
-// peerFailThreshold consecutive probes, every orphaned sweep found
-// locally — shared directory or mirror alike — is adopted. Watching
-// continues afterwards — the peer may come back, die again, and leave
-// new orphans (a restarted peer that finds its old sweeps adopted
-// here simply redirects their workers this way, so a false positive
-// costs a hand-off, not correctness).
-func watchPeer(peer string, ttl time.Duration, adopt func() (int, error), mirror func(string) (int, error)) {
-	interval := ttl
-	if interval < 2*time.Second {
-		interval = 2 * time.Second
-	}
-	client := &http.Client{Timeout: interval}
-	url := strings.TrimRight(peer, "/") + "/healthz"
-	fails := 0
-	mirrorFailed := false
-	for {
-		time.Sleep(interval)
-		resp, err := client.Get(url)
-		if err == nil {
-			resp.Body.Close()
-			fails = 0
-			if _, merr := mirror(peer); merr != nil {
-				if !mirrorFailed {
-					log.Printf("mirror from %s: %v", peer, merr)
-				}
-				mirrorFailed = true // log once per streak, not per probe
-			} else {
-				mirrorFailed = false
-			}
-			continue
-		}
-		fails++
-		if fails < peerFailThreshold {
-			continue
-		}
-		log.Printf("peer %s unreachable for %d probe(s): adopting its orphaned sweeps", peer, fails)
-		n, aerr := adopt()
-		if aerr != nil {
-			log.Printf("adopt from %s: %v", peer, aerr)
-		}
-		if n > 0 {
-			log.Printf("adopted %d sweep(s) orphaned by %s", n, peer)
-		}
-		fails = 0 // re-arm: adoption is idempotent, but don't spin every probe
 	}
 }

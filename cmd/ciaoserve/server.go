@@ -25,8 +25,6 @@ type serverOpts struct {
 	shardSize int
 	leaseTTL  time.Duration
 	maxLeases int
-	advertise string
-	peer      string
 
 	// Tiered result store tuning: compactAfter auto-freezes a sweep's
 	// settled tail prefix into an immutable segment once the tail holds
@@ -79,7 +77,7 @@ func newServer(o serverOpts) *server {
 		cacheEntries = -1 // the engine treats 0 as "default"; the flag means "off"
 	}
 	engine := service.NewEngine(service.Config{Workers: o.workers, CacheEntries: cacheEntries, MaxJobs: o.jobs, Run: o.run})
-	hub := coord.NewHub(coord.Config{ShardSize: o.shardSize, TTL: o.leaseTTL, MaxLeases: o.maxLeases, Advertise: o.advertise, Peer: o.peer})
+	hub := coord.NewHub(coord.Config{ShardSize: o.shardSize, TTL: o.leaseTTL, MaxLeases: o.maxLeases})
 	sweeps := sweep.NewManager(engine, o.sweepDir, o.parallelism)
 	sweeps.SetStoreOptions(sweep.StoreOptions{
 		SyncAppend:   o.syncResults,
@@ -87,7 +85,6 @@ func newServer(o serverOpts) *server {
 		GzipSegments: o.gzipSegments,
 	})
 	sweeps.SetDistributor(hub)
-	hub.SetAdoptFunc(sweeps.AdoptOrphans)
 
 	red := metrics.NewRED()
 	sweepRED := metrics.NewRED()

@@ -6,11 +6,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/service"
 )
 
@@ -166,9 +168,59 @@ func TestServerRateLimitsPerClient(t *testing.T) {
 	}
 }
 
+// promFamilies is the ordered list of metric families a fresh server
+// exposes after one /run: the /metrics contract. Adding, removing or
+// reordering a family is a deliberate change to this list.
+var promFamilies = []string{
+	"ciao_cache_hits_total counter",
+	"ciao_cache_misses_total counter",
+	"ciao_cache_evictions_total counter",
+	"ciao_cache_entries gauge",
+	"ciao_simulations_total counter",
+	"ciao_jobs_submitted_total counter",
+	"ciao_engine_queue_depth gauge",
+	"ciao_engine_running gauge",
+	"ciao_http_requests_total counter",
+	"ciao_http_request_errors_total counter",
+	"ciao_http_requests_shed_total counter",
+	"ciao_http_rate_limited_total counter",
+	"ciao_http_response_bytes_total counter",
+	"ciao_http_request_seconds histogram",
+	"ciao_sweeps_started_total counter",
+	"ciao_sweep_cells_done_total counter",
+	"ciao_sweep_cells_failed_total counter",
+	"ciao_sweeps_active gauge",
+	"ciao_sweeps_tracked gauge",
+	"ciao_store_compactions_total counter",
+	"ciao_store_segments_written_total counter",
+	"ciao_store_segment_bytes_total counter",
+	"ciao_store_tail_lagged_total counter",
+	"ciao_store_tail_subscribers gauge",
+	"coord_active gauge",
+	"coord_leases_granted counter",
+	"coord_leases_affine counter",
+	"coord_leases_expired counter",
+	"coord_shards_reassigned counter",
+	"coord_shards_completed counter",
+	"coord_records_merged counter",
+	"coord_records_deduped counter",
+	"coord_stale_acks counter",
+	"coord_leases_starved counter",
+	"coord_admin_expired counter",
+	"coord_shards_quarantined counter",
+	"coord_shards_unquarantined counter",
+	"coord_journal_entries counter",
+	"coord_journal_replayed counter",
+	"coord_journal_compactions counter",
+	"coord_sweeps_recovered counter",
+	"coord_leases_recovered counter",
+}
+
 // TestServerMetricsFormats checks the /metrics content negotiation:
 // JSON by default (with the per-route RED block), Prometheus text
-// exposition on request, carrying every subsystem's families.
+// exposition on request, carrying exactly the promFamilies list, and
+// a JSON coordinator block that matches the coord_ families
+// one-for-one.
 func TestServerMetricsFormats(t *testing.T) {
 	_, ts, release := testServer(t, serverOpts{workers: 2})
 	close(release)
@@ -186,6 +238,9 @@ func TestServerMetricsFormats(t *testing.T) {
 	var js struct {
 		Cache json.RawMessage            `json:"cache"`
 		HTTP  map[string]json.RawMessage `json:"http"`
+		Extra struct {
+			Coord map[string]json.RawMessage `json:"coord"`
+		} `json:"extra"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&js); err != nil {
 		t.Fatalf("default /metrics is not JSON: %v", err)
@@ -197,6 +252,39 @@ func TestServerMetricsFormats(t *testing.T) {
 	if js.Cache == nil || js.HTTP["/run"] == nil {
 		t.Fatalf("JSON payload missing cache or http//run block: %+v", js)
 	}
+	// The coordinator block is "active" plus one key per CoordSnapshot
+	// field, and each key names the Prometheus family coord_<key>.
+	snapJSON, err := json.Marshal(metrics.CoordSnapshot{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snapKeys map[string]json.RawMessage
+	if err := json.Unmarshal(snapJSON, &snapKeys); err != nil {
+		t.Fatal(err)
+	}
+	wantCoord := []string{"active"}
+	for k := range snapKeys {
+		wantCoord = append(wantCoord, k)
+	}
+	var coordFamilies []string
+	for _, f := range promFamilies {
+		if name, ok := strings.CutPrefix(strings.Fields(f)[0], "coord_"); ok {
+			coordFamilies = append(coordFamilies, name)
+		}
+	}
+	gotCoord := make([]string, 0, len(js.Extra.Coord))
+	for k := range js.Extra.Coord {
+		gotCoord = append(gotCoord, k)
+	}
+	slices.Sort(wantCoord)
+	slices.Sort(coordFamilies)
+	slices.Sort(gotCoord)
+	if !slices.Equal(gotCoord, wantCoord) {
+		t.Errorf("extra.coord keys = %v, want active plus the CoordSnapshot keys %v", gotCoord, wantCoord)
+	}
+	if !slices.Equal(gotCoord, coordFamilies) {
+		t.Errorf("extra.coord keys = %v, want one per coord_ family %v", gotCoord, coordFamilies)
+	}
 
 	resp, err = http.Get(ts.URL + "/metrics?format=prom")
 	if err != nil {
@@ -206,6 +294,15 @@ func TestServerMetricsFormats(t *testing.T) {
 	resp.Body.Close()
 	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "text/plain") {
 		t.Fatalf("prom Content-Type = %q", ct)
+	}
+	var families []string
+	for _, line := range strings.Split(string(body), "\n") {
+		if f, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			families = append(families, f)
+		}
+	}
+	if !slices.Equal(families, promFamilies) {
+		t.Errorf("prom families =\n%s\nwant\n%s", strings.Join(families, "\n"), strings.Join(promFamilies, "\n"))
 	}
 	for _, want := range []string{
 		`ciao_http_requests_total{route="/run"} 1`,

@@ -23,10 +23,8 @@
 // them, and uploads the records — no local store, no manual sharding.
 // -tags and -maxcells advertise what the host can run, so shards whose
 // spec carries "requires" constraints route only to matching workers.
-// -worker accepts a comma-separated URL list for a federated server
-// pair: the worker rotates to the next URL when one stops answering
-// and follows "redirect" responses, so a coordinator dying mid-shard
-// hands the worker to the peer that adopts the sweep.
+// -worker takes one absolute http(s) URL; anything else is an error at
+// startup.
 //
 //	ciaosweep -spec examples/sweep-l1-capacity.json -dir sweeps/l1
 //	^C ...
@@ -67,7 +65,7 @@ func main() {
 		shard     = flag.String("shard", "", "run only shard i of n, as i/n (e.g. 0/2)")
 		merge     = flag.String("merge", "", "comma-separated shard store directories to merge into -dir, then exit")
 		every     = flag.Duration("progress", 2*time.Second, "progress print interval (0 disables)")
-		workerURL = flag.String("worker", "", "run as a distributed sweep worker against this coordinator URL (comma-separate a federated pair)")
+		workerURL = flag.String("worker", "", "run as a distributed sweep worker against this coordinator URL (http://host:port)")
 		name      = flag.String("name", "", "worker name (default hostname-pid)")
 		tags      = flag.String("tags", "", "worker: comma-separated capability tags to advertise (e.g. bigmem,gpu)")
 		maxCells  = flag.Int("maxcells", 0, "worker: largest shard (in cells) to accept per lease (0 = unlimited)")

@@ -54,18 +54,6 @@ type Config struct {
 	// beats re-leasing the same shard forever while the sweep reads
 	// "running".
 	MaxLeases int
-	// Advertise is the URL this server answers /coord on, stamped into
-	// every journal snapshot as the sweep's owner. Peers sharing the
-	// -sweepdir use it two ways: at boot, a journal owned by someone
-	// else is left alone (and its workers redirected there); after a
-	// peer dies, its URL in the journal is what adopters hand surviving
-	// workers. Empty disables federation for journals this server
-	// writes — anyone may recover them, as before.
-	Advertise string
-	// Peer is a sibling server operating the same -sweepdir. It rides
-	// along on lease responses as a hint, so workers pointed at only
-	// this server learn a fallback URL before they ever need it.
-	Peer string
 }
 
 func (c Config) shardSize() int {
@@ -177,7 +165,6 @@ type Coordinator struct {
 	store     *sweep.Store
 	ttl       time.Duration
 	maxLeases int
-	advertise string // journal owner identity (Config.Advertise)
 	counters  *metrics.CoordCounters
 	onProg    func(sweep.Progress)
 	jr        *journal
@@ -248,7 +235,6 @@ func NewCoordinator(id string, spec sweep.Spec, cells []sweep.Cell, store *sweep
 		store:      store,
 		ttl:        cfg.ttl(),
 		maxLeases:  cfg.maxLeases(),
-		advertise:  cfg.Advertise,
 		counters:   counters,
 		onProg:     onProgress,
 		reg:        reg,
@@ -341,7 +327,6 @@ func recoverCoordinator(spec sweep.Spec, cells []sweep.Cell, store *sweep.Store,
 		store:      store,
 		ttl:        cfg.ttl(),
 		maxLeases:  cfg.maxLeases(),
-		advertise:  cfg.Advertise,
 		counters:   counters,
 		onProg:     onProgress,
 		reg:        reg,
@@ -1156,19 +1141,6 @@ func (c *Coordinator) finishLocked(state sweep.State, errMsg string) {
 	close(c.done)
 }
 
-// journalAdopt appends the federation hand-off line after an adoption:
-// the sweep's owner is now this server. The recovery compaction has
-// already rewritten the snapshot under the new identity; the delta
-// exists so the journal reads as a history of who served the sweep.
-func (c *Coordinator) journalAdopt() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return
-	}
-	c.journalLocked(journalEntry{T: entryAdopt, Sweep: c.id, Owner: c.advertise})
-}
-
 // journalCompactMin floors the delta entries accumulated before a
 // compaction rewrite (a var so tests can trigger compaction cheaply).
 var journalCompactMin = 256
@@ -1197,7 +1169,7 @@ func (c *Coordinator) compactJournalLocked() {
 // snapshotEntryLocked captures the full shard table as one journal
 // entry — the fixed point a replay starts from.
 func (c *Coordinator) snapshotEntryLocked() journalEntry {
-	e := journalEntry{T: entrySnapshot, Sweep: c.id, Owner: c.advertise, Shards: make([]shardSnap, len(c.shards))}
+	e := journalEntry{T: entrySnapshot, Sweep: c.id, Shards: make([]shardSnap, len(c.shards))}
 	for i, sh := range c.shards {
 		snap := shardSnap{ID: sh.id, Indexes: sh.indexes, Requires: sh.requires, State: sh.state.name(), Worker: sh.worker, Leases: sh.leases, Renews: sh.renews}
 		if sh.state == shardLeased {

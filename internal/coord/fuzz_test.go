@@ -51,8 +51,9 @@ func FuzzJournalReplay(f *testing.F) {
 			`{"t":"lease","shard":99,"worker":"w"}` + "\n" +
 			`{"t":"retire","shard":1}` + "\n" +
 			`{"t":"renew","shard":0,"expi`,
-		// Federation: an owned snapshot handed off by an adopt line —
-		// ownership moves, the shard table must not.
+		// An older build's journal: an owner URL in the snapshot and an
+		// adopt hand-off line, both accepted and ignored — the shard
+		// table must not move.
 		`{"t":"snapshot","sweep":"fuzz-sweep","owner":"http://a:1","shards":[` +
 			`{"id":0,"indexes":[0,1],"state":"pending"},` +
 			`{"id":1,"indexes":[2,3],"state":"done"}]}` + "\n" +

@@ -1,14 +1,11 @@
 package coord
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"net/http"
 	"path/filepath"
-	"strings"
 	"sync"
 	"time"
 
@@ -40,35 +37,15 @@ type Hub struct {
 	mu     sync.Mutex
 	coords map[string]*Coordinator
 	order  []string
-	// redirects maps sweep ids this server declined to recover — their
-	// journals name another live owner — to that owner's URL. Surviving
-	// workers that poll or heartbeat here for such a sweep are sent
-	// there instead of being told "stale" (which would make them drop
-	// partial records and abandon leases the owner still honours).
-	redirects map[string]string
-	// adoptFunc, when set, serves POST /coord/adopt — the operator's
-	// (or peer watcher's) lever to take over orphaned sweeps. It lives
-	// on the manager, which owns directory scanning; the hub only wires
-	// it to HTTP.
-	adoptFunc func() (int, error)
 }
 
 // NewHub builds a hub; cfg applies to every coordinator it creates.
 func NewHub(cfg Config) *Hub {
 	return &Hub{
-		cfg:       cfg,
-		reg:       newWorkerRegistry(cfg.ttl()),
-		coords:    map[string]*Coordinator{},
-		redirects: map[string]string{},
+		cfg:    cfg,
+		reg:    newWorkerRegistry(cfg.ttl()),
+		coords: map[string]*Coordinator{},
 	}
-}
-
-// SetAdoptFunc installs the callback POST /coord/adopt runs — usually
-// the sweep manager's AdoptOrphans. Call before serving requests.
-func (h *Hub) SetAdoptFunc(f func() (int, error)) {
-	h.mu.Lock()
-	h.adoptFunc = f
-	h.mu.Unlock()
 }
 
 // Distribute implements sweep.Distributor: it stands up a coordinator
@@ -85,22 +62,9 @@ func (h *Hub) Distribute(id string, spec sweep.Spec, cells []sweep.Cell, store *
 // report whether dir holds an interrupted coordinator, so startup
 // never opens the stores of finished sweeps. A missing journal is a
 // clean "no"; an unreadable one is an error — silently skipping it
-// would drop a live sweep without a trace.
-//
-// On a shared -sweepdir the journal's owner gates recovery: a journal
-// another server stamped (and this one did not adopt) is not ours to
-// resume — booting it here would split the sweep's brain, two lease
-// tables granting the same shards. The sweep id is remembered as a
-// redirect instead, so this server's answer to that sweep's surviving
-// workers is "go there", not "stale". A journal with no owner predates
-// federation and stays recoverable by anyone.
-//
-// A self-owned journal gets one more check when a -peer is configured:
-// with *separate* sweep directories (mirror-based federation), a peer
-// that adopted this sweep while we were down re-stamped only its own
-// copy of the journal — ours still says we own it. Recovering it here
-// anyway would run the sweep twice, so if the peer is live and serving
-// the sweep right now, this server defers and redirects instead.
+// would drop a live sweep without a trace. One server owns a
+// -sweepdir, so every unfinished journal in it is this server's to
+// resume.
 func (h *Hub) NeedsRecovery(dir string) (bool, error) {
 	st, err := replayJournal(filepath.Join(dir, sweep.CoordJournalFile))
 	if errors.Is(err, fs.ErrNotExist) {
@@ -109,106 +73,7 @@ func (h *Hub) NeedsRecovery(dir string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	if st.sweepID == "" || st.finished {
-		return false, nil
-	}
-	if st.owner != "" && st.owner != h.cfg.Advertise {
-		h.mu.Lock()
-		h.redirects[st.sweepID] = st.owner
-		h.mu.Unlock()
-		return false, nil
-	}
-	if h.cfg.Peer != "" && h.peerServes(st.sweepID) {
-		h.mu.Lock()
-		h.redirects[st.sweepID] = h.cfg.Peer
-		h.mu.Unlock()
-		return false, nil
-	}
-	return true, nil
-}
-
-// peerServes probes whether the configured peer is live and currently
-// serving the sweep. A dead or unreachable peer answers false fast
-// (boot-time recovery must not hang on it); only an explicit "running"
-// counts — a finished or unknown sweep on the peer is no reason to
-// withhold recovery here.
-func (h *Hub) peerServes(sweepID string) bool {
-	client := &http.Client{Timeout: 2 * time.Second}
-	resp, err := client.Get(strings.TrimRight(h.cfg.Peer, "/") + "/sweeps/" + sweepID)
-	if err != nil {
-		return false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return false
-	}
-	var st struct {
-		State string `json:"state"`
-	}
-	if json.NewDecoder(io.LimitReader(resp.Body, maxControlBytes)).Decode(&st) != nil {
-		return false
-	}
-	return st.State == string(sweep.StateRunning)
-}
-
-// Orphaned implements the probe half of sweep.Adopter: it reports the
-// journaled owner of dir's sweep and whether the sweep is unfinished —
-// adoptable by this server once the owner is known dead. Ownership is
-// reported, not judged: the caller (an operator hitting /coord/adopt,
-// or the peer watcher after repeated failed health probes) supplies
-// the "it is dead" half of the decision.
-func (h *Hub) Orphaned(dir string) (owner string, orphaned bool, err error) {
-	st, err := replayJournal(filepath.Join(dir, sweep.CoordJournalFile))
-	if errors.Is(err, fs.ErrNotExist) {
-		return "", false, nil
-	}
-	if err != nil {
-		return "", false, err
-	}
-	return st.owner, st.sweepID != "" && !st.finished, nil
-}
-
-// Adopt implements sweep.Adopter: it rebuilds the coordinator of an
-// orphaned sweep exactly as Recover would — journal replay, store-
-// seeded outcomes, surviving leases intact — but regardless of which
-// server's URL the journal carries. The recovery compaction rewrites
-// the snapshot under this server's identity (renaming the journal away
-// from any file handle the dead owner still holds), an adopt line
-// documents the hand-off, and the sweep id stops redirecting here: the
-// workers it sent away are now welcome.
-func (h *Hub) Adopt(spec sweep.Spec, cells []sweep.Cell, store *sweep.Store, onProgress func(sweep.Progress)) (sweep.DistributedRun, string, error) {
-	c, err := recoverCoordinator(spec, cells, store, h.cfg, h.reg, &h.counters, onProgress)
-	if err != nil || c == nil {
-		return nil, "", err
-	}
-	c.journalAdopt()
-	h.counters.SweepsAdopted.Inc()
-	h.mu.Lock()
-	delete(h.redirects, c.ID())
-	h.mu.Unlock()
-	h.register(c)
-	return c, c.ID(), nil
-}
-
-// redirectFor reports where a sweep this server declined to recover
-// lives now.
-func (h *Hub) redirectFor(sweepID string) (string, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	url, ok := h.redirects[sweepID]
-	return url, ok
-}
-
-// anyRedirect returns one known foreign owner, for idle lease polls:
-// a worker with nothing to do here may find the sweep it used to
-// serve over there.
-func (h *Hub) anyRedirect() (string, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for _, url := range h.redirects {
-		return url, true
-	}
-	return "", false
+	return st.sweepID != "" && !st.finished, nil
 }
 
 // Recover implements sweep.Recoverer: it rebuilds the coordinator for
@@ -353,8 +218,6 @@ func (h *Hub) WriteProm(p *metrics.PromWriter) {
 	p.Counter("coord_journal_compactions", "Journal compaction rewrites.", m.JournalCompactions)
 	p.Counter("coord_sweeps_recovered", "Sweeps reconstructed after a restart.", m.SweepsRecovered)
 	p.Counter("coord_leases_recovered", "Leases restored still live after a restart.", m.LeasesRecovered)
-	p.Counter("coord_sweeps_adopted", "Orphaned sweeps adopted from dead peers.", m.SweepsAdopted)
-	p.Counter("coord_redirects_served", "Worker requests redirected to a sweep's owner.", m.RedirectsServed)
 }
 
 // Lease statuses on the wire.
@@ -370,13 +233,6 @@ const (
 	statusIdle    = "idle" // no distributed sweep is live
 	statusOK      = "ok"
 	statusStale   = "stale" // lease no longer held; abandon the shard
-	// statusRedirect: the sweep lives on a peer server now (this one
-	// declined to recover a journal the peer owns, or the peer adopted
-	// it). The response's url names the new coordinator; workers switch
-	// their base URL and retry the same request there — a heartbeat or
-	// complete mid-shard carries on against the adopter without
-	// dropping a single record.
-	statusRedirect = "redirect"
 )
 
 type leaseRequest struct {
@@ -397,12 +253,6 @@ type leaseResponse struct {
 	Indexes []int       `json:"indexes,omitempty"`
 	Spec    *sweep.Spec `json:"spec,omitempty"`
 	TTLMS   int64       `json:"ttl_ms,omitempty"`
-	// URL is where the worker should go instead (status "redirect").
-	URL string `json:"url,omitempty"`
-	// Peer advertises a sibling server operating the same sweep
-	// directory; workers fold it into their base-URL rotation so they
-	// already know the fallback when this server dies.
-	Peer string `json:"peer,omitempty"`
 }
 
 type heartbeatRequest struct {
@@ -419,8 +269,6 @@ type heartbeatRequest struct {
 type heartbeatResponse struct {
 	Status string `json:"status"`
 	TTLMS  int64  `json:"ttl_ms,omitempty"`
-	// URL is the adopter to re-heartbeat (status "redirect").
-	URL string `json:"url,omitempty"`
 }
 
 type completeRequest struct {
@@ -434,9 +282,6 @@ type completeResponse struct {
 	Status  string `json:"status"`
 	Merged  int    `json:"merged"`
 	Skipped int    `json:"skipped"`
-	// URL is the adopter to re-upload to (status "redirect") — the
-	// records belong there, not in the bin.
-	URL string `json:"url,omitempty"`
 }
 
 // Handler serves the coordinator API:
@@ -445,7 +290,6 @@ type completeResponse struct {
 //	                                 "tags": [...], "max_cells": n})
 //	POST /coord/heartbeat          — renew a lease; "stale" means abandon
 //	POST /coord/complete           — upload a shard's records and ack it
-//	POST /coord/adopt              — adopt orphaned sweeps from a dead peer
 //	GET  /coord/status             — shard tables of every live sweep
 //	POST /coord/admin/expire       — force-expire a lease ({"sweep", "shard"})
 //	POST /coord/admin/quarantine   — park a poisonous shard
@@ -486,17 +330,7 @@ func (h *Hub) Handler() http.Handler {
 			resp = leaseResponse{Status: statusRetry, RetryMS: 500}
 		default:
 			resp = leaseResponse{Status: statusIdle, RetryMS: 1000}
-			// Nothing live here, but a sweep this server declined to
-			// recover is live on its owner: point the idle worker there
-			// instead of letting it poll an empty hub forever.
-			if url, found := h.anyRedirect(); found {
-				resp = leaseResponse{Status: statusRedirect, URL: url, RetryMS: 250}
-				h.counters.RedirectsServed.Inc()
-			}
 		}
-		// Every answer carries the configured sibling, so a fleet pointed
-		// at one server alone learns its failover target for free.
-		resp.Peer = h.cfg.Peer
 		writeJSON(w, http.StatusOK, resp)
 	})
 
@@ -518,19 +352,7 @@ func (h *Hub) Handler() http.Handler {
 		// when the sweep is already gone).
 		h.reg.observe(wid, time.Now())
 		c, ok := h.get(req.Sweep)
-		if !ok {
-			// Not live here — but if the sweep's journal named another
-			// owner, "stale" would be a lie that costs the worker its
-			// shard. Send it to the server that still honours the lease.
-			if url, found := h.redirectFor(req.Sweep); found {
-				h.counters.RedirectsServed.Inc()
-				writeJSON(w, http.StatusOK, heartbeatResponse{Status: statusRedirect, URL: url})
-				return
-			}
-			writeJSON(w, http.StatusOK, heartbeatResponse{Status: statusStale})
-			return
-		}
-		if !c.Heartbeat(wid, req.Shard) {
+		if !ok || !c.Heartbeat(wid, req.Shard) {
 			writeJSON(w, http.StatusOK, heartbeatResponse{Status: statusStale})
 			return
 		}
@@ -545,13 +367,6 @@ func (h *Hub) Handler() http.Handler {
 		}
 		c, ok := h.get(req.Sweep)
 		if !ok {
-			// A sweep living on a peer gets its upload redirected — the
-			// records are real work the adopter's store wants.
-			if url, found := h.redirectFor(req.Sweep); found {
-				h.counters.RedirectsServed.Inc()
-				writeJSON(w, http.StatusOK, completeResponse{Status: statusRedirect, URL: url, Skipped: len(req.Records)})
-				return
-			}
 			// The sweep finished or was cancelled; the records have
 			// nowhere to go, which is fine — their cells are either
 			// already stored or intentionally dropped.
@@ -612,24 +427,6 @@ func (h *Hub) Handler() http.Handler {
 			writeJSON(w, http.StatusOK, adminResponse{Status: statusOK, Sweep: c.ID(), Shard: *req.Shard})
 		}
 	}
-	mux.HandleFunc("POST /coord/adopt", func(w http.ResponseWriter, r *http.Request) {
-		h.mu.Lock()
-		adopt := h.adoptFunc
-		h.mu.Unlock()
-		if adopt == nil {
-			httpError(w, http.StatusNotImplemented, errors.New("coord: this server has no sweep manager to adopt with"))
-			return
-		}
-		n, err := adopt()
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, struct {
-			Status  string `json:"status"`
-			Adopted int    `json:"adopted"`
-		}{statusOK, n})
-	})
 	mux.HandleFunc("POST /coord/admin/expire", adminAction((*Coordinator).AdminExpire))
 	mux.HandleFunc("POST /coord/admin/quarantine", adminAction((*Coordinator).Quarantine))
 	mux.HandleFunc("POST /coord/admin/unquarantine", adminAction((*Coordinator).Unquarantine))

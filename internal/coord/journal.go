@@ -44,11 +44,10 @@ const (
 	entryQuarantine   = "quarantine"   // operator parked the shard
 	entryUnquarantine = "unquarantine" // operator released the shard
 	entryFinish       = "finish"       // sweep reached a terminal state
-	// entryAdopt records a federation hand-off: a peer server took over
-	// the orphaned sweep and is its owner from this line on. The adopter
-	// compacts immediately after (the fresh snapshot carries the new
-	// owner too), so the delta mostly documents the hand-off for
-	// operators reading the file.
+	// entryAdopt is the server hand-off line of older builds, which
+	// ran a two-server failover pair. No current code writes it, and it
+	// touches no shard, so replay accepts it as a no-op: such a journal
+	// still recovers on the one server that owns its -sweepdir.
 	entryAdopt = "adopt"
 )
 
@@ -70,21 +69,15 @@ type shardSnap struct {
 // the whole table, a delta names one shard, finish carries the
 // terminal state (for forensics — replay only needs the kind).
 type journalEntry struct {
-	T      string      `json:"t"`
-	Sweep  string      `json:"sweep,omitempty"`
-	Shards []shardSnap `json:"shards,omitempty"`
-	// Owner is the advertised URL of the server that wrote the entry
-	// (snapshots and adopt lines). A peer scanning a shared -sweepdir
-	// uses it to tell its own journals from a crashed sibling's; empty
-	// means a build from before federation, which any server may
-	// recover.
-	Owner   string     `json:"owner,omitempty"`
-	Shard   int        `json:"shard,omitempty"`
-	Worker  string     `json:"worker,omitempty"`
-	Expires *time.Time `json:"expires,omitempty"`
-	Leases  int        `json:"leases,omitempty"`
-	State   string     `json:"state,omitempty"`
-	Error   string     `json:"error,omitempty"`
+	T       string      `json:"t"`
+	Sweep   string      `json:"sweep,omitempty"`
+	Shards  []shardSnap `json:"shards,omitempty"`
+	Shard   int         `json:"shard,omitempty"`
+	Worker  string      `json:"worker,omitempty"`
+	Expires *time.Time  `json:"expires,omitempty"`
+	Leases  int         `json:"leases,omitempty"`
+	State   string      `json:"state,omitempty"`
+	Error   string      `json:"error,omitempty"`
 }
 
 // journal appends entries to one coordinator's journal file. All
@@ -200,7 +193,6 @@ const maxJournalLineBytes = 4 << 20
 // crashed process last recorded it.
 type replayState struct {
 	sweepID  string
-	owner    string // advertised URL of the last writer ("" = pre-federation)
 	shards   []shardSnap
 	finished bool
 	entries  int // well-formed entries applied
@@ -246,7 +238,6 @@ func (st *replayState) apply(e journalEntry) bool {
 			}
 		}
 		st.sweepID = e.Sweep
-		st.owner = e.Owner
 		st.shards = append([]shardSnap(nil), e.Shards...)
 	case entryLease:
 		sh := st.shard(e.Shard)
@@ -302,10 +293,7 @@ func (st *replayState) apply(e journalEntry) bool {
 	case entryFinish:
 		st.finished = true
 	case entryAdopt:
-		// Ownership hand-off: a peer took the sweep over. The entry
-		// touches no shard, so a corrupted adopt line can at worst
-		// misattribute the journal, never resurrect settled work.
-		st.owner = e.Owner
+		// An older build's hand-off line: nothing to apply.
 	default:
 		return false
 	}

@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -154,6 +155,79 @@ func TestRecoverNothingToDo(t *testing.T) {
 	defer st.Close()
 	if d2, id, err := hub.Recover(spec, cells, st, nil); d2 != nil || err != nil {
 		t.Fatalf("Recover of a finished sweep = (%v, %q, %v), want nothing", d2, id, err)
+	}
+}
+
+// TestNeedsRecovery: one server owns a -sweepdir, so at boot every
+// unfinished journal in it needs recovery — including one an older
+// build wrote with an owner URL in its snapshot and an adopt hand-off
+// line at its end, which then recovers with its live lease intact.
+// Finished and missing journals need nothing.
+func TestNeedsRecovery(t *testing.T) {
+	spec, cells := eightCellSpec(t)
+	expires := time.Now().Add(time.Hour).UTC().Format(time.RFC3339Nano)
+	olderBuild := strings.Join([]string{
+		`{"t":"snapshot","sweep":"run-old","owner":"http://old-a:1","shards":[` +
+			`{"id":0,"indexes":[0,1,2,3],"state":"pending"},` +
+			`{"id":1,"indexes":[4,5,6,7],"state":"pending"}]}`,
+		`{"t":"lease","shard":0,"worker":"w1","expires":"` + expires + `","leases":1}`,
+		`{"t":"adopt","sweep":"run-old","owner":"http://old-b:2"}`,
+	}, "\n") + "\n"
+
+	for _, tc := range []struct {
+		name    string
+		journal func(t *testing.T, store *sweep.Store) // nil: no journal
+		want    bool
+	}{
+		{"unfinished journal with owner and adopt lines", func(t *testing.T, store *sweep.Store) {
+			if err := os.WriteFile(store.CoordJournalPath(), []byte(olderBuild), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, true},
+		{"finished journal", func(t *testing.T, store *sweep.Store) {
+			c := NewCoordinator("run-done", spec, cells, store, Config{ShardSize: 4}, nil, nil, nil)
+			c.Cancel()
+			waitDone(t, c)
+		}, false},
+		{"no journal", nil, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store, dir := newStore(t, spec, cells)
+			if tc.journal != nil {
+				tc.journal(t, store)
+			}
+			store.Close()
+			need, err := NewHub(Config{}).NeedsRecovery(dir)
+			if err != nil || need != tc.want {
+				t.Fatalf("NeedsRecovery = (%v, %v), want %v", need, err, tc.want)
+			}
+			if !need {
+				return
+			}
+
+			st, err := replayJournal(store.CoordJournalPath())
+			if err != nil || st.corrupt != 0 || st.entries != 3 {
+				t.Fatalf("replay = (%+v, %v), want all 3 lines applied and 0 corrupt", st, err)
+			}
+			reopened, err := sweep.Open(dir, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer reopened.Close()
+			hub := NewHub(Config{})
+			d, id, err := hub.Recover(spec, cells, reopened, nil)
+			if err != nil || d == nil || id != "run-old" {
+				t.Fatalf("Recover = (%v, %q, %v), want the sweep under its original id", d, id, err)
+			}
+			defer d.Cancel()
+			c := d.(*Coordinator)
+			if got := hub.MetricsSnapshot().LeasesRecovered; got != 1 {
+				t.Errorf("leases_recovered = %d, want 1", got)
+			}
+			if !c.Heartbeat(wid("w1"), 0) {
+				t.Error("the surviving worker's lease on shard 0 was not restored")
+			}
+		})
 	}
 }
 

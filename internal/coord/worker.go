@@ -9,9 +9,9 @@ import (
 	"io"
 	"math/rand/v2"
 	"net/http"
+	"net/url"
 	"os"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/service"
@@ -20,12 +20,8 @@ import (
 
 // WorkerConfig shapes one worker loop.
 type WorkerConfig struct {
-	// URL is the coordinator base URL (http://host:port), or a
-	// comma-separated list of them for a federated pair sharing one
-	// sweep directory. The worker talks to one at a time, rotating to
-	// the next on transport errors and following "redirect" answers,
-	// so a coordinator dying mid-shard hands the worker to the peer
-	// that adopts the sweep.
+	// URL is the coordinator base URL: one absolute http(s) URL with
+	// a host, such as http://host:port.
 	URL string
 	// Name identifies the worker in leases (default hostname-pid).
 	Name string
@@ -106,15 +102,15 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	if err != nil {
 		return err
 	}
-	bases := splitBases(cfg.URL)
-	if len(bases) == 0 {
-		return errors.New("coord: worker needs a coordinator URL")
+	base, err := coordinatorBase(cfg.URL)
+	if err != nil {
+		return err
 	}
 	w := &worker{
-		cfg:   cfg,
-		name:  cfg.name(),
-		tags:  tags,
-		bases: bases,
+		cfg:  cfg,
+		name: cfg.name(),
+		tags: tags,
+		base: base,
 	}
 	var idleSince time.Time
 	for {
@@ -122,11 +118,6 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 			return err
 		}
 		resp, err := w.lease(ctx)
-		if err == nil {
-			// Fold any advertised sibling into the rotation now, while
-			// this server is still alive to tell us about it.
-			w.addPeer(resp.Peer)
-		}
 		idle := false
 		sleep := cfg.poll()
 		// The coordinator hints how soon polling again is useful
@@ -138,16 +129,9 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 		switch {
 		case err != nil:
 			// Coordinator unreachable: with IdleExit this eventually
-			// stops the worker, without it we keep knocking (post has
-			// already rotated to the next base, if there is one).
+			// stops the worker, without it we keep knocking.
 			w.cfg.logf("lease: %v", err)
 			idle = true
-		case resp.Status == statusRedirect:
-			// This server handed the fleet to a peer (it declined to
-			// recover a sweep the peer owns). Not idleness — the peer
-			// has the work; poll it promptly.
-			w.cfg.logf("lease: redirected to %s", resp.URL)
-			w.setBase(resp.URL)
 		case resp.Status == statusShard:
 			l, lerr := leaseFromResponse(resp)
 			if lerr != nil {
@@ -189,82 +173,24 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	}
 }
 
+// coordinatorBase checks that raw is one absolute http(s) URL with a
+// host and returns it without a trailing slash. Anything else — a bare
+// host:port, an empty string, a comma-separated list — would fail on
+// every poll, and IdleExit would then mistake the failures for an idle
+// coordinator and exit cleanly.
+func coordinatorBase(raw string) (string, error) {
+	u, err := url.Parse(raw)
+	if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" || strings.Contains(raw, ",") {
+		return "", fmt.Errorf("coord: worker URL %q is not one http(s)://host[:port] URL", raw)
+	}
+	return strings.TrimRight(raw, "/"), nil
+}
+
 type worker struct {
 	cfg  WorkerConfig
 	name string
 	tags []string
-
-	// mu guards the base-URL rotation: the heartbeat goroutine and the
-	// shard runner's upload may switch servers concurrently when the
-	// sweep is adopted mid-shard.
-	mu    sync.Mutex
-	bases []string
-	cur   int
-}
-
-// splitBases parses the comma-separated -worker URL list.
-func splitBases(urls string) []string {
-	var out []string
-	for _, u := range strings.Split(urls, ",") {
-		if u = strings.TrimRight(strings.TrimSpace(u), "/"); u != "" {
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
-// base returns the coordinator currently being talked to.
-func (w *worker) base() string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.bases[w.cur]
-}
-
-// rotate advances to the next known coordinator after a transport
-// error — the fast failover path when the current server is simply
-// gone and cannot answer a redirect.
-func (w *worker) rotate() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if len(w.bases) > 1 {
-		w.cur = (w.cur + 1) % len(w.bases)
-	}
-}
-
-// setBase switches to url, adding it to the rotation first if it is
-// new — the redirect path.
-func (w *worker) setBase(url string) {
-	url = strings.TrimRight(url, "/")
-	if url == "" {
-		return
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for i, b := range w.bases {
-		if b == url {
-			w.cur = i
-			return
-		}
-	}
-	w.bases = append(w.bases, url)
-	w.cur = len(w.bases) - 1
-}
-
-// addPeer folds a hinted sibling into the rotation without switching
-// to it — known-but-unused until the current server stops answering.
-func (w *worker) addPeer(url string) {
-	url = strings.TrimRight(url, "/")
-	if url == "" {
-		return
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for _, b := range w.bases {
-		if b == url {
-			return
-		}
-	}
-	w.bases = append(w.bases, url)
+	base string // coordinator URL, no trailing slash
 }
 
 // runShard executes one leased shard and uploads its records,
@@ -298,26 +224,13 @@ func (w *worker) runShard(ctx context.Context, l Lease) bool {
 				return
 			case <-time.After(interval):
 			}
-			// Follow up to a few redirects immediately rather than
-			// waiting out another interval: the lease TTL is already
-			// ticking on the adopter's table, and a mid-shard hand-off
-			// must not look like staleness — the adopter recovered this
-			// very lease from the journal and is waiting to renew it.
-			st, err := w.heartbeat(shardCtx, l)
-			for hops := 0; err == nil && st == hbRedirect && hops < 3; hops++ {
-				w.cfg.logf("heartbeat %s/%d: sweep moved, re-heartbeating %s", l.Sweep, l.Shard, w.base())
-				st, err = w.heartbeat(shardCtx, l)
-			}
-			if err != nil || st == hbRedirect {
-				// Transport trouble (post rotated the base) or a redirect
-				// chase that never settled: both are transient — retry on
-				// the next tick against whatever base we hold now.
-				if err != nil {
-					w.cfg.logf("heartbeat %s/%d: %v", l.Sweep, l.Shard, err)
-				}
+			alive, err := w.heartbeat(shardCtx, l)
+			if err != nil {
+				// Transport trouble is transient: retry on the next tick.
+				w.cfg.logf("heartbeat %s/%d: %v", l.Sweep, l.Shard, err)
 				continue
 			}
-			if st == hbStale {
+			if !alive {
 				stale = true
 				cancel()
 				return
@@ -378,31 +291,14 @@ func (w *worker) lease(ctx context.Context) (leaseResponse, error) {
 	return resp, err
 }
 
-// hbStatus is a heartbeat's verdict: the lease is alive, the lease is
-// gone, or the sweep now lives on a peer (the base URL has already
-// been switched there — heartbeat again).
-type hbStatus int
-
-const (
-	hbOK hbStatus = iota
-	hbStale
-	hbRedirect
-)
-
-func (w *worker) heartbeat(ctx context.Context, l Lease) (hbStatus, error) {
+// heartbeat renews the lease, reporting false once the coordinator
+// answers that the worker no longer holds it.
+func (w *worker) heartbeat(ctx context.Context, l Lease) (bool, error) {
 	var resp heartbeatResponse
 	if err := w.post(ctx, "/coord/heartbeat", heartbeatRequest{Worker: w.name, Sweep: l.Sweep, Shard: l.Shard, Tags: w.tags, MaxCells: w.cfg.MaxCells}, &resp); err != nil {
-		return hbStale, err
+		return false, err
 	}
-	switch resp.Status {
-	case statusOK:
-		return hbOK, nil
-	case statusRedirect:
-		w.setBase(resp.URL)
-		return hbRedirect, nil
-	default:
-		return hbStale, nil
-	}
+	return resp.Status == statusOK, nil
 }
 
 // Upload retry budgets. A routine complete failure only costs a lease
@@ -436,21 +332,7 @@ func (w *worker) complete(ctx context.Context, l Lease, recs []sweep.CellRecord,
 			}
 		}
 		var resp completeResponse
-		err = w.post(ctx, "/coord/complete", req, &resp)
-		// A redirect is not a failure and costs none of the budget: the
-		// sweep was adopted by a peer and the very same upload belongs
-		// there. Chase it a bounded number of hops so two confused
-		// servers pointing at each other cannot trap the worker.
-		for hops := 0; err == nil && resp.Status == statusRedirect && hops < 3; hops++ {
-			w.cfg.logf("complete %s/%d: sweep moved, re-uploading to %s", l.Sweep, l.Shard, resp.URL)
-			w.setBase(resp.URL)
-			resp = completeResponse{}
-			err = w.post(ctx, "/coord/complete", req, &resp)
-		}
-		if err == nil && resp.Status == statusRedirect {
-			err = errors.New("coord: complete kept being redirected; retrying")
-		}
-		if err == nil {
+		if err = w.post(ctx, "/coord/complete", req, &resp); err == nil {
 			return nil
 		}
 	}
@@ -462,17 +344,13 @@ func (w *worker) post(ctx context.Context, path string, body, out any) error {
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.base()+path, bytes.NewReader(b))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.base+path, bytes.NewReader(b))
 	if err != nil {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := w.cfg.client().Do(req)
 	if err != nil {
-		// The server may simply be gone (a kill -9 answers no redirect):
-		// rotate so the caller's retry — the next poll, heartbeat tick,
-		// or upload attempt — knocks on the next known coordinator.
-		w.rotate()
 		return err
 	}
 	defer resp.Body.Close()

@@ -3,6 +3,7 @@ package coord
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -163,7 +164,7 @@ func TestCompleteRetryBackoffGivesUpEventually(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	w := &worker{cfg: WorkerConfig{Logf: t.Logf}, name: "w1", bases: []string{srv.URL}}
+	w := &worker{cfg: WorkerConfig{Logf: t.Logf}, name: "w1", base: srv.URL}
 	err := w.complete(context.Background(), Lease{Sweep: "s", Shard: 0}, nil, 3)
 	if err == nil {
 		t.Fatal("complete against a dead server returned nil")
@@ -188,7 +189,7 @@ func TestCompleteRetryHonorsContext(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 		cancel()
 	}()
-	w := &worker{cfg: WorkerConfig{}, name: "w1", bases: []string{srv.URL}}
+	w := &worker{cfg: WorkerConfig{}, name: "w1", base: srv.URL}
 	start := time.Now()
 	err := w.complete(ctx, Lease{Sweep: "s", Shard: 0}, nil, abandonAttempts)
 	if err == nil {
@@ -196,5 +197,32 @@ func TestCompleteRetryHonorsContext(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("cancelled complete took %s, want prompt return", elapsed)
+	}
+}
+
+// TestRunWorkerRejectsMalformedURL: a -worker value that is not one
+// absolute http(s) URL fails before the first request. Accepted, such
+// a value failed every poll, and -idle-exit mistook the failures for
+// an idle coordinator and exited cleanly.
+func TestRunWorkerRejectsMalformedURL(t *testing.T) {
+	// A cancelled context makes an accepted URL return before it polls.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		url string
+		ok  bool
+	}{
+		{"http://127.0.0.1:8080,http://127.0.0.1:8081", false},
+		{"127.0.0.1:8080", false},
+		{"", false},
+		{"http://127.0.0.1:8080/", true},
+	} {
+		err := RunWorker(ctx, WorkerConfig{URL: tc.url, Engine: fakeEngine()})
+		if tc.ok && !errors.Is(err, context.Canceled) {
+			t.Errorf("RunWorker(%q) = %v, want the URL accepted (context.Canceled)", tc.url, err)
+		}
+		if !tc.ok && (err == nil || errors.Is(err, context.Canceled)) {
+			t.Errorf("RunWorker(%q) = %v, want a URL error", tc.url, err)
+		}
 	}
 }

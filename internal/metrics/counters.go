@@ -134,12 +134,6 @@ type CoordCounters struct {
 	JournalCompactions Counter
 	SweepsRecovered    Counter
 	LeasesRecovered    Counter
-
-	// Federation: orphaned sweeps this server adopted from a dead
-	// peer's journal, and worker requests answered with a redirect to
-	// the sweep's current owner.
-	SweepsAdopted   Counter
-	RedirectsServed Counter
 }
 
 // CoordSnapshot is a point-in-time, JSON-serializable view of
@@ -164,9 +158,6 @@ type CoordSnapshot struct {
 	JournalCompactions uint64 `json:"journal_compactions"`
 	SweepsRecovered    uint64 `json:"sweeps_recovered"`
 	LeasesRecovered    uint64 `json:"leases_recovered"`
-
-	SweepsAdopted   uint64 `json:"sweeps_adopted"`
-	RedirectsServed uint64 `json:"redirects_served"`
 }
 
 // Snapshot captures the current values.
@@ -191,9 +182,6 @@ func (c *CoordCounters) Snapshot() CoordSnapshot {
 		JournalCompactions: c.JournalCompactions.Value(),
 		SweepsRecovered:    c.SweepsRecovered.Value(),
 		LeasesRecovered:    c.LeasesRecovered.Value(),
-
-		SweepsAdopted:   c.SweepsAdopted.Value(),
-		RedirectsServed: c.RedirectsServed.Value(),
 	}
 }
 

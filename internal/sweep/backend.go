@@ -1,17 +1,10 @@
 package sweep
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
-	"io/fs"
-	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
-	"time"
 )
 
 // SegmentsDir is the sweep-directory subdirectory holding the
@@ -20,28 +13,8 @@ import (
 // coordinator journal stay the only loose files there.
 const SegmentsDir = "segments"
 
-// ErrReadOnlyBackend is returned by backends that can only be read
-// (the HTTP backend a peer mirrors from).
-var ErrReadOnlyBackend = errors.New("sweep: backend is read-only")
-
-// Backend stores the immutable blobs of a tiered result store —
-// compacted segments plus their segments.json manifest — under flat
-// names. Get must return fs.ErrNotExist (wrapped is fine) for unknown
-// names so callers can distinguish "not there" from I/O failure. Put
-// must be atomic: a reader never observes a partial blob, and a crash
-// mid-Put leaves either the old content or none. Implementations are
-// safe for concurrent use.
-type Backend interface {
-	Put(name string, data []byte) error
-	Get(name string) ([]byte, error)
-	List() ([]string, error)
-	Delete(name string) error
-}
-
 // validBlobName rejects names that could escape the backend's flat
-// namespace — path separators, traversal, hidden temp files. The
-// check runs in every implementation (defence in depth: the HTTP
-// handler validates too, but a backend must not rely on its caller).
+// namespace — path separators, traversal, hidden temp files.
 func validBlobName(name string) error {
 	if name == "" || name == "." || name == ".." {
 		return fmt.Errorf("sweep: invalid blob name %q", name)
@@ -55,10 +28,12 @@ func validBlobName(name string) error {
 	return nil
 }
 
-// DirBackend is the local-filesystem Backend: one file per blob in a
-// single directory. Put writes a temp file, fsyncs it, and renames it
-// into place — the same commit discipline as the coordinator journal —
-// so a kill at any instant leaves every named blob whole.
+// DirBackend stores the immutable blobs of a tiered result store —
+// compacted segments plus their segments.json manifest — as one file
+// per blob in a single directory, under flat validated names. Put
+// writes a temp file, fsyncs it, and renames it into place — the same
+// commit discipline as the coordinator journal — so a kill at any
+// instant leaves every named blob whole.
 type DirBackend struct {
 	dir string
 }
@@ -67,9 +42,6 @@ type DirBackend struct {
 // created lazily on the first Put, so read-only use of a store that
 // was never compacted touches nothing.
 func NewDirBackend(dir string) *DirBackend { return &DirBackend{dir: dir} }
-
-// Dir returns the backing directory.
-func (b *DirBackend) Dir() string { return b.dir }
 
 // Put atomically writes a blob.
 func (b *DirBackend) Put(name string, data []byte) error {
@@ -109,110 +81,3 @@ func (b *DirBackend) Get(name string) ([]byte, error) {
 	}
 	return os.ReadFile(filepath.Join(b.dir, name))
 }
-
-// List returns every blob name in lexical order. A backend that was
-// never written lists empty.
-func (b *DirBackend) List() ([]string, error) {
-	ents, err := os.ReadDir(b.dir)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range ents {
-		if e.IsDir() || validBlobName(e.Name()) != nil {
-			continue // skip leftover temp files and anything unnamable
-		}
-		names = append(names, e.Name())
-	}
-	sort.Strings(names)
-	return names, nil
-}
-
-// Delete removes a blob; deleting a missing blob is not an error.
-func (b *DirBackend) Delete(name string) error {
-	if err := validBlobName(name); err != nil {
-		return err
-	}
-	err := os.Remove(filepath.Join(b.dir, name))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil
-	}
-	return err
-}
-
-// HTTPBackend reads another server's segment blobs over its
-// GET /sweeps/{id}/segments endpoints — the transport that lets a
-// federation peer mirror (and later adopt) a sweep without a shared
-// filesystem. It is read-only: segments are immutable, so the only
-// writes that exist happen on the owner.
-type HTTPBackend struct {
-	base   string // .../sweeps/{id}/segments, no trailing slash
-	client *http.Client
-}
-
-// NewHTTPBackend returns a backend reading from base (the owner's
-// /sweeps/{id}/segments URL). client == nil uses a 10s-timeout
-// default; segment blobs are small enough that a stuck transfer is a
-// dead peer, not a big file.
-func NewHTTPBackend(base string, client *http.Client) *HTTPBackend {
-	if client == nil {
-		client = &http.Client{Timeout: 10 * time.Second}
-	}
-	return &HTTPBackend{base: strings.TrimRight(base, "/"), client: client}
-}
-
-// Get fetches one blob; a 404 surfaces as fs.ErrNotExist so segment
-// loading treats an uncompacted remote store like an empty local one.
-func (b *HTTPBackend) Get(name string) ([]byte, error) {
-	if err := validBlobName(name); err != nil {
-		return nil, err
-	}
-	resp, err := b.client.Get(b.base + "/" + name)
-	if err != nil {
-		return nil, fmt.Errorf("sweep: http backend get %s: %w", name, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		return nil, fmt.Errorf("sweep: http backend get %s: %w", name, fs.ErrNotExist)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("sweep: http backend get %s: unexpected status %s", name, resp.Status)
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxSegmentBytes+1))
-	if err != nil {
-		return nil, fmt.Errorf("sweep: http backend get %s: %w", name, err)
-	}
-	if len(data) > maxSegmentBytes {
-		return nil, fmt.Errorf("sweep: http backend get %s: blob exceeds %d bytes", name, maxSegmentBytes)
-	}
-	return data, nil
-}
-
-// List fetches the owner's blob name listing (a JSON string array).
-func (b *HTTPBackend) List() ([]string, error) {
-	resp, err := b.client.Get(b.base)
-	if err != nil {
-		return nil, fmt.Errorf("sweep: http backend list: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		return nil, nil // the sweep has no segments endpoint state yet
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("sweep: http backend list: unexpected status %s", resp.Status)
-	}
-	var names []string
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&names); err != nil {
-		return nil, fmt.Errorf("sweep: http backend list: %w", err)
-	}
-	return names, nil
-}
-
-// Put is unsupported: segments are written where the sweep runs.
-func (b *HTTPBackend) Put(string, []byte) error { return ErrReadOnlyBackend }
-
-// Delete is unsupported.
-func (b *HTTPBackend) Delete(string) error { return ErrReadOnlyBackend }

@@ -4,11 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io/fs"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 )
 
@@ -16,10 +13,7 @@ func TestDirBackendRoundTrip(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "segs")
 	b := NewDirBackend(dir)
 
-	// A never-written backend reads as empty, not as an error.
-	if names, err := b.List(); err != nil || names != nil {
-		t.Fatalf("List on a fresh backend = (%v, %v)", names, err)
-	}
+	// A never-written backend reads a missing blob, not an I/O error.
 	if _, err := b.Get("seg-000001.ndjson"); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("Get missing blob = %v, want fs.ErrNotExist", err)
 	}
@@ -41,28 +35,6 @@ func TestDirBackendRoundTrip(t *testing.T) {
 	if got, _ := b.Get("seg-000001.ndjson"); !bytes.Equal(got, []byte("one'")) {
 		t.Fatalf("Get after overwrite = %q", got)
 	}
-
-	// List is lexically sorted and skips directories and leftover temp
-	// files (dot-prefixed, like an interrupted Put's).
-	os.Mkdir(filepath.Join(dir, "subdir"), 0o755)
-	os.WriteFile(filepath.Join(dir, ".seg-000009.ndjson.tmp123"), []byte("junk"), 0o644)
-	names, err := b.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []string{"seg-000001.ndjson", "seg-000002.ndjson"}; !reflect.DeepEqual(names, want) {
-		t.Fatalf("List = %v, want %v", names, want)
-	}
-
-	if err := b.Delete("seg-000002.ndjson"); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Delete("seg-000002.ndjson"); err != nil {
-		t.Fatalf("Delete of a missing blob = %v, want nil", err)
-	}
-	if names, _ := b.List(); len(names) != 1 {
-		t.Fatalf("List after delete = %v", names)
-	}
 }
 
 func TestBlobNameValidation(t *testing.T) {
@@ -76,9 +48,6 @@ func TestBlobNameValidation(t *testing.T) {
 		if _, err := b.Get(name); err == nil {
 			t.Errorf("Get(%q) accepted an invalid name", name)
 		}
-		if err := b.Delete(name); err == nil {
-			t.Errorf("Delete(%q) accepted an invalid name", name)
-		}
 	}
 	// Nothing escaped the backend directory.
 	if _, err := os.Stat(filepath.Join(dir, "..", "escape")); err == nil {
@@ -86,58 +55,5 @@ func TestBlobNameValidation(t *testing.T) {
 	}
 	if err := b.Put("seg-000001.ndjson.gz", []byte("x")); err != nil {
 		t.Errorf("a legitimate segment name was rejected: %v", err)
-	}
-}
-
-func TestHTTPBackend(t *testing.T) {
-	blobs := map[string][]byte{
-		"seg-000001.ndjson": []byte(`{"key":"k1"}` + "\n"),
-		SegmentsFile:        []byte(`{"segments":[]}`),
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /segments", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, []string{"seg-000001.ndjson", SegmentsFile})
-	})
-	mux.HandleFunc("GET /segments/{name}", func(w http.ResponseWriter, r *http.Request) {
-		data, ok := blobs[r.PathValue("name")]
-		if !ok {
-			http.NotFound(w, r)
-			return
-		}
-		w.Write(data)
-	})
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-
-	b := NewHTTPBackend(srv.URL+"/segments/", nil) // trailing slash is trimmed
-	got, err := b.Get("seg-000001.ndjson")
-	if err != nil || !bytes.Equal(got, blobs["seg-000001.ndjson"]) {
-		t.Fatalf("Get = (%q, %v)", got, err)
-	}
-	if _, err := b.Get("seg-000404.ndjson"); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("Get of a missing blob = %v, want fs.ErrNotExist", err)
-	}
-	if _, err := b.Get("../manifest.json"); err == nil {
-		t.Fatal("Get accepted a traversal name")
-	}
-	names, err := b.List()
-	if err != nil || len(names) != 2 {
-		t.Fatalf("List = (%v, %v)", names, err)
-	}
-	if err := b.Put("x", nil); !errors.Is(err, ErrReadOnlyBackend) {
-		t.Errorf("Put = %v, want ErrReadOnlyBackend", err)
-	}
-	if err := b.Delete("x"); !errors.Is(err, ErrReadOnlyBackend) {
-		t.Errorf("Delete = %v, want ErrReadOnlyBackend", err)
-	}
-
-	// A store never compacted: the peer's listing 404s, which reads as
-	// "no segments", not an error.
-	empty := NewHTTPBackend(srv.URL+"/nothing-here", nil)
-	if names, err := empty.List(); err != nil || names != nil {
-		t.Fatalf("List against a 404 = (%v, %v), want empty", names, err)
-	}
-	if segs, err := loadSegmentList(empty); err != nil || segs != nil {
-		t.Fatalf("loadSegmentList over HTTP 404 = (%v, %v), want empty", segs, err)
 	}
 }

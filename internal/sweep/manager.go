@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"log"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -88,13 +87,13 @@ func (m *Manager) SetDistributor(d Distributor) { m.dist = d }
 func (m *Manager) SetRED(r *metrics.RED) { m.red = r }
 
 // SetStoreOptions sets the durability/compaction tuning applied to
-// every store the manager opens from now on (started, recovered,
-// adopted). Call before serving requests.
+// every store the manager opens from now on (started or recovered).
+// Call before serving requests.
 func (m *Manager) SetStoreOptions(o StoreOptions) { m.storeOpts = o }
 
 // observeStore hooks a sweep's store into the manager's observability
-// and applies the configured store options — the single adoption
-// point shared by Start, Recover and Adopt.
+// and applies the configured store options — the single hook-up point
+// shared by Start and Recover.
 func (m *Manager) observeStore(id string, store *Store) {
 	store.SetOptions(m.storeOpts)
 	store.SetCounters(&m.storeCounters)
@@ -118,19 +117,6 @@ func (m *Manager) observeStore(id string, store *Store) {
 type Recoverer interface {
 	NeedsRecovery(dir string) (bool, error)
 	Recover(spec Spec, cells []Cell, store *Store, onProgress func(Progress)) (run DistributedRun, id string, err error)
-}
-
-// Adopter is the Distributor extension for federation: taking over a
-// sweep that a *different* server owns, once that server is known
-// dead. Orphaned probes one sweep directory — the journaled owner and
-// whether the sweep is unfinished — without opening the store; Adopt
-// then rebuilds and serves the sweep here regardless of the journaled
-// owner, re-stamping the journal so the old owner's restart defers to
-// this server. The liveness judgement stays with the caller (operator
-// or peer watcher); the manager only supplies the mechanics.
-type Adopter interface {
-	Orphaned(dir string) (owner string, orphaned bool, err error)
-	Adopt(spec Spec, cells []Cell, store *Store, onProgress func(Progress)) (run DistributedRun, id string, err error)
 }
 
 // Run is one managed sweep execution.
@@ -433,83 +419,19 @@ func (m *Manager) recoverDir(rec Recoverer, dir string) (bool, error) {
 		return false, nil
 	}
 	if man.Spec.Search != nil {
-		return m.resumeSearchDir(man, dir, rec.Recover, need)
+		return m.resumeSearchDir(rec, man, dir, need)
 	}
 	if !need {
 		return false, nil
 	}
-	return m.resumeDir(dir, rec.Recover)
+	return m.resumeDir(rec, man, dir)
 }
 
-// AdoptOrphans scans the base directory for unfinished distributed
-// sweeps — whoever their journals say owns them — and takes each one
-// over through the distributor's Adopt. It is the action behind
-// POST /coord/adopt and the peer health watcher: call it only when the
-// sweeps' owner is believed dead, because adopting out from under a
-// live server splits the lease table. Sweeps already running here
-// (this server's own, or previously adopted) are skipped by the
-// spec-key reservation inside resumeDir.
-func (m *Manager) AdoptOrphans() (adopted int, err error) {
-	adp, ok := m.dist.(Adopter)
-	if !ok {
-		return 0, nil
-	}
-	entries, err := os.ReadDir(m.dir)
-	if errors.Is(err, fs.ErrNotExist) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, err
-	}
-	var errs []error
-	for _, ent := range entries {
-		if !ent.IsDir() {
-			continue
-		}
-		dir := filepath.Join(m.dir, ent.Name())
-		if _, serr := os.Stat(filepath.Join(dir, CoordJournalFile)); serr != nil {
-			continue
-		}
-		owner, orphaned, oerr := adp.Orphaned(dir)
-		if oerr != nil {
-			errs = append(errs, fmt.Errorf("%s: %w", dir, oerr))
-			continue
-		}
-		if !orphaned {
-			continue
-		}
-		ok, rerr := m.resumeDir(dir, adp.Adopt)
-		if rerr != nil {
-			errs = append(errs, fmt.Errorf("%s: %w", dir, rerr))
-			continue
-		}
-		if ok {
-			if owner == "" {
-				owner = "(unowned journal)"
-			}
-			log.Printf("sweep: adopted %s from %s", dir, owner)
-			adopted++
-		}
-	}
-	return adopted, errors.Join(errs...)
-}
-
-// resumeDir rebuilds one sweep directory's run through resume (the
-// distributor's Recover or Adopt) and registers it under its original
-// id — the shared tail of crash recovery and federation adoption.
-// It reports false when the directory holds nothing resumable or its
-// spec is already running here.
-func (m *Manager) resumeDir(dir string, resume func(Spec, []Cell, *Store, func(Progress)) (DistributedRun, string, error)) (bool, error) {
-	man, err := readManifest(dir)
-	if err != nil {
-		return false, err
-	}
-	if man.Spec.Search != nil {
-		// Adoption reaches here directly; a search sweep's journal holds
-		// one *round*, not the sweep, so it resumes through the search
-		// path.
-		return m.resumeSearchDir(man, dir, resume, true)
-	}
+// resumeDir rebuilds one crashed sweep directory's run through the
+// distributor's Recover and registers it under its original id. It
+// reports false when the journal holds nothing resumable or the spec
+// is already running here.
+func (m *Manager) resumeDir(rec Recoverer, man Manifest, dir string) (bool, error) {
 	spec := man.Spec
 	cells, err := spec.Expand()
 	if err != nil {
@@ -533,7 +455,7 @@ func (m *Manager) resumeDir(dir string, resume func(Spec, []Cell, *Store, func(P
 	if err != nil {
 		return false, err
 	}
-	// Options and counters attach before resume: a recovered
+	// Options and counters attach before Recover: a recovered
 	// coordinator can start merging worker uploads immediately, and
 	// those appends must already see the configured durability.
 	store.SetOptions(m.storeOpts)
@@ -547,7 +469,7 @@ func (m *Manager) resumeDir(dir string, resume func(Spec, []Cell, *Store, func(P
 		done:    make(chan struct{}),
 		prog:    Progress{State: StateRunning, Total: len(cells)},
 	}
-	d, id, err := resume(spec, cells, store, m.progressSink(run))
+	d, id, err := rec.Recover(spec, cells, store, m.progressSink(run))
 	if err != nil || d == nil {
 		store.Close()
 		cancel()
@@ -588,10 +510,10 @@ func (m *Manager) resumeDir(dir string, resume func(Spec, []Cell, *Store, func(P
 // of the spec plus the store's settled results, so the resumed run
 // re-derives exactly the frontier the crash interrupted. journalLive
 // says the directory holds an unfinished coordinator journal: that
-// round is resumed through resume (the distributor's Recover or Adopt)
-// first — surviving workers keep their leases — and the remaining
-// rounds then run through the ordinary search loop.
-func (m *Manager) resumeSearchDir(man Manifest, dir string, resume func(Spec, []Cell, *Store, func(Progress)) (DistributedRun, string, error), journalLive bool) (bool, error) {
+// round is resumed through the distributor's Recover first — surviving
+// workers keep their leases — and the remaining rounds then run
+// through the ordinary search loop.
+func (m *Manager) resumeSearchDir(rec Recoverer, man Manifest, dir string, journalLive bool) (bool, error) {
 	spec := man.Spec
 	if man.SearchDone && !journalLive {
 		return false, nil // finished search; nothing to serve
@@ -646,7 +568,7 @@ func (m *Manager) resumeSearchDir(man Manifest, dir string, resume func(Spec, []
 	var first DistributedRun
 	id := ""
 	if journalLive {
-		first, id, err = resume(plan.RoundSpec, plan.NewCells, store, plan.Decorate(m.progressSink(run)))
+		first, id, err = rec.Recover(plan.RoundSpec, plan.NewCells, store, plan.Decorate(m.progressSink(run)))
 		if err != nil {
 			store.Close()
 			cancel()
@@ -835,14 +757,6 @@ const maxSpecBytes = 1 << 20
 //	                                       sweep live unless ?follow=0
 //	POST   /sweeps/{id}/compact          — freeze the tail's settled prefix
 //	                                       into a segment now
-//	GET    /sweeps/{id}/segments         — committed segment blob names (JSON)
-//	GET    /sweeps/{id}/segments/{name}  — one segment blob (or segments.json),
-//	                                       raw — the HTTP Backend a peer
-//	                                       mirrors from
-//	GET    /sweeps/{id}/store/{file}     — manifest | tail | journal, raw —
-//	                                       the rest of a sweep directory, for
-//	                                       peers mirroring without a shared
-//	                                       filesystem
 //	DELETE /sweeps/{id}                  — cancel; completed cells stay on disk
 func (m *Manager) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -901,77 +815,6 @@ func (m *Manager) Handler() http.Handler {
 			resp.Segment = &seg
 		}
 		writeJSON(w, http.StatusOK, resp)
-	})
-
-	mux.HandleFunc("GET /sweeps/{id}/segments", func(w http.ResponseWriter, r *http.Request) {
-		run, ok := m.Get(r.PathValue("id"))
-		if !ok {
-			httpError(w, http.StatusNotFound, fmt.Errorf("sweep: unknown sweep %q", r.PathValue("id")))
-			return
-		}
-		names, err := run.store.Backend().List()
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err)
-			return
-		}
-		if names == nil {
-			names = []string{}
-		}
-		writeJSON(w, http.StatusOK, names)
-	})
-
-	mux.HandleFunc("GET /sweeps/{id}/segments/{name}", func(w http.ResponseWriter, r *http.Request) {
-		run, ok := m.Get(r.PathValue("id"))
-		if !ok {
-			httpError(w, http.StatusNotFound, fmt.Errorf("sweep: unknown sweep %q", r.PathValue("id")))
-			return
-		}
-		// The backend re-validates the name (no separators, no
-		// dotfiles); a bad one reads as not-found, not as a file probe.
-		data, err := run.store.Backend().Get(r.PathValue("name"))
-		if err != nil {
-			httpError(w, http.StatusNotFound, fmt.Errorf("sweep: no segment %q", r.PathValue("name")))
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Write(data)
-	})
-
-	mux.HandleFunc("GET /sweeps/{id}/store/{file}", func(w http.ResponseWriter, r *http.Request) {
-		run, ok := m.Get(r.PathValue("id"))
-		if !ok {
-			httpError(w, http.StatusNotFound, fmt.Errorf("sweep: unknown sweep %q", r.PathValue("id")))
-			return
-		}
-		var (
-			data []byte
-			err  error
-			ctyp = "application/x-ndjson"
-		)
-		switch r.PathValue("file") {
-		case "manifest":
-			data, err = os.ReadFile(filepath.Join(run.store.Dir(), ManifestFile))
-			ctyp = "application/json"
-		case "tail":
-			// Read under the store lock so a concurrent compaction cannot
-			// swap the file mid-read.
-			data, err = run.store.ReadTail()
-		case "journal":
-			data, err = os.ReadFile(run.store.CoordJournalPath())
-		default:
-			httpError(w, http.StatusNotFound, fmt.Errorf("sweep: unknown store file %q", r.PathValue("file")))
-			return
-		}
-		if err != nil && !errors.Is(err, fs.ErrNotExist) {
-			httpError(w, http.StatusInternalServerError, err)
-			return
-		}
-		if errors.Is(err, fs.ErrNotExist) {
-			httpError(w, http.StatusNotFound, fmt.Errorf("sweep: no %s for sweep %q", r.PathValue("file"), run.id))
-			return
-		}
-		w.Header().Set("Content-Type", ctyp)
-		w.Write(data)
 	})
 
 	mux.HandleFunc("DELETE /sweeps/{id}", func(w http.ResponseWriter, r *http.Request) {

@@ -11,13 +11,13 @@ import (
 )
 
 // SegmentsFile is the blob naming the store's committed segment list.
-// Writing it (atomically, via Backend.Put) is the commit point of a
+// Writing it (atomically, via DirBackend.Put) is the commit point of a
 // compaction: a segment blob not named here does not exist yet.
 const SegmentsFile = "segments.json"
 
-// maxSegmentBytes bounds one segment blob in memory (compressed or
-// not). Compaction creates segments far smaller than this; the cap
-// protects mirror readers from a garbage peer, not honest use.
+// maxSegmentBytes bounds one segment blob's uncompressed size in
+// memory. Compaction creates segments far smaller than this; the cap
+// only stops a corrupt gzip blob from inflating without limit.
 const maxSegmentBytes = 256 << 20
 
 // SegmentInfo describes one immutable compacted segment: a verbatim
@@ -43,7 +43,7 @@ type segmentList struct {
 
 // loadSegmentList reads the committed segment list; a store that was
 // never compacted has none and loads empty.
-func loadSegmentList(b Backend) ([]SegmentInfo, error) {
+func loadSegmentList(b *DirBackend) ([]SegmentInfo, error) {
 	data, err := b.Get(SegmentsFile)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil
@@ -60,7 +60,7 @@ func loadSegmentList(b Backend) ([]SegmentInfo, error) {
 
 // commitSegmentList atomically replaces the committed segment list —
 // the durable commit point of a compaction.
-func commitSegmentList(b Backend, segs []SegmentInfo) error {
+func commitSegmentList(b *DirBackend, segs []SegmentInfo) error {
 	data, err := json.MarshalIndent(segmentList{Segments: segs}, "", "  ")
 	if err != nil {
 		return err
@@ -101,7 +101,7 @@ func encodeSegment(data []byte, gzipped bool) ([]byte, error) {
 // verified against the manifest's recorded extent — a length mismatch
 // means the blob does not match the committed list and must not be
 // spliced into the logical stream.
-func readSegment(b Backend, seg SegmentInfo) ([]byte, error) {
+func readSegment(b *DirBackend, seg SegmentInfo) ([]byte, error) {
 	blob, err := b.Get(seg.Name)
 	if err != nil {
 		return nil, fmt.Errorf("sweep: read segment %s: %w", seg.Name, err)

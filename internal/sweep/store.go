@@ -97,7 +97,7 @@ type StoreOptions struct {
 type Store struct {
 	dir      string
 	manifest Manifest
-	backend  Backend // segment blobs + segments.json, under dir/segments
+	backend  *DirBackend // segment blobs + segments.json, under dir/segments
 
 	mu       sync.Mutex
 	f        *os.File
@@ -428,10 +428,7 @@ func recordsFromBytes(data []byte) (recs []CellRecord, corrupt int) {
 // compaction (segment committed, tail swap unfinished) is skipped
 // over, not repaired — reopening the store repairs it.
 func ReadRecords(dir string) (recs []CellRecord, corrupt int, err error) {
-	return readStoreRecords(dir, NewDirBackend(filepath.Join(dir, SegmentsDir)))
-}
-
-func readStoreRecords(dir string, b Backend) (recs []CellRecord, corrupt int, err error) {
+	b := NewDirBackend(filepath.Join(dir, SegmentsDir))
 	segs, err := loadSegmentList(b)
 	if err != nil {
 		return nil, 0, err
@@ -697,27 +694,11 @@ func (s *Store) ResultsPath() string { return filepath.Join(s.dir, ResultsFile) 
 // its shard lease table for this sweep.
 func (s *Store) CoordJournalPath() string { return filepath.Join(s.dir, CoordJournalFile) }
 
-// Backend exposes the store's segment blob backend (read-only use:
-// the HTTP segment endpoints list and serve blobs through it).
-func (s *Store) Backend() Backend { return s.backend }
-
 // Segments snapshots the committed segment list.
 func (s *Store) Segments() []SegmentInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]SegmentInfo(nil), s.segs...)
-}
-
-// ReadTail returns the live tail's current bytes, consistent under
-// the store lock (a compaction cannot swap the file mid-read).
-func (s *Store) ReadTail() ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	data, err := os.ReadFile(s.tailPath())
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
-	}
-	return data, err
 }
 
 // Close releases the results file and closes every tail subscription

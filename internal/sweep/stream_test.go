@@ -125,8 +125,7 @@ func TestStreamResultsDisconnectDropsSubscriber(t *testing.T) {
 
 // TestStreamAndEndpointsAcrossCompaction: compacting a finished sweep
 // through POST /sweeps/{id}/compact changes neither the snapshot nor
-// the followed stream, and the segment/store endpoints expose exactly
-// what a mirroring peer needs.
+// the followed stream.
 func TestStreamAndEndpointsAcrossCompaction(t *testing.T) {
 	mgr := NewManager(fakeEngine(0), t.TempDir(), 0)
 	srv := httptest.NewServer(mgr.Handler())
@@ -165,49 +164,10 @@ func TestStreamAndEndpointsAcrossCompaction(t *testing.T) {
 	if followed := getBody(t, base+"/results"); !bytes.Equal(followed, before) {
 		t.Error("followed stream diverged from the snapshot after compaction")
 	}
-
-	var names []string
-	if err := json.Unmarshal(getBody(t, base+"/segments"), &names); err != nil {
-		t.Fatal(err)
-	}
-	wantNames := map[string]bool{cr.Segment.Name: true, SegmentsFile: true}
-	if len(names) != 2 || !wantNames[names[0]] || !wantNames[names[1]] {
-		t.Fatalf("segment listing = %v, want the blob and %s", names, SegmentsFile)
-	}
-	blob := getBody(t, base+"/segments/"+cr.Segment.Name)
-	if !bytes.Equal(blob, before) { // uncompressed segment: verbatim stream prefix
-		t.Error("served segment blob differs from the stream bytes it froze")
-	}
-	if resp, err := http.Get(base + "/segments/" + "..%2Fmanifest.json"); err == nil {
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("traversal segment name: %d, want 404", resp.StatusCode)
-		}
-		resp.Body.Close()
-	}
-
-	var man Manifest
-	if err := json.Unmarshal(getBody(t, base+"/store/manifest"), &man); err != nil || man.SpecKey == "" {
-		t.Fatalf("store/manifest = (%+v, %v)", man, err)
-	}
-	if tail := getBody(t, base+"/store/tail"); len(tail) != 0 {
-		t.Errorf("tail after full compaction holds %d bytes, want 0", len(tail))
-	}
-	// A local (non-distributed) sweep has no journal.
-	if resp, err := http.Get(base + "/store/journal"); err != nil {
-		t.Fatal(err)
-	} else {
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("store/journal on a local sweep: %d, want 404", resp.StatusCode)
-		}
-	}
-	if resp, err := http.Get(base + "/store/passwd"); err != nil {
-		t.Fatal(err)
-	} else {
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("unknown store file: %d, want 404", resp.StatusCode)
-		}
+	// An uncompressed segment is the verbatim stream prefix it froze.
+	run, _ := mgr.Get(st.ID)
+	if blob, err := run.store.backend.Get(cr.Segment.Name); err != nil || !bytes.Equal(blob, before) {
+		t.Errorf("segment blob = (%d bytes, %v), want the %d stream bytes it froze", len(blob), err, len(before))
 	}
 }
 
