@@ -3,11 +3,11 @@
 // identical in-flight requests are coalesced, so a cell is simulated
 // at most once no matter how many clients ask for it.
 //
-// The distributed sweep coordinator is crash-safe: shard lease state
-// journals to coord.journal.ndjson next to each sweep's results, and
-// on startup interrupted sweeps are recovered from those journals and
-// resume serving /coord under their original ids (disable with
-// -no-recover). One ciaoserve owns a -sweepdir.
+// Sweeps run in-process and survive kill -9: on startup every sweep
+// under -sweepdir with unsettled cells that no client cancelled
+// resumes from its store under its original id — settled cells are
+// skipped, failed ones re-run (disable with -no-recover). One
+// ciaoserve owns a -sweepdir.
 //
 // Sweep results live in a tiered store: an append-only NDJSON tail
 // per sweep, compacted (automatically past -compact-after records, or
@@ -22,10 +22,8 @@
 //	                             fig11b, fig12a, fig12b, timeseries,
 //	                             overhead, run — async
 //	GET    /jobs/{id}            poll an async job; result inlined once done
-//	POST   /sweeps               start a declarative parameter sweep
-//	                             ("distributed": true hands it to the
-//	                             shard coordinator instead of running
-//	                             in-process)
+//	POST   /sweeps               start (or resume) a declarative
+//	                             parameter sweep
 //	GET    /sweeps               list sweeps
 //	GET    /sweeps/{id}          sweep progress (done/total, failures,
 //	                             geomean-so-far)
@@ -33,20 +31,9 @@
 //	                             live tail; ?follow=0 for a snapshot)
 //	POST   /sweeps/{id}/compact  compact the live tail's settled prefix
 //	                             into an immutable segment now
-//	DELETE /sweeps/{id}          cancel a sweep (results kept on disk)
-//	POST   /coord/lease          worker: acquire a shard lease (workers
-//	                             advertise capability tags + max-cells
-//	                             hints; constrained shards wait for a
-//	                             matching worker)
-//	POST   /coord/heartbeat      worker: renew a lease
-//	POST   /coord/complete       worker: upload a shard's records
-//	GET    /coord/status         shard tables of live distributed sweeps
-//	POST   /coord/admin/expire   force-expire a lease ({"sweep","shard"})
-//	POST   /coord/admin/quarantine    park a poisonous shard; the sweep
-//	                                  can finish "done-with-quarantined"
-//	POST   /coord/admin/unquarantine  release a parked shard
-//	GET    /coord/admin/leases   live lease tables (ages, tags, renews)
-//	GET    /metrics              cache/engine/sweep/coordinator counters
+//	DELETE /sweeps/{id}          cancel a sweep (results kept on disk;
+//	                             restarts do not resume it)
+//	GET    /metrics              cache/engine/sweep/store counters
 //	                             plus per-route RED metrics; JSON by
 //	                             default, Prometheus text exposition
 //	                             with ?format=prom or Accept: text/plain
@@ -65,7 +52,6 @@
 //	curl -s localhost:8080/run -d '{"bench":"SYRK","sched":"CIAO-C","options":{"instr_per_warp":2000}}'
 //	curl -s localhost:8080/sweeps -d @examples/sweep-l1-capacity.json
 //	curl -sN localhost:8080/sweeps/<id>/results
-//	ciaosweep -worker http://localhost:8080 &   # serve leased shards
 package main
 
 import (
@@ -77,8 +63,6 @@ import (
 	"os/signal"
 	"syscall"
 	"time"
-
-	"repro/internal/coord"
 )
 
 func main() {
@@ -88,10 +72,7 @@ func main() {
 		entries   = flag.Int("cache", 256, "result cache capacity in entries (<= 0 disables)")
 		jobs      = flag.Int("jobs", 1024, "max retained async job records (oldest finished evicted first)")
 		sweepDir  = flag.String("sweepdir", "sweeps", "directory for on-disk sweep results")
-		shardSize = flag.Int("shardsize", coord.DefaultShardSize, "distributed sweeps: cells per leasable shard")
-		leaseTTL  = flag.Duration("leasettl", coord.DefaultTTL, "distributed sweeps: lease TTL without a heartbeat")
-		maxLeases = flag.Int("maxleases", coord.DefaultMaxLeases, "distributed sweeps: leases per shard before the sweep fails terminally")
-		noRecover = flag.Bool("no-recover", false, "skip crash recovery of interrupted distributed sweeps under -sweepdir")
+		noRecover = flag.Bool("no-recover", false, "do not resume the interrupted sweeps under -sweepdir at startup")
 
 		compactAfter = flag.Int("compact-after", 4096, "result store: auto-compact a sweep's live tail into an immutable segment once it holds this many records (0 = only on POST /sweeps/{id}/compact)")
 		gzipSegments = flag.Bool("gzip-segments", false, "result store: gzip-compress newly written segments")
@@ -110,9 +91,6 @@ func main() {
 		cacheEntries: *entries,
 		jobs:         *jobs,
 		sweepDir:     *sweepDir,
-		shardSize:    *shardSize,
-		leaseTTL:     *leaseTTL,
-		maxLeases:    *maxLeases,
 		compactAfter: *compactAfter,
 		gzipSegments: *gzipSegments,
 		syncResults:  *syncResults,
@@ -122,16 +100,16 @@ func main() {
 		clientBurst:  *clientBurst,
 	})
 	if !*noRecover {
-		// Resume distributed sweeps a crash or restart interrupted:
-		// their coordinators rebuild from the per-sweep journal and
-		// keep serving /coord under the original sweep ids, so workers
-		// that outlived the outage stay on their leases. A recovery
-		// failure is loud but not fatal — the flag exists to boot past
-		// a poisonous sweep directory.
-		if n, err := s.sweeps.Recover(); err != nil {
+		// Resume the sweeps a crash or restart interrupted, under their
+		// original ids. A directory that fails to resume is loud but
+		// not fatal, and does not stop the others; the flag exists to
+		// boot past a poisonous sweep directory.
+		n, err := s.sweeps.Recover()
+		if err != nil {
 			log.Printf("sweep recovery: %v (start with -no-recover to skip)", err)
-		} else if n > 0 {
-			log.Printf("recovered %d distributed sweep(s) from %s", n, *sweepDir)
+		}
+		if n > 0 {
+			log.Printf("resumed %d interrupted sweep(s) from %s", n, *sweepDir)
 		}
 	}
 	srv := &http.Server{
@@ -150,8 +128,8 @@ func main() {
 	defer stop()
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("ciaoserve listening on %s (workers=%d cache=%d sweepdir=%s shardsize=%d leasettl=%s maxqueue=%d)",
-		*addr, *workers, *entries, *sweepDir, *shardSize, *leaseTTL, *maxQueue)
+	log.Printf("ciaoserve listening on %s (workers=%d cache=%d sweepdir=%s maxqueue=%d)",
+		*addr, *workers, *entries, *sweepDir, *maxQueue)
 
 	select {
 	case err := <-errc:

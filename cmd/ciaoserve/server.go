@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/coord"
 	"repro/internal/httpx"
 	"repro/internal/metrics"
 	"repro/internal/service"
@@ -21,10 +20,6 @@ type serverOpts struct {
 	jobs         int
 	sweepDir     string
 	parallelism  int
-
-	shardSize int
-	leaseTTL  time.Duration
-	maxLeases int
 
 	// Tiered result store tuning: compactAfter auto-freezes a sweep's
 	// settled tail prefix into an immutable segment once the tail holds
@@ -53,14 +48,13 @@ type serverOpts struct {
 // RED instrumentation).
 type server struct {
 	engine  *service.Engine
-	hub     *coord.Hub
 	sweeps  *sweep.Manager
 	red     *metrics.RED
 	handler http.Handler
 }
 
-// newServer wires the engine, sweep manager, and coordinator hub into
-// one handler behind the observability and backpressure middleware:
+// newServer wires the engine and the sweep manager into one handler
+// behind the observability and backpressure middleware:
 //
 //	Instrument (RED + access log)
 //	  └─ mux
@@ -77,14 +71,12 @@ func newServer(o serverOpts) *server {
 		cacheEntries = -1 // the engine treats 0 as "default"; the flag means "off"
 	}
 	engine := service.NewEngine(service.Config{Workers: o.workers, CacheEntries: cacheEntries, MaxJobs: o.jobs, Run: o.run})
-	hub := coord.NewHub(coord.Config{ShardSize: o.shardSize, TTL: o.leaseTTL, MaxLeases: o.maxLeases})
 	sweeps := sweep.NewManager(engine, o.sweepDir, o.parallelism)
 	sweeps.SetStoreOptions(sweep.StoreOptions{
 		SyncAppend:   o.syncResults,
 		CompactAfter: o.compactAfter,
 		GzipSegments: o.gzipSegments,
 	})
-	sweeps.SetDistributor(hub)
 
 	red := metrics.NewRED()
 	sweepRED := metrics.NewRED()
@@ -93,18 +85,14 @@ func newServer(o serverOpts) *server {
 	sweepH := sweeps.Handler()
 	svc := service.NewHandler(engine,
 		service.WithExtraMetrics(func() map[string]any {
-			return map[string]any{
-				"sweeps": sweeps.MetricsSnapshot(),
-				"coord":  hub.MetricsSnapshot(),
-			}
+			return map[string]any{"sweeps": sweeps.MetricsSnapshot()}
 		}),
 		service.WithHTTPRED(red),
-		service.WithProm(sweeps.WriteProm, hub.WriteProm))
+		service.WithProm(sweeps.WriteProm))
 
 	mux := http.NewServeMux()
 	mux.Handle("/sweeps", sweepH)
 	mux.Handle("/sweeps/", sweepH)
-	mux.Handle("/coord/", hub.Handler())
 	mux.Handle("/", svc)
 
 	// Backpressure wraps only the POSTs that create work; the Go 1.22
@@ -134,7 +122,6 @@ func newServer(o serverOpts) *server {
 	}
 	return &server{
 		engine:  engine,
-		hub:     hub,
 		sweeps:  sweeps,
 		red:     red,
 		handler: httpx.Instrument(red, logf, mux),

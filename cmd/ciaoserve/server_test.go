@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/service"
 )
 
@@ -46,7 +45,7 @@ func postRun(ts *httptest.Server, n int) (*http.Response, error) {
 
 // TestServerShedsUnderLoad drives the server past its accept-queue
 // bound and checks the overload contract: excess work is refused fast
-// with 429 + Retry-After while the health and coordination endpoints
+// with 429 + Retry-After while the health and sweep-listing endpoints
 // keep answering, and once the backlog drains the queued requests
 // complete and new work is admitted again.
 func TestServerShedsUnderLoad(t *testing.T) {
@@ -94,7 +93,7 @@ func TestServerShedsUnderLoad(t *testing.T) {
 		method, path, body string
 	}{
 		{"GET", "/healthz", ""},
-		{"POST", "/coord/heartbeat", `{}`},
+		{"GET", "/sweeps", ""},
 	} {
 		start := time.Now()
 		req, _ := http.NewRequest(probe.method, ts.URL+probe.path, strings.NewReader(probe.body))
@@ -196,31 +195,11 @@ var promFamilies = []string{
 	"ciao_store_segment_bytes_total counter",
 	"ciao_store_tail_lagged_total counter",
 	"ciao_store_tail_subscribers gauge",
-	"coord_active gauge",
-	"coord_leases_granted counter",
-	"coord_leases_affine counter",
-	"coord_leases_expired counter",
-	"coord_shards_reassigned counter",
-	"coord_shards_completed counter",
-	"coord_records_merged counter",
-	"coord_records_deduped counter",
-	"coord_stale_acks counter",
-	"coord_leases_starved counter",
-	"coord_admin_expired counter",
-	"coord_shards_quarantined counter",
-	"coord_shards_unquarantined counter",
-	"coord_journal_entries counter",
-	"coord_journal_replayed counter",
-	"coord_journal_compactions counter",
-	"coord_sweeps_recovered counter",
-	"coord_leases_recovered counter",
 }
 
 // TestServerMetricsFormats checks the /metrics content negotiation:
-// JSON by default (with the per-route RED block), Prometheus text
-// exposition on request, carrying exactly the promFamilies list, and
-// a JSON coordinator block that matches the coord_ families
-// one-for-one.
+// JSON by default (with the per-route RED block), and Prometheus text
+// exposition on request, carrying exactly the promFamilies list.
 func TestServerMetricsFormats(t *testing.T) {
 	_, ts, release := testServer(t, serverOpts{workers: 2})
 	close(release)
@@ -238,9 +217,6 @@ func TestServerMetricsFormats(t *testing.T) {
 	var js struct {
 		Cache json.RawMessage            `json:"cache"`
 		HTTP  map[string]json.RawMessage `json:"http"`
-		Extra struct {
-			Coord map[string]json.RawMessage `json:"coord"`
-		} `json:"extra"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&js); err != nil {
 		t.Fatalf("default /metrics is not JSON: %v", err)
@@ -251,39 +227,6 @@ func TestServerMetricsFormats(t *testing.T) {
 	}
 	if js.Cache == nil || js.HTTP["/run"] == nil {
 		t.Fatalf("JSON payload missing cache or http//run block: %+v", js)
-	}
-	// The coordinator block is "active" plus one key per CoordSnapshot
-	// field, and each key names the Prometheus family coord_<key>.
-	snapJSON, err := json.Marshal(metrics.CoordSnapshot{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snapKeys map[string]json.RawMessage
-	if err := json.Unmarshal(snapJSON, &snapKeys); err != nil {
-		t.Fatal(err)
-	}
-	wantCoord := []string{"active"}
-	for k := range snapKeys {
-		wantCoord = append(wantCoord, k)
-	}
-	var coordFamilies []string
-	for _, f := range promFamilies {
-		if name, ok := strings.CutPrefix(strings.Fields(f)[0], "coord_"); ok {
-			coordFamilies = append(coordFamilies, name)
-		}
-	}
-	gotCoord := make([]string, 0, len(js.Extra.Coord))
-	for k := range js.Extra.Coord {
-		gotCoord = append(gotCoord, k)
-	}
-	slices.Sort(wantCoord)
-	slices.Sort(coordFamilies)
-	slices.Sort(gotCoord)
-	if !slices.Equal(gotCoord, wantCoord) {
-		t.Errorf("extra.coord keys = %v, want active plus the CoordSnapshot keys %v", gotCoord, wantCoord)
-	}
-	if !slices.Equal(gotCoord, coordFamilies) {
-		t.Errorf("extra.coord keys = %v, want one per coord_ family %v", gotCoord, coordFamilies)
 	}
 
 	resp, err = http.Get(ts.URL + "/metrics?format=prom")
@@ -311,8 +254,6 @@ func TestServerMetricsFormats(t *testing.T) {
 		"ciao_simulations_total",
 		"ciao_engine_queue_depth",
 		"ciao_sweeps_started_total",
-		"coord_leases_granted",
-		"coord_active",
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("prom exposition missing %q", want)

@@ -17,20 +17,14 @@
 // point and re-run with -resume to execute only the remaining cells.
 // Shards split one sweep across processes: -shard 0/2 and -shard 1/2
 // against the same spec (but different -dir) each run half the cells,
-// and -merge collapses the shard stores back into one. For sweeps
-// coordinated by a ciaoserve (spec field "distributed": true), run
-// workers instead: -worker leases shards from the server, executes
-// them, and uploads the records — no local store, no manual sharding.
-// -tags and -maxcells advertise what the host can run, so shards whose
-// spec carries "requires" constraints route only to matching workers.
-// -worker takes one absolute http(s) URL; anything else is an error at
-// startup.
+// and -merge collapses the shard stores back into one. A ciaoserve
+// runs the same sweeps in-process over POST /sweeps and resumes them
+// itself after a restart.
 //
 //	ciaosweep -spec examples/sweep-l1-capacity.json -dir sweeps/l1
 //	^C ...
 //	ciaosweep -spec examples/sweep-l1-capacity.json -dir sweeps/l1 -resume
 //	ciaosweep -spec spec.json -dir sweeps/merged -merge sweeps/a,sweeps/b
-//	ciaosweep -worker http://coordinator:8080 -tags bigmem,gpu
 package main
 
 import (
@@ -50,77 +44,36 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/coord"
 	"repro/internal/service"
 	"repro/internal/sweep"
 )
 
 func main() {
 	var (
-		specPath  = flag.String("spec", "", "sweep spec JSON file (required unless -worker)")
-		dir       = flag.String("dir", "", "results directory (default sweeps/<name>)")
-		resume    = flag.Bool("resume", false, "resume an existing results directory, skipping completed cells")
-		workers   = flag.Int("workers", 0, "max concurrently executing cells (0 = GOMAXPROCS)")
-		entries   = flag.Int("cache", 256, "engine result-cache capacity in entries")
-		shard     = flag.String("shard", "", "run only shard i of n, as i/n (e.g. 0/2)")
-		merge     = flag.String("merge", "", "comma-separated shard store directories to merge into -dir, then exit")
-		every     = flag.Duration("progress", 2*time.Second, "progress print interval (0 disables)")
-		workerURL = flag.String("worker", "", "run as a distributed sweep worker against this coordinator URL (http://host:port)")
-		name      = flag.String("name", "", "worker name (default hostname-pid)")
-		tags      = flag.String("tags", "", "worker: comma-separated capability tags to advertise (e.g. bigmem,gpu)")
-		maxCells  = flag.Int("maxcells", 0, "worker: largest shard (in cells) to accept per lease (0 = unlimited)")
-		idleExit  = flag.Duration("idle-exit", 0, "worker: exit after the coordinator has been idle this long (0 = poll forever)")
-		poll      = flag.Duration("poll", 500*time.Millisecond, "worker: lease poll interval when no shard is available (±25% jitter)")
-		compact   = flag.Bool("compact", false, "compact the store's settled records into an immutable segment after a run or merge finishes")
-		gzipSegs  = flag.Bool("gzip-segments", false, "gzip-compress segments written by -compact")
+		specPath = flag.String("spec", "", "sweep spec JSON file (required)")
+		dir      = flag.String("dir", "", "results directory (default sweeps/<name>)")
+		resume   = flag.Bool("resume", false, "resume an existing results directory, skipping completed cells")
+		workers  = flag.Int("workers", 0, "max concurrently executing cells (0 = GOMAXPROCS)")
+		entries  = flag.Int("cache", 256, "engine result-cache capacity in entries")
+		shard    = flag.String("shard", "", "run only shard i of n, as i/n (e.g. 0/2)")
+		merge    = flag.String("merge", "", "comma-separated shard store directories to merge into -dir, then exit")
+		every    = flag.Duration("progress", 2*time.Second, "progress print interval (0 disables)")
+		compact  = flag.Bool("compact", false, "compact the store's settled records into an immutable segment after a run or merge finishes")
+		gzipSegs = flag.Bool("gzip-segments", false, "gzip-compress segments written by -compact")
 	)
 	flag.Parse()
 	log.SetFlags(0)
 	log.SetPrefix("ciaosweep: ")
 
 	var err error
-	switch {
-	case *workerURL != "":
-		err = runWorker(*workerURL, *name, *tags, *workers, *entries, *maxCells, *idleExit, *poll)
-	case *merge != "":
+	if *merge != "" {
 		err = runMerge(*specPath, *dir, *merge, *compact, *gzipSegs)
-	default:
+	} else {
 		err = run(*specPath, *dir, *resume, *workers, *entries, *shard, *every, *compact, *gzipSegs)
 	}
 	if err != nil {
 		log.Fatal(err)
 	}
-}
-
-// runWorker loops leasing shards from a coordinator until interrupted
-// (or, with -idle-exit, until the coordinator stays idle that long).
-func runWorker(url, name, tags string, workers, entries, maxCells int, idleExit, poll time.Duration) error {
-	engine := service.NewEngine(service.Config{Workers: workers, CacheEntries: entries})
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	err := coord.RunWorker(ctx, coord.WorkerConfig{
-		URL:      url,
-		Name:     name,
-		Tags:     splitTags(tags),
-		MaxCells: maxCells,
-		Engine:   engine,
-		Poll:     poll,
-		IdleExit: idleExit,
-		Logf:     log.Printf,
-	})
-	if errors.Is(err, context.Canceled) {
-		return nil
-	}
-	return err
-}
-
-// splitTags turns the comma-separated -tags flag into a list
-// (normalization and validation happen in RunWorker).
-func splitTags(s string) []string {
-	if strings.TrimSpace(s) == "" {
-		return nil
-	}
-	return strings.Split(s, ",")
 }
 
 // compactStore freezes a store's settled records into a segment (the
@@ -196,8 +149,8 @@ func run(specPath, dir string, resume bool, workers, entries int, shard string, 
 	}
 	if spec.Search != nil && shardN > 1 {
 		// Hand-sharding cuts against one fixed expansion; a search grows
-		// its cell set round by round. Use distributed workers instead.
-		return errors.New("-shard does not apply to search sweeps (use \"distributed\": true with -worker processes)")
+		// its cell set round by round.
+		return errors.New("-shard does not apply to search sweeps")
 	}
 	if dir == "" {
 		dir = filepath.Join("sweeps", spec.Name)

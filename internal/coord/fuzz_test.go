@@ -1,67 +1,55 @@
-package coord
+package coord_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"strings"
+	"reflect"
 	"testing"
 
 	"repro/internal/sweep"
 )
 
+// maxLineBytes mirrors the store's per-line cap: a longer line is
+// corrupt whatever it holds.
+const maxLineBytes = 1 << 20
+
 // FuzzJournalReplay feeds arbitrary bytes — corrupted, truncated,
-// interleaved, bit-flipped journals — into replayJournal and asserts
-// the two properties recovery stands on: replay never panics, and a
-// shard retired (or snapshotted done) since the last valid snapshot is
-// never resurrected into a leasable state. The second property is what
-// keeps a flipped bit in a crashed server's journal from re-running —
-// and double-counting — cells whose results are already in the store.
+// interleaved, bit-flipped result logs — into the replay a sweep store
+// runs when it reopens after a crash, and asserts the properties
+// recovery stands on: replay never panics or fails; it reaches exactly
+// the settled and failed cell sets an independent model of the
+// last-ok-wins rule derives, so a late "failed" line never resurrects
+// a cell whose success is already stored; it counts corrupt lines
+// instead of mistaking them for cells; it cuts a torn tail from the
+// file so the next append lands on a line of its own; and replaying
+// again reaches the same state.
 //
 // Run the seed corpus with `go test -run FuzzJournalReplay`; fuzz with
 // `go test -fuzz FuzzJournalReplay ./internal/coord`.
 func FuzzJournalReplay(f *testing.F) {
-	snapshot := `{"t":"snapshot","sweep":"fuzz-sweep","shards":[` +
-		`{"id":0,"indexes":[0,1],"state":"pending"},` +
-		`{"id":1,"indexes":[2,3],"state":"pending","requires":["bigmem"]},` +
-		`{"id":2,"indexes":[4,5],"state":"done"}]}`
+	rec := func(key, status string, ipc float64) string {
+		b, err := json.Marshal(sweep.CellRecord{Key: key, Bench: "SYRK", Sched: "GTO", Status: status, IPC: ipc})
+		if err != nil {
+			f.Fatal(err)
+		}
+		return string(b) + "\n"
+	}
 	seeds := []string{
-		// The happy path: grant, renew, retire, finish.
-		snapshot + "\n" +
-			`{"t":"lease","shard":0,"worker":"w1","expires":"2026-07-29T00:00:00Z","leases":1}` + "\n" +
-			`{"t":"renew","shard":0,"expires":"2026-07-29T00:01:00Z"}` + "\n" +
-			`{"t":"retire","shard":0}` + "\n" +
-			`{"t":"finish","state":"done"}` + "\n",
-		// Admin lifecycle: quarantine, unquarantine, force-expire.
-		snapshot + "\n" +
-			`{"t":"quarantine","shard":1}` + "\n" +
-			`{"t":"unquarantine","shard":1}` + "\n" +
-			`{"t":"lease","shard":1,"worker":"w2","expires":"2026-07-29T00:00:00Z","leases":1}` + "\n" +
-			`{"t":"expire","shard":1}` + "\n",
-		// Resurrection attempts a real coordinator never journals: every
-		// line after the retire must be rejected, not applied.
-		snapshot + "\n" +
-			`{"t":"retire","shard":0}` + "\n" +
-			`{"t":"lease","shard":0,"worker":"evil","expires":"2026-07-29T00:00:00Z","leases":9}` + "\n" +
-			`{"t":"expire","shard":0}` + "\n" +
-			`{"t":"quarantine","shard":2}` + "\n",
-		// Torn tail, interleaved garbage, out-of-range shard ids.
-		snapshot + "\n" +
-			"not json at all\n" +
-			`{"t":"lease","shard":99,"worker":"w"}` + "\n" +
-			`{"t":"retire","shard":1}` + "\n" +
-			`{"t":"renew","shard":0,"expi`,
-		// An older build's journal: an owner URL in the snapshot and an
-		// adopt hand-off line, both accepted and ignored — the shard
-		// table must not move.
-		`{"t":"snapshot","sweep":"fuzz-sweep","owner":"http://a:1","shards":[` +
-			`{"id":0,"indexes":[0,1],"state":"pending"},` +
-			`{"id":1,"indexes":[2,3],"state":"done"}]}` + "\n" +
-			`{"t":"lease","shard":0,"worker":"w1","expires":"2026-07-29T00:00:00Z","leases":1}` + "\n" +
-			`{"t":"adopt","sweep":"fuzz-sweep","owner":"http://b:2"}` + "\n" +
-			`{"t":"lease","shard":1,"worker":"evil","expires":"2026-07-29T00:00:00Z","leases":9}` + "\n",
-		// No snapshot at all; deltas against an empty table.
-		`{"t":"retire","shard":0}` + "\n" + `{"t":"finish"}` + "\n",
+		// The happy path: three settled cells.
+		rec("a", sweep.StatusOK, 1) + rec("b", sweep.StatusOK, 2) + rec("c", sweep.StatusOK, 3),
+		// A failure a resume retried into a success, and one still failed.
+		rec("a", sweep.StatusFailed, 0) + rec("b", sweep.StatusFailed, 0) + rec("a", sweep.StatusOK, 1.5),
+		// Resurrection attempts: a late failure and a second success
+		// after a cell settled.
+		rec("a", sweep.StatusOK, 1) + rec("a", sweep.StatusFailed, 0) + rec("a", sweep.StatusOK, 4),
+		// A torn tail: a kill mid-append.
+		rec("a", sweep.StatusOK, 1) + rec("b", sweep.StatusOK, 2) + `{"key":"c","status":"ok","ip`,
+		// Interleaved garbage: not JSON, a keyless record, an unknown status.
+		"not json at all\n" + `{"status":"ok","ipc":3}` + "\n" + rec("a", "running", 0) + rec("b", sweep.StatusOK, 2),
+		// Blank and CRLF-terminated lines.
+		"\n  \n" + rec("a", sweep.StatusOK, 1)[:len(rec("a", sweep.StatusOK, 1))-1] + "\r\n\n",
 		"",
 	}
 	for _, s := range seeds {
@@ -69,97 +57,87 @@ func FuzzJournalReplay(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		path := filepath.Join(t.TempDir(), "coord.journal.ndjson")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
+		spec := sweep.Spec{Name: "fuzz", Axes: sweep.Axes{Schedulers: []string{"GTO"}, Benchmarks: []string{"SYRK"}}}
+		dir := filepath.Join(t.TempDir(), "s")
+		st, err := sweep.Create(dir, "fuzz-1", spec, 1)
+		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := replayJournal(path)
-		if err != nil {
-			t.Fatalf("replayJournal on an existing file: %v", err)
-		}
-		if st == nil {
-			t.Fatal("nil replay state without error")
+		st.Close()
+		results := filepath.Join(dir, sweep.ResultsFile)
+		if err := os.WriteFile(results, data, 0o644); err != nil {
+			t.Fatal(err)
 		}
 
-		// Independent model of the resurrection rule: walk the same
-		// lines, tracking which shards are done as of the last valid
-		// snapshot plus subsequent retires. Nothing else may undo them.
-		done := map[int]bool{}
-		tableLen := 0
-		_, serr := sweep.ScanNDJSON(path, maxJournalLineBytes, func(line []byte, torn bool) bool {
-			var e journalEntry
-			if json.Unmarshal(line, &e) != nil {
-				return false
-			}
-			switch e.T {
-			case entrySnapshot:
-				for i, snap := range e.Shards {
-					if snap.ID != i {
-						return false // apply rejects unordered snapshots
-					}
-				}
-				tableLen = len(e.Shards)
-				done = map[int]bool{}
-				for i, snap := range e.Shards {
-					if snap.State == shardStateDone {
-						done[i] = true
-					}
-				}
-			case entryRetire:
-				if e.Shard >= 0 && e.Shard < tableLen {
-					done[e.Shard] = true
-				}
-			}
-			return true
-		})
-		if serr != nil {
-			t.Fatalf("model scan: %v", serr)
+		st, err = sweep.Open(dir, spec)
+		if err != nil {
+			t.Fatalf("replay of an existing log: %v", err)
 		}
-		if len(st.shards) != tableLen {
-			t.Fatalf("replay holds %d shards, want the last snapshot's %d", len(st.shards), tableLen)
+		complete := data[:bytes.LastIndexByte(data, '\n')+1]
+		done, failed, corrupt := replayModel(complete)
+		checkReplay(t, "replay", st, done, failed, corrupt)
+		if onDisk, err := os.ReadFile(results); err != nil || !bytes.Equal(onDisk, complete) {
+			t.Fatalf("after replay the log holds %q (%v), want its complete lines %q", onDisk, err, complete)
 		}
-		for id := range done {
-			if got := st.shards[id].State; got != shardStateDone {
-				t.Fatalf("retired shard %d resurrected as %q\njournal:\n%s", id, got, data)
-			}
+
+		// The next append is a line of its own, and a second replay
+		// reaches the same state plus that record.
+		if err := st.Append(sweep.CellRecord{Key: "after-replay", Status: sweep.StatusOK, IPC: 1}); err != nil {
+			t.Fatal(err)
 		}
-		// Replayed states must be names a snapshot could round-trip.
-		for _, sh := range st.shards {
-			if _, ok := shardStateFromName(sh.State); !ok {
-				t.Fatalf("shard %d replayed into unknown state %q", sh.ID, sh.State)
-			}
+		st.Close()
+		st, err = sweep.Open(dir, spec)
+		if err != nil {
+			t.Fatalf("second replay: %v", err)
 		}
+		defer st.Close()
+		done["after-replay"] = 1
+		delete(failed, "after-replay")
+		checkReplay(t, "second replay", st, done, failed, corrupt)
 	})
 }
 
-// TestReplayRejectsResurrection pins the hardening the fuzz target
-// searches around: every post-retire transition a corrupted journal
-// could contain counts as corrupt and leaves the shard done.
-func TestReplayRejectsResurrection(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "j.ndjson")
-	lines := strings.Join([]string{
-		`{"t":"snapshot","sweep":"run-x","shards":[{"id":0,"indexes":[0,1],"state":"pending"}]}`,
-		`{"t":"retire","shard":0}`,
-		`{"t":"lease","shard":0,"worker":"evil","expires":"2026-07-29T00:00:00Z","leases":1}`,
-		`{"t":"renew","shard":0,"expires":"2026-07-29T00:00:00Z"}`,
-		`{"t":"expire","shard":0}`,
-		`{"t":"quarantine","shard":0}`,
-		`{"t":"unquarantine","shard":0}`,
-	}, "\n") + "\n"
-	if err := os.WriteFile(path, []byte(lines), 0o644); err != nil {
-		t.Fatal(err)
+// replayModel derives, independently of the store, what replaying the
+// complete lines of a result log must yield: the IPC of each cell's
+// last ok record, the cells with a failure and no success, and how
+// many non-blank lines are unusable.
+func replayModel(complete []byte) (done map[string]float64, failed map[string]struct{}, corrupt int) {
+	done, failed = map[string]float64{}, map[string]struct{}{}
+	for _, line := range bytes.SplitAfter(complete, []byte("\n")) {
+		switch {
+		case len(line) == 0:
+		case len(line) > maxLineBytes:
+			corrupt++
+		case len(bytes.TrimSpace(line)) == 0:
+		default:
+			var rec sweep.CellRecord
+			if json.Unmarshal(line, &rec) != nil || rec.Key == "" {
+				corrupt++
+				continue
+			}
+			switch rec.Status {
+			case sweep.StatusOK:
+				done[rec.Key] = rec.IPC
+				delete(failed, rec.Key)
+			case sweep.StatusFailed:
+				if _, ok := done[rec.Key]; !ok {
+					failed[rec.Key] = struct{}{}
+				}
+			}
+		}
 	}
-	st, err := replayJournal(path)
-	if err != nil {
-		t.Fatal(err)
+	return done, failed, corrupt
+}
+
+func checkReplay(t *testing.T, what string, st *sweep.Store, done map[string]float64, failed map[string]struct{}, corrupt int) {
+	t.Helper()
+	if got := st.Completed(); !reflect.DeepEqual(got, done) {
+		t.Fatalf("%s: settled cells %v, want %v", what, got, done)
 	}
-	if st.shards[0].State != shardStateDone {
-		t.Fatalf("shard 0 = %q, want done despite 5 resurrection lines", st.shards[0].State)
+	if got := st.FailedCells(); !reflect.DeepEqual(got, failed) {
+		t.Fatalf("%s: failed cells %v, want %v", what, got, failed)
 	}
-	if st.corrupt != 5 {
-		t.Errorf("corrupt = %d, want the 5 impossible transitions counted", st.corrupt)
-	}
-	if st.entries != 2 {
-		t.Errorf("entries = %d, want only snapshot+retire applied", st.entries)
+	if got := st.CorruptLines(); got != corrupt {
+		t.Fatalf("%s: %d corrupt lines, want %d", what, got, corrupt)
 	}
 }

@@ -1,5 +1,5 @@
 // Package httpx holds the tiny HTTP helpers shared by every JSON
-// surface of the server (service, sweep, coord), so strict-decode and
+// surface of the server (service, sweep), so strict-decode and
 // error-shape semantics cannot drift between endpoints.
 package httpx
 

@@ -16,10 +16,6 @@ var RouteClasses = []string{
 	"/experiment",
 	"/jobs",
 	"/sweeps",
-	"/coord/lease",
-	"/coord/heartbeat",
-	"/coord/complete",
-	"admin",
 	"probe",
 	"other",
 }
@@ -35,14 +31,6 @@ func RouteClass(path string) string {
 		return "/jobs"
 	case path == "/sweeps" || strings.HasPrefix(path, "/sweeps/"):
 		return "/sweeps"
-	case path == "/coord/lease":
-		return "/coord/lease"
-	case path == "/coord/heartbeat":
-		return "/coord/heartbeat"
-	case path == "/coord/complete":
-		return "/coord/complete"
-	case path == "/coord/status" || path == "/coord/adopt" || strings.HasPrefix(path, "/coord/admin"):
-		return "admin"
 	case path == "/metrics" || path == "/healthz":
 		return "probe"
 	default:

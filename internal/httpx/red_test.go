@@ -17,13 +17,7 @@ func TestRouteClass(t *testing.T) {
 		"/jobs/job-1-abc":           "/jobs",
 		"/sweeps":                   "/sweeps",
 		"/sweeps/sweep-1-x/results": "/sweeps",
-		"/coord/lease":              "/coord/lease",
-		"/coord/heartbeat":          "/coord/heartbeat",
-		"/coord/complete":           "/coord/complete",
-		"/coord/status":             "admin",
-		"/coord/adopt":              "admin",
-		"/coord/admin/leases":       "admin",
-		"/coord/admin/expire":       "admin",
+		"/coord/lease":              "other",
 		"/metrics":                  "probe",
 		"/healthz":                  "probe",
 		"/favicon.ico":              "other",

@@ -103,88 +103,6 @@ func (c *StoreCounters) Snapshot() StoreSnapshot {
 	}
 }
 
-// CoordCounters track the distributed sweep coordinator: shard leases
-// granted, leases expired (worker presumed dead), shards re-assigned
-// after expiry, shards acked complete, the record merge outcomes
-// (merged into the canonical store vs dropped as duplicates), stale
-// acks (a complete or heartbeat from a worker whose lease was already
-// expired or re-assigned), capability routing (lease polls denied only
-// because no pending shard matched the worker's tags/size hints) and
-// admin interventions (operator force-expires, shards quarantined and
-// released), and the crash-recovery journal: entries appended, entries
-// replayed on recovery, compaction rewrites, sweeps reconstructed
-// after a restart and leases restored still live.
-type CoordCounters struct {
-	LeasesGranted    Counter
-	LeasesAffine     Counter
-	LeasesExpired    Counter
-	ShardsReassigned Counter
-	ShardsCompleted  Counter
-	RecordsMerged    Counter
-	RecordsDeduped   Counter
-	StaleAcks        Counter
-
-	LeasesStarved       Counter
-	AdminExpired        Counter
-	ShardsQuarantined   Counter
-	ShardsUnquarantined Counter
-
-	JournalEntries     Counter
-	JournalReplayed    Counter
-	JournalCompactions Counter
-	SweepsRecovered    Counter
-	LeasesRecovered    Counter
-}
-
-// CoordSnapshot is a point-in-time, JSON-serializable view of
-// CoordCounters.
-type CoordSnapshot struct {
-	LeasesGranted    uint64 `json:"leases_granted"`
-	LeasesAffine     uint64 `json:"leases_affine"`
-	LeasesExpired    uint64 `json:"leases_expired"`
-	ShardsReassigned uint64 `json:"shards_reassigned"`
-	ShardsCompleted  uint64 `json:"shards_completed"`
-	RecordsMerged    uint64 `json:"records_merged"`
-	RecordsDeduped   uint64 `json:"records_deduped"`
-	StaleAcks        uint64 `json:"stale_acks"`
-
-	LeasesStarved       uint64 `json:"leases_starved"`
-	AdminExpired        uint64 `json:"admin_expired"`
-	ShardsQuarantined   uint64 `json:"shards_quarantined"`
-	ShardsUnquarantined uint64 `json:"shards_unquarantined"`
-
-	JournalEntries     uint64 `json:"journal_entries"`
-	JournalReplayed    uint64 `json:"journal_replayed"`
-	JournalCompactions uint64 `json:"journal_compactions"`
-	SweepsRecovered    uint64 `json:"sweeps_recovered"`
-	LeasesRecovered    uint64 `json:"leases_recovered"`
-}
-
-// Snapshot captures the current values.
-func (c *CoordCounters) Snapshot() CoordSnapshot {
-	return CoordSnapshot{
-		LeasesGranted:    c.LeasesGranted.Value(),
-		LeasesAffine:     c.LeasesAffine.Value(),
-		LeasesExpired:    c.LeasesExpired.Value(),
-		ShardsReassigned: c.ShardsReassigned.Value(),
-		ShardsCompleted:  c.ShardsCompleted.Value(),
-		RecordsMerged:    c.RecordsMerged.Value(),
-		RecordsDeduped:   c.RecordsDeduped.Value(),
-		StaleAcks:        c.StaleAcks.Value(),
-
-		LeasesStarved:       c.LeasesStarved.Value(),
-		AdminExpired:        c.AdminExpired.Value(),
-		ShardsQuarantined:   c.ShardsQuarantined.Value(),
-		ShardsUnquarantined: c.ShardsUnquarantined.Value(),
-
-		JournalEntries:     c.JournalEntries.Value(),
-		JournalReplayed:    c.JournalReplayed.Value(),
-		JournalCompactions: c.JournalCompactions.Value(),
-		SweepsRecovered:    c.SweepsRecovered.Value(),
-		LeasesRecovered:    c.LeasesRecovered.Value(),
-	}
-}
-
 // CacheSnapshot is a point-in-time, JSON-serializable view of
 // CacheCounters.
 type CacheSnapshot struct {

@@ -16,9 +16,9 @@ import (
 // over at most redBuckets counters.
 
 // redBoundsNS are the upper bounds (inclusive, in nanoseconds) of the
-// duration histogram buckets, spanning sub-millisecond control-plane
-// calls (/coord/heartbeat) through multi-second simulation cells. A
-// final implicit +Inf bucket catches everything beyond the last bound.
+// duration histogram buckets, spanning sub-millisecond probes
+// (/healthz) through multi-second simulation cells. A final implicit
+// +Inf bucket catches everything beyond the last bound.
 var redBoundsNS = [...]int64{
 	100_000,        // 100µs
 	250_000,        // 250µs

@@ -31,7 +31,7 @@ type MetricsSnapshot struct {
 
 // handlerConfig collects the observability hooks a HandlerOption can
 // install: they are owned by layers the service package cannot import
-// (sweep and coord sit above it) plus the RED registry the server's
+// (the sweep manager sits above it) plus the RED registry the server's
 // middleware feeds.
 type handlerConfig struct {
 	extra   func() map[string]any
@@ -54,8 +54,8 @@ func WithHTTPRED(red *metrics.RED) HandlerOption {
 	return func(c *handlerConfig) { c.httpRED = red }
 }
 
-// WithProm appends subsystem hooks (sweep manager, coordinator hub) to
-// the Prometheus exposition.
+// WithProm appends subsystem hooks (the sweep manager) to the
+// Prometheus exposition.
 func WithProm(hooks ...func(*metrics.PromWriter)) HandlerOption {
 	return func(c *handlerConfig) { c.prom = append(c.prom, hooks...) }
 }

@@ -9,8 +9,8 @@ import (
 
 // SegmentsDir is the sweep-directory subdirectory holding the
 // immutable compacted segments and their manifest. Keeping blobs out
-// of the sweep root means the manifest, the live tail and the
-// coordinator journal stay the only loose files there.
+// of the sweep root means the manifest and the live tail stay the only
+// loose files there.
 const SegmentsDir = "segments"
 
 // validBlobName rejects names that could escape the backend's flat
@@ -32,8 +32,8 @@ func validBlobName(name string) error {
 // compacted segments plus their segments.json manifest — as one file
 // per blob in a single directory, under flat validated names. Put
 // writes a temp file, fsyncs it, and renames it into place — the same
-// commit discipline as the coordinator journal — so a kill at any
-// instant leaves every named blob whole.
+// commit discipline as the manifest rewrite — so a kill at any instant
+// leaves every named blob whole.
 type DirBackend struct {
 	dir string
 }

@@ -6,31 +6,6 @@ import (
 	"testing"
 )
 
-func TestExampleTaggedSpecExpands(t *testing.T) {
-	b, err := os.ReadFile("../../examples/sweep-tagged.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var s Spec
-	if err := json.Unmarshal(b, &s); err != nil {
-		t.Fatal(err)
-	}
-	cells, err := s.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for _, c := range cells {
-		if len(c.Requires) > 0 {
-			n++
-		}
-	}
-	t.Logf("%d cells, %d constrained", len(cells), n)
-	if len(cells) != 8 || n != 4 {
-		t.Fatalf("cells=%d constrained=%d, want 8/4", len(cells), n)
-	}
-}
-
 func TestExampleSyntheticHalvingSpecExpands(t *testing.T) {
 	b, err := os.ReadFile("../../examples/sweep-synthetic-halving.json")
 	if err != nil {

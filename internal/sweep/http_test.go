@@ -199,6 +199,47 @@ func TestSweepHTTPRepostResumes(t *testing.T) {
 	}
 }
 
+// TestSweepHTTPOlderSpecRunsInProcess: a spec written for the retired
+// multi-host runner still decodes strictly, runs in-process to done, and
+// shares its store directory with the same grid without those fields.
+func TestSweepHTTPOlderSpecRunsInProcess(t *testing.T) {
+	mgr := NewManager(fakeEngine(0), t.TempDir(), 0)
+	srv := httptest.NewServer(mgr.Handler())
+	defer srv.Close()
+
+	older := `{
+		"name": "older",
+		"distributed": true,
+		"requires": ["fleet"],
+		"axes": {
+			"schedulers": ["GTO"],
+			"benchmarks": ["SYRK", "ATAX"],
+			"configs": [{"name": "base"}, {"name": "big", "requires": ["bigmem"], "l1_size_kb": 32}]
+		}
+	}`
+	st := postSweep(t, srv.URL, older)
+	final := waitDone(t, srv.URL, st.ID)
+	if final.State != StateDone || final.Done != 4 || final.Failed != 0 {
+		t.Fatalf("older spec run = %+v", final)
+	}
+
+	stripped := `{
+		"name": "older",
+		"axes": {
+			"schedulers": ["GTO"],
+			"benchmarks": ["SYRK", "ATAX"],
+			"configs": [{"name": "base"}, {"name": "big", "l1_size_kb": 32}]
+		}
+	}`
+	re := postSweep(t, srv.URL, stripped)
+	if re.Dir != st.Dir {
+		t.Errorf("stripped spec dir = %q, want the older spec's %q", re.Dir, st.Dir)
+	}
+	if again := waitDone(t, srv.URL, re.ID); again.Skipped != 4 {
+		t.Errorf("stripped spec re-ran cells: %+v", again)
+	}
+}
+
 func TestSweepHTTPBadSpec(t *testing.T) {
 	mgr := NewManager(fakeEngine(0), t.TempDir(), 0)
 	srv := httptest.NewServer(mgr.Handler())

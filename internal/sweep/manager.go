@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"time"
 
@@ -23,7 +24,6 @@ type Manager struct {
 	engine      *service.Engine
 	dir         string
 	parallelism int
-	dist        Distributor
 
 	mu       sync.Mutex
 	runs     map[string]*Run
@@ -54,36 +54,10 @@ func NewManager(e *service.Engine, dir string, parallelism int) *Manager {
 	}
 }
 
-// Distributor runs a sweep's cells on remote workers instead of the
-// local engine — implemented by the coordinator hub (internal/coord),
-// which leases shards to worker processes and merges their uploads
-// into the store. The interface lives here so sweep does not import
-// coord. onProgress deliveries must be ordered (invoked under the
-// distributor's lock), matching Runner.OnProgress semantics.
-type Distributor interface {
-	Distribute(id string, spec Spec, cells []Cell, store *Store, onProgress func(Progress)) (DistributedRun, error)
-}
-
-// DistributedRun is a handle on one distributed sweep execution.
-type DistributedRun interface {
-	// Done is closed when the run reaches a terminal state.
-	Done() <-chan struct{}
-	// Progress snapshots the run.
-	Progress() Progress
-	// Cancel stops the run: pending shards are dropped and in-flight
-	// leases answer stale.
-	Cancel()
-}
-
-// SetDistributor installs the coordinator hub that executes sweeps
-// whose spec sets "distributed": true. Call before serving requests.
-func (m *Manager) SetDistributor(d Distributor) { m.dist = d }
-
 // SetRED installs a registry for per-sweep cell RED series: every
-// record a sweep's store accepts — local runner results and
-// coordinator merges alike — is observed into a series labeled by the
-// sweep id, with the cell's elapsed time as the duration. Call before
-// serving requests.
+// record a sweep's store accepts is observed into a series labeled by
+// the sweep id, with the cell's elapsed time as the duration. Call
+// before serving requests.
 func (m *Manager) SetRED(r *metrics.RED) { m.red = r }
 
 // SetStoreOptions sets the durability/compaction tuning applied to
@@ -92,8 +66,7 @@ func (m *Manager) SetRED(r *metrics.RED) { m.red = r }
 func (m *Manager) SetStoreOptions(o StoreOptions) { m.storeOpts = o }
 
 // observeStore hooks a sweep's store into the manager's observability
-// and applies the configured store options — the single hook-up point
-// shared by Start and Recover.
+// and applies the configured store options.
 func (m *Manager) observeStore(id string, store *Store) {
 	store.SetOptions(m.storeOpts)
 	store.SetCounters(&m.storeCounters)
@@ -104,19 +77,6 @@ func (m *Manager) observeStore(id string, store *Store) {
 	store.SetObserver(func(rec CellRecord) {
 		s.Observe(time.Duration(rec.Elapsed)*time.Millisecond, rec.Status == StatusFailed)
 	})
-}
-
-// Recoverer is the optional Distributor extension for crash-safe
-// coordinators. NeedsRecovery cheaply reports whether a sweep
-// directory holds an unfinished coordinator journal — the gate that
-// keeps startup from re-opening (and re-parsing) the store of every
-// finished sweep ever run. Recover then rebuilds the in-flight run
-// for one such directory (store + co-located journal) and resumes
-// serving it under its original id; run == nil with a nil error means
-// the directory needed no recovery after all.
-type Recoverer interface {
-	NeedsRecovery(dir string) (bool, error)
-	Recover(spec Spec, cells []Cell, store *Store, onProgress func(Progress)) (run DistributedRun, id string, err error)
 }
 
 // Run is one managed sweep execution.
@@ -147,23 +107,21 @@ func (r *Run) Done() <-chan struct{} { return r.done }
 
 // Status is the JSON view of a managed sweep.
 type Status struct {
-	ID          string    `json:"id"`
-	Name        string    `json:"name"`
-	Dir         string    `json:"dir"`
-	Created     time.Time `json:"created"`
-	Distributed bool      `json:"distributed,omitempty"`
+	ID      string    `json:"id"`
+	Name    string    `json:"name"`
+	Dir     string    `json:"dir"`
+	Created time.Time `json:"created"`
 	Progress
 }
 
 // Status snapshots the run for serving.
 func (r *Run) Status() Status {
 	return Status{
-		ID:          r.id,
-		Name:        r.spec.Name,
-		Dir:         r.store.Dir(),
-		Created:     r.created,
-		Distributed: r.spec.Distributed,
-		Progress:    r.Progress(),
+		ID:       r.id,
+		Name:     r.spec.Name,
+		Dir:      r.store.Dir(),
+		Created:  r.created,
+		Progress: r.Progress(),
 	}
 }
 
@@ -178,34 +136,25 @@ func (m *Manager) Start(spec Spec) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	if spec.Distributed && m.dist == nil {
-		return nil, fmt.Errorf("sweep: spec %q requests a distributed run but no coordinator is mounted", spec.Name)
-	}
 	key := spec.Key()
 
 	// Reserve the spec key before any store I/O, so two concurrent
 	// POSTs of the same spec cannot both open the store and run every
 	// cell twice: the first wins, the second sees the reservation.
-	m.mu.Lock()
-	if run, ok := m.active[key]; ok {
-		m.mu.Unlock()
-		return run, nil
+	running, ok := m.reserve(key)
+	if running != nil {
+		return running, nil
 	}
-	if _, ok := m.starting[key]; ok {
-		m.mu.Unlock()
+	if !ok {
 		return nil, fmt.Errorf("sweep %q is already starting; retry shortly", spec.Name)
 	}
-	m.starting[key] = struct{}{}
+	defer m.unreserve(key)
+	m.mu.Lock()
 	m.seq++
 	id := fmt.Sprintf("sweep-%d-%s", m.seq, key[:12])
 	m.mu.Unlock()
-	defer func() {
-		m.mu.Lock()
-		delete(m.starting, key)
-		m.mu.Unlock()
-	}()
 
-	dir := filepath.Join(m.dir, "sweep-"+key[:16])
+	dir := m.sweepDir(key)
 	store, err := Create(dir, id, spec, len(cells))
 	if err != nil {
 		// The directory already holds this sweep (an earlier run, or a
@@ -218,15 +167,53 @@ func (m *Manager) Start(spec Spec) (*Run, error) {
 		if openErr != nil {
 			return nil, fmt.Errorf("sweep: start %q: create failed (%v); resume failed: %w", spec.Name, err, openErr)
 		}
+		if err := store.MarkRunning(id); err != nil {
+			store.Close()
+			return nil, err
+		}
 	}
+	return m.launch(id, key, spec, cells, store, time.Now().UTC()), nil
+}
 
+// sweepDir is the store directory of the spec with the given key.
+func (m *Manager) sweepDir(key string) string {
+	return filepath.Join(m.dir, "sweep-"+key[:16])
+}
+
+// reserve claims a spec key for a launch. It fails while the key is
+// starting or running, returning the running run in the latter case.
+func (m *Manager) reserve(key string) (running *Run, ok bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if run, busy := m.active[key]; busy {
+		return run, false
+	}
+	if _, busy := m.starting[key]; busy {
+		return nil, false
+	}
+	m.starting[key] = struct{}{}
+	return nil, true
+}
+
+// unreserve releases a key reserve claimed.
+func (m *Manager) unreserve(key string) {
+	m.mu.Lock()
+	delete(m.starting, key)
+	m.mu.Unlock()
+}
+
+// launch registers a run over an open store and executes it in the
+// background: RunSearch for a search spec, the Runner over cells
+// otherwise. Started and resumed sweeps share it; the run owns the
+// store and closes it when it ends.
+func (m *Manager) launch(id, key string, spec Spec, cells []Cell, store *Store, created time.Time) *Run {
 	m.observeStore(id, store)
 	ctx, cancel := context.WithCancel(context.Background())
 	run := &Run{
 		id:      id,
 		spec:    spec,
 		store:   store,
-		created: time.Now().UTC(),
+		created: created,
 		cancel:  cancel,
 		done:    make(chan struct{}),
 		prog:    Progress{State: StateRunning, Total: len(cells)},
@@ -235,6 +222,7 @@ func (m *Manager) Start(spec Spec) (*Run, error) {
 	m.runs[id] = run
 	m.order = append(m.order, id)
 	m.active[key] = run
+	m.bumpSeqLocked(id)
 	m.pruneRunsLocked()
 	m.mu.Unlock()
 	m.counters.Started.Inc()
@@ -247,23 +235,15 @@ func (m *Manager) Start(spec Spec) (*Run, error) {
 			delete(m.active, key)
 			m.mu.Unlock()
 		}()
+		sink := m.progressSink(run)
 		var final Progress
 		var err error
-		switch {
-		case spec.Search != nil:
-			// Searches — local or distributed — run the round loop; the
-			// round runner picks the execution path per round.
-			final, err = RunSearch(ctx, spec, store, m.searchRoundRunner(run, spec, store))
-		case spec.Distributed:
-			final, err = m.runDistributed(ctx, run, spec, cells, store)
-		default:
-			runner := &Runner{
-				Engine:      m.engine,
-				Store:       store,
-				Parallelism: m.parallelism,
-				OnProgress:  m.progressSink(run),
-			}
-			final, err = runner.Run(ctx, cells)
+		if spec.Search != nil {
+			final, err = RunSearch(ctx, spec, store, func(ctx context.Context, plan *SearchPlan) (Progress, error) {
+				return m.runner(store, plan.Decorate(sink)).Run(ctx, plan.NewCells)
+			})
+		} else {
+			final, err = m.runner(store, sink).Run(ctx, cells)
 		}
 		if err != nil && final.Error == "" {
 			final.Error = err.Error()
@@ -272,22 +252,31 @@ func (m *Manager) Start(spec Spec) (*Run, error) {
 		run.prog = final
 		run.mu.Unlock()
 	}()
-	return run, nil
+	return run
 }
 
-// progressSink builds the ordered progress observer shared by local
-// and distributed runs: it differences successive snapshots into the
-// manager-wide counters and mirrors the latest snapshot on the run.
-// The counters accumulate *events*, not final states: a cell that
-// fails, is re-assigned and then succeeds counts once in CellsFailed
-// and once in CellsDone (the coordinator's Progress.Failed decrement
-// is deliberately not mirrored — monotonic counters cannot go down).
+// runner builds the in-process Runner every managed sweep executes its
+// cells through.
+func (m *Manager) runner(store *Store, onProgress func(Progress)) *Runner {
+	return &Runner{
+		Engine:      m.engine,
+		Store:       store,
+		Parallelism: m.parallelism,
+		OnProgress:  onProgress,
+	}
+}
+
+// progressSink builds the ordered progress observer of one run: it
+// differences successive snapshots into the manager-wide counters and
+// mirrors the latest snapshot on the run. The counters accumulate
+// *events*, not final states: a cell that fails and later succeeds on
+// a resume counts once in CellsFailed and once in CellsDone.
 func (m *Manager) progressSink(run *Run) func(Progress) {
 	var last Progress
 	return func(p Progress) {
 		// Deliveries are ordered (see Runner.OnProgress), so the
-		// positive deltas below are meaningful; negative ones (a
-		// failed-then-ok re-assignment) are skipped by the > 0 guards.
+		// positive deltas below are meaningful; the > 0 guards skip the
+		// reset a search's round boundary can show.
 		okCells := (p.Done - p.Skipped) - (last.Done - last.Skipped)
 		if okCells > 0 {
 			m.counters.CellsDone.Add(uint64(okCells))
@@ -302,76 +291,19 @@ func (m *Manager) progressSink(run *Run) func(Progress) {
 	}
 }
 
-// runDistributed hands the sweep to the coordinator hub and waits for
-// it to finish (or for the run to be cancelled).
-func (m *Manager) runDistributed(ctx context.Context, run *Run, spec Spec, cells []Cell, store *Store) (Progress, error) {
-	d, err := m.dist.Distribute(run.id, spec, cells, store, m.progressSink(run))
-	if err != nil {
-		return Progress{State: StateFailed, Total: len(cells)}, err
-	}
-	return m.waitDistributed(ctx, d)
-}
-
-// searchRoundRunner builds the RoundRunner a managed halving search
-// executes its rounds through: the in-process Runner normally, or one
-// coordinator round over the round's self-contained plain spec when
-// the search spec says distributed. Each distributed round registers
-// under its own "<base>.r<round>.<attempt>" id — the hub's
-// register/unregister lifecycle is strictly one id per coordinator, so
-// rounds must not reuse the base sweep id.
-func (m *Manager) searchRoundRunner(run *Run, spec Spec, store *Store) RoundRunner {
-	sink := m.progressSink(run)
-	attempt := 0
-	return func(ctx context.Context, plan *SearchPlan) (Progress, error) {
-		if !spec.Distributed {
-			runner := &Runner{
-				Engine:      m.engine,
-				Store:       store,
-				Parallelism: m.parallelism,
-				OnProgress:  plan.Decorate(sink),
-			}
-			return runner.Run(ctx, plan.NewCells)
-		}
-		attempt++
-		id := fmt.Sprintf("%s.r%d.%d", baseSearchID(run.ID()), plan.Round, attempt)
-		d, err := m.dist.Distribute(id, plan.RoundSpec, plan.NewCells, store, plan.Decorate(sink))
-		if err != nil {
-			return Progress{State: StateFailed, Total: len(plan.NewCells)}, err
-		}
-		return m.waitDistributed(ctx, d)
-	}
-}
-
-// waitDistributed blocks until a distributed run reaches a terminal
-// state, cancelling it when ctx ends first.
-func (m *Manager) waitDistributed(ctx context.Context, d DistributedRun) (Progress, error) {
-	select {
-	case <-d.Done():
-	case <-ctx.Done():
-		d.Cancel()
-		<-d.Done()
-	}
-	final := d.Progress()
-	if final.State == StateFailed && final.Error != "" {
-		return final, errors.New(final.Error)
-	}
-	return final, nil
-}
-
-// Recover scans the manager's base directory for distributed sweeps a
-// crash or restart interrupted — directories holding a coordinator
-// journal whose sweep never finished — and resumes serving them under
-// their original ids, so workers that survived the outage keep
-// heartbeating the leases they hold and /sweeps keeps answering for
-// the same run. Call once at startup, after SetDistributor and before
-// serving requests. It reports how many sweeps resumed; per-directory
-// failures are joined into err but do not stop the scan (one corrupt
-// directory must not strand every other sweep).
+// Recover resumes, under their original ids, the sweeps a crash or
+// restart interrupted: every sweep directory under the base directory
+// that still has an unsettled cell (neither an ok nor a failed record;
+// for a search, rounds left to derive) and whose manifest carries no
+// cancelled stamp. Resumption is the store resume Start uses — settled
+// cells are skipped, failed ones re-run — so a settled sweep is left
+// alone; only a re-POST retries its failures. Only directories this
+// manager names (sweep-<spec key>) are considered, so stores another
+// tool keeps under the same base are never taken over. Call once at
+// startup, before serving requests. It reports how many sweeps
+// resumed; per-directory failures are joined into err but do not stop
+// the scan (one corrupt directory must not strand every other sweep).
 func (m *Manager) Recover() (recovered int, err error) {
-	rec, ok := m.dist.(Recoverer)
-	if !ok {
-		return 0, nil
-	}
 	entries, err := os.ReadDir(m.dir)
 	if errors.Is(err, fs.ErrNotExist) {
 		return 0, nil
@@ -381,14 +313,11 @@ func (m *Manager) Recover() (recovered int, err error) {
 	}
 	var errs []error
 	for _, ent := range entries {
-		if !ent.IsDir() {
+		if !ent.IsDir() || !strings.HasPrefix(ent.Name(), "sweep-") {
 			continue
 		}
 		dir := filepath.Join(m.dir, ent.Name())
-		if _, serr := os.Stat(filepath.Join(dir, CoordJournalFile)); serr != nil {
-			continue // a local sweep, or nothing was ever journaled
-		}
-		ok, rerr := m.recoverDir(rec, dir)
+		ok, rerr := m.resumeDir(dir)
 		if rerr != nil {
 			errs = append(errs, fmt.Errorf("%s: %w", dir, rerr))
 			continue
@@ -400,234 +329,75 @@ func (m *Manager) Recover() (recovered int, err error) {
 	return recovered, errors.Join(errs...)
 }
 
-// recoverDir resumes one sweep directory, reporting false when its
-// journal shows a finished sweep (or its spec is already running).
-// Search sweeps get a second chance past the journal gate: a crash
-// *between* distributed rounds leaves a finished journal behind while
-// the search itself still has rounds to run, which only the manifest
-// (and the settled results) can reveal.
-func (m *Manager) recoverDir(rec Recoverer, dir string) (bool, error) {
-	need, err := rec.NeedsRecovery(dir)
+// resumeDir resumes one sweep directory, reporting false when it holds
+// no manifest, belongs to another spec key, was cancelled, is settled,
+// or its spec is already running here.
+func (m *Manager) resumeDir(dir string) (bool, error) {
+	man, err := readManifest(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return false, nil
+	}
 	if err != nil {
 		return false, err
 	}
-	man, merr := readManifest(dir)
-	if merr != nil {
-		if need {
-			return false, merr
-		}
+	if man.Cancelled || man.SearchDone {
 		return false, nil
 	}
-	if man.Spec.Search != nil {
-		return m.resumeSearchDir(rec, man, dir, need)
-	}
-	if !need {
-		return false, nil
-	}
-	return m.resumeDir(rec, man, dir)
-}
-
-// resumeDir rebuilds one crashed sweep directory's run through the
-// distributor's Recover and registers it under its original id. It
-// reports false when the journal holds nothing resumable or the spec
-// is already running here.
-func (m *Manager) resumeDir(rec Recoverer, man Manifest, dir string) (bool, error) {
 	spec := man.Spec
+	key := spec.Key()
+	if dir != m.sweepDir(key) {
+		return false, nil
+	}
 	cells, err := spec.Expand()
 	if err != nil {
 		return false, err
 	}
-	key := spec.Key()
-	m.mu.Lock()
-	if _, busy := m.active[key]; busy {
-		m.mu.Unlock()
+	if _, ok := m.reserve(key); !ok {
 		return false, nil
 	}
-	m.starting[key] = struct{}{}
-	m.mu.Unlock()
-	defer func() {
-		m.mu.Lock()
-		delete(m.starting, key)
-		m.mu.Unlock()
-	}()
+	defer m.unreserve(key)
 
 	store, err := Open(dir, spec)
 	if err != nil {
 		return false, err
 	}
-	// Options and counters attach before Recover: a recovered
-	// coordinator can start merging worker uploads immediately, and
-	// those appends must already see the configured durability.
-	store.SetOptions(m.storeOpts)
-	store.SetCounters(&m.storeCounters)
-	ctx, cancel := context.WithCancel(context.Background())
-	run := &Run{
-		spec:    spec,
-		store:   store,
-		created: man.Created,
-		cancel:  cancel,
-		done:    make(chan struct{}),
-		prog:    Progress{State: StateRunning, Total: len(cells)},
-	}
-	d, id, err := rec.Recover(spec, cells, store, m.progressSink(run))
-	if err != nil || d == nil {
+	settled, err := isSettled(spec, cells, store)
+	if err != nil || settled {
 		store.Close()
-		cancel()
 		return false, err
 	}
-	run.id = id
-	m.observeStore(id, store)
-
-	m.mu.Lock()
-	m.runs[id] = run
-	m.order = append(m.order, id)
-	m.active[key] = run
-	m.bumpSeqLocked(id)
-	m.pruneRunsLocked()
-	m.mu.Unlock()
-
-	go func() {
-		defer close(run.done)
-		defer store.Close()
-		defer func() {
-			m.mu.Lock()
-			delete(m.active, key)
-			m.mu.Unlock()
-		}()
-		final, werr := m.waitDistributed(ctx, d)
-		if werr != nil && final.Error == "" {
-			final.Error = werr.Error()
-		}
-		run.mu.Lock()
-		run.prog = final
-		run.mu.Unlock()
-	}()
+	m.launch(man.ID, key, spec, cells, store, man.Created)
 	return true, nil
 }
 
-// resumeSearchDir rebuilds an interrupted halving-search sweep. The
-// manifest pins the search spec, and the next round is a pure function
-// of the spec plus the store's settled results, so the resumed run
-// re-derives exactly the frontier the crash interrupted. journalLive
-// says the directory holds an unfinished coordinator journal: that
-// round is resumed through the distributor's Recover first — surviving
-// workers keep their leases — and the remaining rounds then run
-// through the ordinary search loop.
-func (m *Manager) resumeSearchDir(rec Recoverer, man Manifest, dir string, journalLive bool) (bool, error) {
-	spec := man.Spec
-	if man.SearchDone && !journalLive {
-		return false, nil // finished search; nothing to serve
-	}
-	key := spec.Key()
-	m.mu.Lock()
-	if _, busy := m.active[key]; busy {
-		m.mu.Unlock()
-		return false, nil
-	}
-	m.starting[key] = struct{}{}
-	m.mu.Unlock()
-	defer func() {
-		m.mu.Lock()
-		delete(m.starting, key)
-		m.mu.Unlock()
-	}()
-
-	store, err := Open(dir, spec)
-	if err != nil {
-		return false, err
-	}
-	store.SetOptions(m.storeOpts)
-	store.SetCounters(&m.storeCounters)
-	plan, err := spec.DeriveSearch(store.Completed(), store.FailedCells())
-	if err != nil {
-		store.Close()
-		return false, err
-	}
-	if plan.Finished && !journalLive {
-		// The search had settled before the crash; only the manifest
-		// stamp was lost. Restore it so the next startup skips the
-		// directory without opening the store.
-		err := store.MarkSearchDone()
-		store.Close()
-		return false, err
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	run := &Run{
-		spec:    spec,
-		store:   store,
-		created: man.Created,
-		cancel:  cancel,
-		done:    make(chan struct{}),
-		prog: Progress{
-			State: StateRunning, Total: plan.Issued,
-			Done: plan.PriorDone, Failed: plan.PriorFailed,
-			Round: plan.Round + 1, Rounds: plan.Rounds,
-		},
-	}
-	var first DistributedRun
-	id := ""
-	if journalLive {
-		first, id, err = rec.Recover(plan.RoundSpec, plan.NewCells, store, plan.Decorate(m.progressSink(run)))
-		if err != nil {
-			store.Close()
-			cancel()
+// isSettled reports whether every cell of the store's sweep has an ok
+// or failed record. A search is settled once DeriveSearch finishes it;
+// a settled search missing its search_done stamp (the crash hit
+// between the last record and the stamp) gets the stamp, so the next
+// startup skips it without opening the store.
+func isSettled(spec Spec, cells []Cell, store *Store) (bool, error) {
+	if spec.Search != nil {
+		plan, err := spec.DeriveSearch(store.Completed(), store.FailedCells())
+		if err != nil || !plan.Finished {
 			return false, err
 		}
+		return true, store.MarkSearchDone()
 	}
-	if id != "" {
-		// The journal names one *round* (<base>.rN.<attempt>); the
-		// run's public handle is the search itself, so a client's
-		// pre-crash id keeps resolving after recovery.
-		id = baseSearchID(id)
-	} else {
-		// No live journaled round to inherit an id from (none, or it was
-		// already terminal): mint a fresh one.
-		m.mu.Lock()
-		m.seq++
-		id = fmt.Sprintf("sweep-%d-%s", m.seq, key[:12])
-		m.mu.Unlock()
+	completed, failed := store.Completed(), store.FailedCells()
+	for _, c := range cells {
+		key := c.Key()
+		if _, ok := completed[key]; ok {
+			continue
+		}
+		if _, ok := failed[key]; !ok {
+			return false, nil
+		}
 	}
-	run.id = id
-	m.observeStore(id, store)
-
-	m.mu.Lock()
-	m.runs[id] = run
-	m.order = append(m.order, id)
-	m.active[key] = run
-	m.bumpSeqLocked(id)
-	m.pruneRunsLocked()
-	m.mu.Unlock()
-
-	go func() {
-		defer close(run.done)
-		defer store.Close()
-		defer func() {
-			m.mu.Lock()
-			delete(m.active, key)
-			m.mu.Unlock()
-		}()
-		var final Progress
-		var werr error
-		if first != nil {
-			final, werr = m.waitDistributed(ctx, first)
-			final = plan.fold(final)
-		}
-		if werr == nil && (first == nil || final.State == StateDone) {
-			final, werr = RunSearch(ctx, spec, store, m.searchRoundRunner(run, spec, store))
-		}
-		if werr != nil && final.Error == "" {
-			final.Error = werr.Error()
-		}
-		run.mu.Lock()
-		run.prog = final
-		run.mu.Unlock()
-	}()
 	return true, nil
 }
 
-// bumpSeqLocked advances the id sequence past a recovered run's, so a
-// later Start cannot mint the "sweep-<n>-<key>" id the recovered run
+// bumpSeqLocked advances the id sequence past a resumed run's, so a
+// later Start cannot mint the "sweep-<n>-<key>" id the resumed run
 // already answers to. Callers must hold m.mu.
 func (m *Manager) bumpSeqLocked(id string) {
 	var n uint64
@@ -666,15 +436,18 @@ func (m *Manager) Get(id string) (*Run, bool) {
 	return r, ok
 }
 
-// Cancel stops a running sweep; completed cells stay on disk, so a
-// later identical POST resumes it. It reports whether the ID exists.
-func (m *Manager) Cancel(id string) (*Run, bool) {
+// Cancel stops a running sweep and stamps its manifest cancelled, so a
+// restart does not resume it — even while cells already handed to the
+// engine are still draining. Completed cells stay on disk, and a later
+// identical POST resumes the sweep and lifts the stamp. It reports
+// whether the ID exists; err is a failed manifest write.
+func (m *Manager) Cancel(id string) (run *Run, ok bool, err error) {
 	r, ok := m.Get(id)
 	if !ok {
-		return nil, false
+		return nil, false, nil
 	}
 	r.cancel()
-	return r, true
+	return r, true, r.store.MarkCancelled()
 }
 
 // List snapshots every managed sweep in start order.
@@ -757,7 +530,8 @@ const maxSpecBytes = 1 << 20
 //	                                       sweep live unless ?follow=0
 //	POST   /sweeps/{id}/compact          — freeze the tail's settled prefix
 //	                                       into a segment now
-//	DELETE /sweeps/{id}                  — cancel; completed cells stay on disk
+//	DELETE /sweeps/{id}                  — cancel; completed cells stay on
+//	                                       disk, and restarts skip the sweep
 func (m *Manager) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /sweeps", func(w http.ResponseWriter, r *http.Request) {
@@ -818,9 +592,13 @@ func (m *Manager) Handler() http.Handler {
 	})
 
 	mux.HandleFunc("DELETE /sweeps/{id}", func(w http.ResponseWriter, r *http.Request) {
-		run, ok := m.Cancel(r.PathValue("id"))
+		run, ok, err := m.Cancel(r.PathValue("id"))
 		if !ok {
 			httpError(w, http.StatusNotFound, fmt.Errorf("sweep: unknown sweep %q", r.PathValue("id")))
+			return
+		}
+		if err != nil {
+			httpError(w, http.StatusInternalServerError, err)
 			return
 		}
 		// Wait briefly so the returned status usually reflects the

@@ -38,31 +38,18 @@ func TestManagerStartSurfacesBothStoreErrors(t *testing.T) {
 	}
 }
 
-// TestManagerRejectsDistributedWithoutDistributor: a spec asking for
-// the coordinator on a server that has none must fail loudly, not run
-// locally by surprise.
-func TestManagerRejectsDistributedWithoutDistributor(t *testing.T) {
-	spec, _ := eightCells(t)
-	spec.Distributed = true
-	m := NewManager(fakeEngine(0), t.TempDir(), 0)
-	if _, err := m.Start(spec); err == nil || !strings.Contains(err.Error(), "no coordinator") {
-		t.Errorf("err = %v, want no-coordinator rejection", err)
-	}
-}
-
-// TestRecoverIsANoopWithoutRecovererOrSweeps: Recover must tolerate a
-// manager with no distributor (or one that cannot recover) and a base
-// directory that does not exist yet — the common first-boot cases.
-func TestRecoverIsANoopWithoutRecovererOrSweeps(t *testing.T) {
+// TestRecoverIsANoopWithoutSweeps: Recover must tolerate a base
+// directory that does not exist yet — the common first-boot case.
+func TestRecoverIsANoopWithoutSweeps(t *testing.T) {
 	m := NewManager(fakeEngine(0), filepath.Join(t.TempDir(), "not-created-yet"), 0)
 	if n, err := m.Recover(); n != 0 || err != nil {
-		t.Fatalf("Recover without a distributor = (%d, %v), want a no-op", n, err)
+		t.Fatalf("Recover over a missing base directory = (%d, %v), want a no-op", n, err)
 	}
 }
 
-// TestSpecKeyIgnoresDistributed: distributed is an execution knob —
-// the same grid run locally or through the coordinator must share one
-// store.
+// TestSpecKeyIgnoresDistributed: distributed is parsed and ignored —
+// an older spec that still sets it must share one store with the same
+// grid without it.
 func TestSpecKeyIgnoresDistributed(t *testing.T) {
 	spec, _ := eightCells(t)
 	dist := spec

@@ -22,11 +22,6 @@ const (
 	StateDone      State = "done"
 	StateCancelled State = "cancelled"
 	StateFailed    State = "failed" // store I/O failure, not cell failure
-	// StateDoneQuarantined ends a distributed sweep whose runnable
-	// shards all finished while operator-quarantined shards stayed
-	// parked: their cells never ran. Re-POSTing the spec starts a
-	// fresh run over exactly those cells.
-	StateDoneQuarantined State = "done-with-quarantined"
 )
 
 // Progress is a point-in-time view of a sweep run. Done counts cells
@@ -43,11 +38,7 @@ type Progress struct {
 	// GeoMeanIPC aggregates the raw IPC of every successful cell so
 	// far (resumed cells included) — the sweep-wide "geomean so far".
 	GeoMeanIPC float64 `json:"geomean_ipc"`
-	// Starved counts cells parked behind a capability constraint no
-	// live worker currently satisfies (distributed sweeps only): the
-	// sweep is waiting for a matching worker to join, not progressing.
-	Starved int    `json:"starved,omitempty"`
-	Error   string `json:"error,omitempty"`
+	Error      string  `json:"error,omitempty"`
 	// Round/Rounds track a halving search's refinement progress
 	// (1-based; zero on plain sweeps). Total then counts every cell
 	// issued through the current round, not the final total — later
@@ -63,17 +54,16 @@ type Progress struct {
 // every outcome to the sink.
 type Runner struct {
 	Engine *service.Engine
-	// Store receives every cell outcome: a *Store for durable local
-	// runs, a *MemStore for leased shards whose records upload to a
-	// coordinator.
+	// Store receives every cell outcome (a *Store, or a Sink that wraps
+	// one).
 	Store Sink
 	// Parallelism bounds concurrently submitted cells (0 = twice
 	// GOMAXPROCS; the engine's worker pool bounds actual simulation
 	// concurrency, extra submissions just queue on its slots).
 	Parallelism int
 	// Indexes restricts the runner to the cells whose Index appears in
-	// the set — the explicit form of a shard, as handed out by the
-	// coordinator or computed by ShardIndexes. Nil means every cell.
+	// the set — the explicit form of a shard, as computed by
+	// ShardIndexes. Nil means every cell.
 	// Every listed index must name a cell, so a shard cut against a
 	// different expansion fails loudly instead of silently under-running.
 	Indexes []int
@@ -103,8 +93,8 @@ func ShardIndexes(total, idx, n int) []int {
 
 // Geo accumulates a running geometric mean in log space. Zero and
 // negative values are skipped, matching metrics.GeoMean. The runner
-// and the distributed coordinator share it so their "geomean so far"
-// semantics cannot diverge.
+// and the search ranking share it so their geomean semantics cannot
+// diverge.
 type Geo struct {
 	logSum float64
 	n      int

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"regexp"
 	"strconv"
 	"strings"
 
@@ -17,10 +16,10 @@ import (
 // coarse grid across the whole range box, and each later round keeps
 // the top-k scoring configuration points, halves the region around
 // each, and resamples. Every round expands into ordinary Cells that
-// execute through the normal store/runner (or coordinator) path, so a
-// search is as resumable and distributable as a plain sweep — and the
-// next round is a pure function of the spec plus the settled results,
-// which is what makes a killed search re-derive identically on resume.
+// execute through the normal store/runner path, so a search is as
+// resumable as a plain sweep — and the next round is a pure function
+// of the spec plus the settled results, which is what makes a killed
+// search re-derive identically on resume.
 type Search struct {
 	// Algo names the refinement strategy; "halving" (the default) is
 	// the only one.
@@ -409,14 +408,9 @@ type SearchPlan struct {
 	// settled).
 	Unsettled int
 	// NewCells are the round's cells not issued by any earlier round —
-	// what the round actually executes. Indexes are positions in
-	// RoundSpec's expansion, so a distributed worker that re-expands
-	// RoundSpec shards consistently.
+	// what the round actually executes. Indexes are positions in the
+	// round's full cell list.
 	NewCells []Cell
-	// RoundSpec is a self-contained plain (non-search) spec whose
-	// expansion reproduces the round's full cell list — the spec a
-	// coordinator leases to workers.
-	RoundSpec Spec
 	// PriorDone/PriorFailed count settled outcomes among cells issued
 	// by earlier rounds, for cumulative progress accounting.
 	PriorDone   int
@@ -461,7 +455,7 @@ func (p *SearchPlan) Decorate(obs func(Progress)) func(Progress) {
 	}
 	return func(pr Progress) {
 		pr = p.fold(pr)
-		if pr.State == StateDone || pr.State == StateDoneQuarantined {
+		if pr.State == StateDone {
 			pr.State = StateRunning
 		}
 		obs(pr)
@@ -493,8 +487,8 @@ type rankedPoint struct {
 // sets): it replays round sampling from round 0, scoring and
 // subdividing each fully settled round, and returns either the first
 // round with unsettled cells or the finished ranking. Equal inputs
-// derive equal plans byte for byte — the property crash-resume and
-// distributed re-expansion both lean on. Both maps may be nil.
+// derive equal plans byte for byte — the property crash-resume leans
+// on. Both maps may be nil.
 func (s Spec) DeriveSearch(completed map[string]float64, failed map[string]struct{}) (*SearchPlan, error) {
 	if s.Name == "" {
 		return nil, fmt.Errorf("sweep: spec needs a name")
@@ -550,7 +544,6 @@ func (s Spec) DeriveSearch(completed map[string]float64, failed map[string]struc
 			Axes:     Axes{Schedulers: ss.scheds, Benchmarks: ss.benches, Configs: configs},
 			Options:  s.Options,
 			MaxCells: s.MaxCells,
-			Requires: s.Requires,
 		}
 		roundCells, err := roundSpec.Expand()
 		if err != nil {
@@ -575,7 +568,7 @@ func (s Spec) DeriveSearch(completed map[string]float64, failed map[string]struc
 			unsettled++
 		}
 		plan.Round, plan.Points, plan.Issued = r, len(pts), issued
-		plan.RoundSpec, plan.NewCells = roundSpec, newCells
+		plan.NewCells = newCells
 		plan.PriorDone, plan.PriorFailed = priorDone, priorFailed
 		if unsettled > 0 {
 			plan.Unsettled = unsettled
@@ -715,9 +708,8 @@ func sortRanked(r []rankedPoint) {
 	}
 }
 
-// RoundRunner executes one derived round's new cells to a terminal
-// Progress — a local Runner over plan.NewCells, or one distributed
-// coordinator round over plan.RoundSpec.
+// RoundRunner executes one derived round's new cells (plan.NewCells)
+// to a terminal Progress.
 type RoundRunner func(ctx context.Context, plan *SearchPlan) (Progress, error)
 
 // RunSearch drives a halving search to completion against its store:
@@ -752,7 +744,7 @@ func RunSearch(ctx context.Context, spec Spec, store *Store, run RoundRunner) (P
 		}
 		// A completed round must shrink its unsettled set, or the loop
 		// would spin forever on cells that can neither complete nor fail
-		// (a quarantined shard, a shard index mismatch).
+		// (a round runner that skips cells).
 		if plan.Round == prevRound && plan.Unsettled >= prevUnsettled {
 			err := fmt.Errorf("sweep %s: search round %d did not settle (%d cell(s) still pending)",
 				spec.Name, plan.Round, plan.Unsettled)
@@ -773,18 +765,9 @@ func RunSearch(ctx context.Context, spec Spec, store *Store, run RoundRunner) (P
 			return final, err
 		}
 		if final.State != StateDone {
-			// Cancelled, quarantined or failed: stop with the folded
-			// snapshot; the search resumes from here on the next run.
+			// Cancelled or failed: stop with the folded snapshot; the
+			// search resumes from here on the next run.
 			return final, nil
 		}
 	}
 }
-
-// roundIDSuffix matches the ".r<round>.<attempt>" suffix a distributed
-// search round appends to its sweep id.
-var roundIDSuffix = regexp.MustCompile(`\.r\d+\.\d+$`)
-
-// baseSearchID strips a distributed search round's id suffix,
-// returning the run's base sweep id (ids without the suffix pass
-// through).
-func baseSearchID(id string) string { return roundIDSuffix.ReplaceAllString(id, "") }

@@ -134,21 +134,6 @@ func TestSearchRound0SamplingSnapsPow2(t *testing.T) {
 			t.Errorf("cell %d carries no MSHR override", i)
 		}
 	}
-	// The worker contract: re-expanding the round's self-contained spec
-	// must reproduce the round cells at matching indexes, or distributed
-	// shards would cut against a different grid.
-	again, err := plan.RoundSpec.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range plan.NewCells {
-		if c.Index >= len(again) || again[c.Index].Key() != c.Key() {
-			t.Fatalf("round spec expansion disagrees at index %d", c.Index)
-		}
-	}
-	if plan.RoundSpec.Search != nil {
-		t.Fatal("round spec must be a plain (non-search) spec")
-	}
 }
 
 // driveDerivation completes a search purely through DeriveSearch,

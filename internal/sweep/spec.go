@@ -13,8 +13,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sort"
-	"strings"
 
 	"repro/internal/harness"
 	"repro/internal/service"
@@ -35,9 +33,8 @@ type Config struct {
 	// Name labels the configuration in results ("l1-32k"); empty names
 	// derive from the position ("cfg0").
 	Name string `json:"name,omitempty"`
-	// Requires lists capability tags a worker must advertise to run
-	// this configuration's cells (on top of the sweep-level Requires).
-	// Only distributed sweeps route on it; local runs ignore it.
+	// Requires is parsed and ignored: older specs listed worker
+	// capability tags here, and strict decoding must still accept them.
 	Requires []string `json:"requires,omitempty"`
 	harness.Override
 }
@@ -82,14 +79,12 @@ type Spec struct {
 	// MaxCells caps the expansion (0 = DefaultMaxCells; hard ceiling
 	// MaxCellsCeiling).
 	MaxCells int `json:"max_cells,omitempty"`
-	// Distributed asks the sweep manager to run this sweep through the
-	// shard coordinator (worker processes lease shards over /coord)
-	// instead of executing cells in-process.
-	Distributed bool `json:"distributed,omitempty"`
-	// Requires lists capability tags every cell of the sweep demands
-	// of its worker (distributed runs only; "bigmem", "gpu"). Per-axis
-	// constraints add on via Config.Requires.
-	Requires []string `json:"requires,omitempty"`
+	// Distributed and Requires are parsed and ignored: older specs asked
+	// for a multi-host run and worker capability tags with them. Every
+	// sweep runs in-process; strict decoding must still accept them, and
+	// Key zeroes them so such specs keep their store directory.
+	Distributed bool     `json:"distributed,omitempty"`
+	Requires    []string `json:"requires,omitempty"`
 	// Search replaces the static configuration axis with an iterative
 	// successive-halving refinement over numeric parameter ranges (see
 	// Search). Mutually exclusive with Axes.Configs and Points. A
@@ -107,10 +102,6 @@ type Cell struct {
 	Sched  string       `json:"sched"`
 	Config string       `json:"config,omitempty"`
 	Spec   service.Spec `json:"spec"`
-	// Requires is the normalized union of the sweep- and config-level
-	// capability tags: the coordinator leases this cell only to
-	// workers advertising every one of them.
-	Requires []string `json:"requires,omitempty"`
 }
 
 // Key returns the cell's content address — the underlying service
@@ -119,12 +110,11 @@ type Cell struct {
 func (c Cell) Key() string { return c.Spec.Key() }
 
 // Key content-addresses the whole sweep spec; the store manifest pins
-// it so -resume cannot mix results from different sweeps. Distributed
-// and the capability Requires constraints are execution/routing knobs,
-// not part of the result's identity, so they are zeroed first (deep-
-// copying the slices they live in, so the caller's spec is untouched):
-// the same grid run locally, distributed, or pinned to tagged workers
-// shares one store.
+// it so -resume cannot mix results from different sweeps. The ignored
+// Distributed and Requires fields are not part of the result's
+// identity, so they are zeroed first (deep-copying the slices they
+// live in, so the caller's spec is untouched): an older spec that
+// still carries them shares one store with the same grid without them.
 func (s Spec) Key() string {
 	s.Distributed = false
 	s.Requires = nil
@@ -170,34 +160,6 @@ func (s Spec) maxCells() int {
 func (s Spec) Validate() error {
 	_, err := s.Expand()
 	return err
-}
-
-// NormalizeTags canonicalises a capability tag list: tags are trimmed,
-// empties dropped, duplicates removed and the result sorted, so tag
-// sets compare (and group into shards) independently of how they were
-// written. Tags containing whitespace or commas are rejected — they
-// could not round-trip through the comma-separated worker CLI flag.
-func NormalizeTags(tags []string) ([]string, error) {
-	if len(tags) == 0 {
-		return nil, nil
-	}
-	seen := map[string]bool{}
-	var out []string
-	for _, tag := range tags {
-		tag = strings.TrimSpace(tag)
-		if tag == "" {
-			continue
-		}
-		if strings.ContainsAny(tag, ", \t\r\n") {
-			return nil, fmt.Errorf("sweep: capability tag %q contains whitespace or a comma", tag)
-		}
-		if !seen[tag] {
-			seen[tag] = true
-			out = append(out, tag)
-		}
-	}
-	sort.Strings(out)
-	return out, nil
 }
 
 func classByName(name string) (workload.Class, error) {
@@ -288,10 +250,6 @@ func cellSpec(bench, sched string, cfg *Config, opts service.OptionSpec) service
 // per-config aggregation streams), followed by explicit points. Cells
 // that content-address identically are deduplicated — they would
 // coalesce in the engine anyway and would double-count in geomeans.
-// Dedup keys on the service spec alone, so two configs that differ
-// only in Requires collapse into one cell carrying the first config's
-// tags: identical machines are identical results no matter where they
-// run.
 func (s Spec) Expand() ([]Cell, error) {
 	if s.Name == "" {
 		return nil, fmt.Errorf("sweep: spec needs a name")
@@ -308,10 +266,6 @@ func (s Spec) Expand() ([]Cell, error) {
 	}
 	if s.MaxCells < 0 {
 		return nil, fmt.Errorf("sweep %s: negative max_cells", s.Name)
-	}
-	baseReq, err := NormalizeTags(s.Requires)
-	if err != nil {
-		return nil, fmt.Errorf("sweep %s: %w", s.Name, err)
 	}
 	benches, err := s.Axes.benches()
 	if err != nil {
@@ -335,7 +289,7 @@ func (s Spec) Expand() ([]Cell, error) {
 
 	var cells []Cell
 	seen := map[string]bool{}
-	add := func(bench, sched, cfgName string, spec service.Spec, requires []string) error {
+	add := func(bench, sched, cfgName string, spec service.Spec) error {
 		if err := spec.Validate(); err != nil {
 			return fmt.Errorf("sweep %s: cell %s/%s/%s: %w", s.Name, bench, sched, cfgName, err)
 		}
@@ -345,21 +299,13 @@ func (s Spec) Expand() ([]Cell, error) {
 		}
 		seen[key] = true
 		cells = append(cells, Cell{
-			Index:    len(cells),
-			Bench:    bench,
-			Sched:    sched,
-			Config:   cfgName,
-			Spec:     spec,
-			Requires: requires,
+			Index:  len(cells),
+			Bench:  bench,
+			Sched:  sched,
+			Config: cfgName,
+			Spec:   spec,
 		})
 		return nil
-	}
-	// cellRequires folds extra tags onto the sweep-level baseline.
-	cellRequires := func(extra []string) ([]string, error) {
-		if len(extra) == 0 {
-			return baseReq, nil
-		}
-		return NormalizeTags(append(append([]string(nil), baseReq...), extra...))
 	}
 
 	for i := range configs {
@@ -369,13 +315,9 @@ func (s Spec) Expand() ([]Cell, error) {
 			// Implicit baseline axis: no config label on its cells.
 			cfgName = ""
 		}
-		req, err := cellRequires(cfg.Requires)
-		if err != nil {
-			return nil, fmt.Errorf("sweep %s: config %s: %w", s.Name, cfgName, err)
-		}
 		for _, bench := range benches {
 			for _, sched := range scheds {
-				if err := add(bench, sched, cfgName, cellSpec(bench, sched, &cfg, s.Options), req); err != nil {
+				if err := add(bench, sched, cfgName, cellSpec(bench, sched, &cfg, s.Options)); err != nil {
 					return nil, err
 				}
 			}
@@ -387,16 +329,10 @@ func (s Spec) Expand() ([]Cell, error) {
 			opts = *p.Options
 		}
 		cfgName := ""
-		var extra []string
 		if p.Config != nil {
 			cfgName = p.Config.name(len(s.Axes.Configs) + i)
-			extra = p.Config.Requires
 		}
-		req, err := cellRequires(extra)
-		if err != nil {
-			return nil, fmt.Errorf("sweep %s: point %d: %w", s.Name, i, err)
-		}
-		if err := add(p.Bench, p.Sched, cfgName, cellSpec(p.Bench, p.Sched, p.Config, opts), req); err != nil {
+		if err := add(p.Bench, p.Sched, cfgName, cellSpec(p.Bench, p.Sched, p.Config, opts)); err != nil {
 			return nil, err
 		}
 	}

@@ -155,24 +155,6 @@ func TestSpecKeyStable(t *testing.T) {
 	}
 }
 
-func TestNormalizeTags(t *testing.T) {
-	got, err := NormalizeTags([]string{" gpu ", "bigmem", "gpu", "", "bigmem"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != "bigmem" || got[1] != "gpu" {
-		t.Fatalf("NormalizeTags = %v, want [bigmem gpu]", got)
-	}
-	if got, err := NormalizeTags(nil); got != nil || err != nil {
-		t.Fatalf("NormalizeTags(nil) = (%v, %v)", got, err)
-	}
-	for _, bad := range []string{"big mem", "a,b"} {
-		if _, err := NormalizeTags([]string{bad}); err == nil {
-			t.Errorf("NormalizeTags accepted %q", bad)
-		}
-	}
-}
-
 func TestRequiresExpandAndKeyInvariance(t *testing.T) {
 	spec := Spec{
 		Name:     "req",
@@ -196,21 +178,10 @@ func TestRequiresExpandAndKeyInvariance(t *testing.T) {
 	if len(cells) != 3 {
 		t.Fatalf("got %d cells, want 3", len(cells))
 	}
-	want := [][]string{{"fleet"}, {"bigmem", "fleet"}, {"fleet", "gpu"}}
-	for i, c := range cells {
-		if len(c.Requires) != len(want[i]) {
-			t.Fatalf("cell %d requires = %v, want %v", i, c.Requires, want[i])
-		}
-		for j := range want[i] {
-			if c.Requires[j] != want[i][j] {
-				t.Errorf("cell %d requires = %v, want %v", i, c.Requires, want[i])
-			}
-		}
-	}
 
-	// Requires and Distributed are routing knobs: stripping them must
-	// not change the spec key (the same grid shares one store), and
-	// Key must not mutate the caller's spec in the process.
+	// Requires and Distributed are parsed and ignored: stripping them
+	// must not change the spec key (the same grid shares one store),
+	// and Key must not mutate the caller's spec in the process.
 	stripped := Spec{
 		Name: "req",
 		Axes: Axes{
@@ -232,11 +203,5 @@ func TestRequiresExpandAndKeyInvariance(t *testing.T) {
 	}
 	if spec.Axes.Configs[1].Requires == nil || spec.Points[0].Config.Requires == nil {
 		t.Error("Key() mutated the caller's spec")
-	}
-	// A bad tag fails expansion loudly.
-	bad := spec
-	bad.Requires = []string{"two words"}
-	if _, err := bad.Expand(); err == nil {
-		t.Error("Expand accepted a malformed requires tag")
 	}
 }

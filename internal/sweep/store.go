@@ -21,13 +21,6 @@ import (
 const (
 	ManifestFile = "manifest.json"
 	ResultsFile  = "results.ndjson"
-	// CoordJournalFile is the distributed coordinator's write-ahead
-	// journal, co-located with the results so one directory is the
-	// whole durable state of a sweep: the manifest pins the spec, the
-	// results file settles cells, the journal restores the shard lease
-	// table after a server restart. Only distributed sweeps have one;
-	// its presence is how startup recovery spots them.
-	CoordJournalFile = "coord.journal.ndjson"
 )
 
 // Manifest pins a results directory to one sweep spec, so resuming
@@ -46,6 +39,9 @@ type Manifest struct {
 	// SearchDone is stamped once every search round has settled, so
 	// startup recovery can skip the directory without opening the store.
 	SearchDone bool `json:"search_done,omitempty"`
+	// Cancelled is stamped when a client cancels the sweep, so startup
+	// recovery leaves it alone; the re-POST that resumes it lifts it.
+	Cancelled bool `json:"cancelled,omitempty"`
 }
 
 // CellRecord is one NDJSON line of the results file: the cell's
@@ -115,8 +111,7 @@ type Store struct {
 }
 
 // Sink receives cell records as a sweep executes. *Store is the
-// durable implementation; MemStore collects records in memory (workers
-// upload their records to the coordinator instead of owning a store).
+// durable implementation.
 type Sink interface {
 	Append(CellRecord) error
 	Completed() map[string]float64
@@ -307,7 +302,7 @@ func completeLen(data []byte) int {
 }
 
 // writeFileSync atomically replaces path with data: temp file in the
-// same directory, fsync, rename — the journal-rewrite discipline.
+// same directory, fsync, rename.
 func writeFileSync(path string, data []byte) error {
 	dir, base := filepath.Split(path)
 	tmp, err := os.CreateTemp(dir, "."+base+".sync*")
@@ -348,25 +343,12 @@ func (s *Store) record(rec CellRecord) {
 // buffer-sized chunks instead of being slurped into memory whole.
 const maxLineBytes = 1 << 20
 
-// ScanNDJSON reads the NDJSON file at path line by line, handing each
-// non-blank line to use, which reports whether it was usable. A torn
-// final line (no trailing newline — a kill mid-append) is passed with
-// torn=true and never counted corrupt; any other unusable line — use
-// rejected it, or it exceeded maxLine — is. The append-only stores and
-// the coordinator journal share this loop so their torn-tail semantics
-// cannot diverge. A missing file surfaces as the os.Open error for
-// callers to interpret.
-func ScanNDJSON(path string, maxLine int, use func(line []byte, torn bool) bool) (corrupt int, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	return scanNDJSON(f, maxLine, use)
-}
-
-// scanNDJSON is ScanNDJSON over any reader — segment blobs read it
-// from memory, files from disk, with identical torn-tail semantics.
+// scanNDJSON reads NDJSON line by line, handing each non-blank line
+// to use, which reports whether it was usable. A torn final line (no
+// trailing newline — a kill mid-append) is passed with torn=true and
+// never counted corrupt; any other unusable line — use rejected it, or
+// it exceeded maxLine — is. Segment blobs read it from memory, the
+// live tail from disk, with identical torn-tail semantics.
 func scanNDJSON(rd io.Reader, maxLine int, use func(line []byte, torn bool) bool) (corrupt int, err error) {
 	r := bufio.NewReaderSize(rd, maxLine)
 	for {
@@ -400,7 +382,7 @@ func scanNDJSON(rd io.Reader, maxLine int, use func(line []byte, torn bool) bool
 	}
 }
 
-// useRecord builds the ScanNDJSON callback that collects well-formed
+// useRecord builds the scanNDJSON callback that collects well-formed
 // CellRecords: complete lines that fail to parse or parse without a
 // cell key are corrupt.
 func useRecord(recs *[]CellRecord) func(line []byte, torn bool) bool {
@@ -467,9 +449,8 @@ const (
 )
 
 // SetObserver installs a callback that sees every record Append
-// accepts — the single choke point covering both local runner results
-// and coordinator merges of worker uploads, which is where per-sweep
-// RED metrics hook in. Pass nil to detach.
+// accepts — runner results and merged records alike — which is where
+// per-sweep RED metrics hook in. Pass nil to detach.
 func (s *Store) SetObserver(fn func(CellRecord)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -535,13 +516,13 @@ func (s *Store) Append(rec CellRecord) error {
 	return nil
 }
 
-// Merge appends foreign records (another shard's store, a worker's
-// upload) into this store with the CellRecord dedup semantics: a cell
-// that already has a stored success is final, so both duplicate "ok"
-// records and late "failed" records for it are skipped; everything
-// else appends in order, which preserves last-ok-wins for
-// failed-then-ok sequences. It returns how many records were appended
-// and how many were dropped as duplicates (or keyless).
+// Merge appends foreign records (another shard's store) into this
+// store with the CellRecord dedup semantics: a cell that already has a
+// stored success is final, so both duplicate "ok" records and late
+// "failed" records for it are skipped; everything else appends in
+// order, which preserves last-ok-wins for failed-then-ok sequences.
+// It returns how many records were appended and how many were dropped
+// as duplicates (or keyless).
 func (s *Store) Merge(recs []CellRecord) (merged, skipped int, err error) {
 	for _, rec := range recs {
 		if rec.Key == "" {
@@ -596,8 +577,7 @@ func (s *Store) CorruptLines() int {
 }
 
 // FailedCells returns a copy of the keys that have recorded failures
-// and no success yet — the cells a resumed run re-executes, and the
-// failure counts a recovered coordinator restores.
+// and no success yet — the cells a resumed run re-executes.
 func (s *Store) FailedCells() map[string]struct{} {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -668,6 +648,31 @@ func (s *Store) MarkSearchDone() error {
 	return s.rewriteManifestLocked()
 }
 
+// MarkCancelled stamps the manifest cancelled, so startup recovery
+// skips the sweep. Idempotent; a closed store can be stamped too.
+func (s *Store) MarkCancelled() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.manifest.Cancelled {
+		return nil
+	}
+	s.manifest.Cancelled = true
+	return s.rewriteManifestLocked()
+}
+
+// MarkRunning records id as the sweep's current run and lifts any
+// cancelled stamp: the manifest side of resuming a sweep, so a restart
+// resumes it under the id its client holds.
+func (s *Store) MarkRunning(id string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.manifest.ID == id && !s.manifest.Cancelled {
+		return nil
+	}
+	s.manifest.ID, s.manifest.Cancelled = id, false
+	return s.rewriteManifestLocked()
+}
+
 // rewriteManifestLocked atomically rewrites the manifest file from the
 // in-memory copy. Callers hold s.mu.
 func (s *Store) rewriteManifestLocked() error {
@@ -689,10 +694,6 @@ func (s *Store) Dir() string { return s.dir }
 // use ReadRecords or CopyRange, which splice segments and tail back
 // into one stream.
 func (s *Store) ResultsPath() string { return filepath.Join(s.dir, ResultsFile) }
-
-// CoordJournalPath returns where the distributed coordinator journals
-// its shard lease table for this sweep.
-func (s *Store) CoordJournalPath() string { return filepath.Join(s.dir, CoordJournalFile) }
 
 // Segments snapshots the committed segment list.
 func (s *Store) Segments() []SegmentInfo {
@@ -716,45 +717,4 @@ func (s *Store) Close() error {
 	err := s.f.Close()
 	s.f = nil
 	return err
-}
-
-// MemStore is an in-memory Sink: it collects records instead of
-// writing them, so a distributed worker can run a leased shard through
-// the ordinary Runner and then upload the records to the coordinator.
-type MemStore struct {
-	mu   sync.Mutex
-	recs []CellRecord
-	done map[string]float64
-}
-
-// Append records one outcome.
-func (m *MemStore) Append(rec CellRecord) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.recs = append(m.recs, rec)
-	if rec.Status == StatusOK {
-		if m.done == nil {
-			m.done = map[string]float64{}
-		}
-		m.done[rec.Key] = rec.IPC
-	}
-	return nil
-}
-
-// Completed returns a copy of the completed cell set.
-func (m *MemStore) Completed() map[string]float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string]float64, len(m.done))
-	for k, v := range m.done {
-		out[k] = v
-	}
-	return out
-}
-
-// Records returns a copy of every appended record in order.
-func (m *MemStore) Records() []CellRecord {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]CellRecord(nil), m.recs...)
 }

@@ -287,51 +287,3 @@ func TestStoreConcurrentAppendAndCompact(t *testing.T) {
 		}
 	}
 }
-
-// TestMemStoreConcurrent races MemStore appends against snapshot
-// reads — the worker-side sink must be safe under -race.
-func TestMemStoreConcurrent(t *testing.T) {
-	mem := &MemStore{}
-	const writers, perWriter = 8, 64
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				rec := okRec(fmt.Sprintf("w%d-k%d", w, i), float64(i))
-				if i%4 == 0 {
-					rec.Status = StatusFailed
-				}
-				if err := mem.Append(rec); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(w)
-	}
-	stop := make(chan struct{})
-	var readers sync.WaitGroup
-	readers.Add(1)
-	go func() {
-		defer readers.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				_ = mem.Records()
-				_ = mem.Completed()
-			}
-		}
-	}()
-	wg.Wait()
-	close(stop)
-	readers.Wait()
-	if got := len(mem.Records()); got != writers*perWriter {
-		t.Fatalf("MemStore holds %d records, want %d", got, writers*perWriter)
-	}
-	if got := len(mem.Completed()); got != writers*(perWriter-perWriter/4) {
-		t.Fatalf("MemStore completed %d cells, want %d", got, writers*(perWriter-perWriter/4))
-	}
-}
