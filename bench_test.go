@@ -394,7 +394,7 @@ func BenchmarkSweepStoreAppend(b *testing.B) {
 	}
 }
 
-// --- Ablations (design choices called out in DESIGN.md) ---
+// --- Ablations (the paper's baseline and CIAO design choices) ---
 
 // BenchmarkAblationXORHashing compares modulo vs XOR set indexing
 // under GTO: the XOR hash is the baseline enhancement the paper adds.

@@ -7,6 +7,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/memory"
 )
@@ -61,13 +62,11 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// line is one cache line's tag state.
-type line struct {
-	valid   bool
+// lineMeta is one way's state beside its tag.
+type lineMeta struct {
+	lastUse uint64 // cycle of last touch, for LRU
+	owner   int    // WID of the warp that filled the line
 	dirty   bool
-	addr    memory.Addr // line address
-	ownerW  int         // WID of the warp that filled the line
-	lastUse uint64      // cycle of last touch, for LRU
 }
 
 // Eviction records a replaced line: the victim's address and the warp
@@ -102,10 +101,20 @@ func (s Stats) HitRate() float64 {
 
 // Cache is a set-associative cache with LRU replacement.
 // The zero value is not usable; construct with New.
+//
+// Every lookup is one fixed-length pass over its set, which is faster
+// than early-exit scans whose exits the host cannot predict. Each way's
+// tag is stored as line|1 in one dense array, 0 meaning invalid (line
+// addresses have zero low bits); the LRU time, owner and dirty bit sit
+// in a parallel array. A tag match visits every way (at most one can
+// match). A fill's victim is the first invalid way, else the first way
+// with the least recent use.
 type Cache struct {
 	cfg   Config
-	index memory.SetIndexer
-	sets  [][]line
+	fold  uint       // first XOR-fold shift of the set index; 64 = none
+	mask  uint64     // sets-1
+	tags  []uint64   // line|1 per way, set by set; 0 = invalid
+	meta  []lineMeta // parallel to tags
 	stats Stats
 }
 
@@ -116,33 +125,80 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	nsets := cfg.Sets()
-	var idx memory.SetIndexer
-	if cfg.UseXORHash {
-		idx = memory.NewXORIndexer(uint32(nsets))
-	} else {
-		idx = memory.ModuloIndexer{Sets: uint32(nsets)}
+	fold := uint(64)
+	if cfg.UseXORHash && nsets > 1 {
+		fold = uint(bits.TrailingZeros(uint(nsets)))
 	}
-	sets := make([][]line, nsets)
-	backing := make([]line, nsets*cfg.Ways)
-	for i := range sets {
-		sets[i], backing = backing[:cfg.Ways], backing[cfg.Ways:]
+	return &Cache{
+		cfg:  cfg,
+		fold: fold,
+		mask: uint64(nsets - 1),
+		tags: make([]uint64, nsets*cfg.Ways),
+		meta: make([]lineMeta, nsets*cfg.Ways),
 	}
-	return &Cache{cfg: cfg, index: idx, sets: sets}
 }
 
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-// Probe checks for a hit without modifying replacement state.
-func (c *Cache) Probe(addr memory.Addr) bool {
-	la := addr.LineAddr()
-	set := c.sets[c.index.SetIndex(la)]
-	for i := range set {
-		if set[i].valid && set[i].addr == la {
-			return true
+// setIndex maps an address to its set. Modulo indexing takes the low
+// bits of the line number. XOR indexing, the baseline enhancement the
+// paper adds to L1D and L2 ("we enhance the baseline L1D and L2 caches
+// with a XOR-based set index hashing technique [26]", after Nugteren
+// et al., HPCA 2014), XORs every index-width bit group of the line
+// number together, which spreads power-of-two strides across sets.
+// The fold doubles its shift each step, so it covers the 64-bit line
+// number in a trip count fixed per cache.
+func (c *Cache) setIndex(addr memory.Addr) int {
+	line := addr.LineIndex()
+	for s := c.fold; s < 64; s <<= 1 {
+		line ^= line >> s
+	}
+	return int(line & c.mask)
+}
+
+// locate returns the index of addr's set's first way and its tag.
+func (c *Cache) locate(addr memory.Addr) (base int, tag uint64) {
+	return c.setIndex(addr) * c.cfg.Ways, uint64(addr.LineAddr()) | 1
+}
+
+// find returns the way of the set at base holding tag, or -1.
+func (c *Cache) find(base int, tag uint64) int {
+	way := -1
+	for i, t := range c.tags[base : base+c.cfg.Ways] {
+		if t == tag {
+			way = base + i
 		}
 	}
-	return false
+	return way
+}
+
+// victim returns the way of the set at base a fill replaces.
+func (c *Cache) victim(base int) int {
+	tags, meta := c.tags[base:base+c.cfg.Ways], c.meta[base:base+c.cfg.Ways]
+	way := -1
+	for i := len(tags) - 1; i >= 0; i-- {
+		if tags[i] == 0 {
+			way = i
+		}
+	}
+	if way < 0 {
+		lu := meta[0].lastUse
+		for _, m := range meta[1:] {
+			lu = min(lu, m.lastUse)
+		}
+		for i := len(meta) - 1; i >= 0; i-- {
+			if meta[i].lastUse == lu {
+				way = i
+			}
+		}
+	}
+	return base + way
+}
+
+// Probe checks for a hit without modifying replacement state.
+func (c *Cache) Probe(addr memory.Addr) bool {
+	return c.find(c.locate(addr)) >= 0
 }
 
 // Access performs a load or store lookup at cycle now for warp wid.
@@ -152,72 +208,47 @@ func (c *Cache) Probe(addr memory.Addr) bool {
 // write-through-no-allocate a store miss does not allocate and a store
 // hit updates the line in place (and is propagated by the caller).
 func (c *Cache) Access(addr memory.Addr, wid int, now uint64, isWrite bool) (hit bool) {
-	la := addr.LineAddr()
-	set := c.sets[c.index.SetIndex(la)]
+	i := c.find(c.locate(addr))
 	c.stats.Accesses++
-	for i := range set {
-		if set[i].valid && set[i].addr == la {
-			set[i].lastUse = now
-			if isWrite {
-				c.stats.WriteHits++
-				if c.cfg.Write == WriteBackAllocate {
-					set[i].dirty = true
-				}
-			}
-			c.stats.Hits++
-			return true
+	if i < 0 {
+		c.stats.Misses++
+		if isWrite {
+			c.stats.WriteMiss++
+		}
+		return false
+	}
+	c.meta[i].lastUse = now
+	if isWrite {
+		c.stats.WriteHits++
+		if c.cfg.Write == WriteBackAllocate {
+			c.meta[i].dirty = true
 		}
 	}
-	c.stats.Misses++
-	if isWrite {
-		c.stats.WriteMiss++
-	}
-	return false
+	c.stats.Hits++
+	return true
 }
 
 // Fill installs the line for warp wid at cycle now, returning the
 // eviction record when a valid line was displaced. Fill of an
-// already-present line refreshes its owner and LRU state (this happens
-// when two warps' misses to the same line were merged in the MSHR).
+// already-present line only refreshes its LRU state; its owner stays
+// (this happens when two warps' misses to the same line were merged in
+// the MSHR).
 func (c *Cache) Fill(addr memory.Addr, wid int, now uint64) (ev Eviction, evicted bool) {
-	la := addr.LineAddr()
-	si := c.index.SetIndex(la)
-	set := c.sets[si]
+	base, tag := c.locate(addr)
 	c.stats.Fills++
-
-	// Already present: refresh.
-	for i := range set {
-		if set[i].valid && set[i].addr == la {
-			set[i].lastUse = now
-			return Eviction{}, false
-		}
+	if i := c.find(base, tag); i >= 0 {
+		c.meta[i].lastUse = now
+		return Eviction{}, false
 	}
-	// Free way.
-	victim := -1
-	for i := range set {
-		if !set[i].valid {
-			victim = i
-			break
-		}
-	}
-	// LRU victim.
-	if victim == -1 {
-		victim = 0
-		for i := 1; i < len(set); i++ {
-			if set[i].lastUse < set[victim].lastUse {
-				victim = i
-			}
-		}
-		ev = Eviction{
-			Line:     set[victim].addr,
-			OwnerWID: set[victim].ownerW,
-			Evictor:  wid,
-			Dirty:    set[victim].dirty,
-		}
+	v := c.victim(base)
+	if c.tags[v] != 0 {
+		m := c.meta[v]
+		ev = Eviction{Line: memory.Addr(c.tags[v] &^ 1), OwnerWID: m.owner, Evictor: wid, Dirty: m.dirty}
 		evicted = true
 		c.stats.Evictions++
 	}
-	set[victim] = line{valid: true, addr: la, ownerW: wid, lastUse: now}
+	c.tags[v] = tag
+	c.meta[v] = lineMeta{lastUse: now, owner: wid}
 	return ev, evicted
 }
 
@@ -225,27 +256,20 @@ func (c *Cache) Fill(addr memory.Addr, wid int, now uint64) (ev Eviction, evicte
 // present and dirty. CIAO uses this when migrating a line from L1D to
 // the shared-memory cache (the single-copy coherence rule of §III-B).
 func (c *Cache) Invalidate(addr memory.Addr) (present, dirty bool) {
-	la := addr.LineAddr()
-	set := c.sets[c.index.SetIndex(la)]
-	for i := range set {
-		if set[i].valid && set[i].addr == la {
-			present, dirty = true, set[i].dirty
-			set[i] = line{}
-			c.stats.Invalidates++
-			return present, dirty
-		}
+	i := c.find(c.locate(addr))
+	if i < 0 {
+		return false, false
 	}
-	return false, false
+	dirty = c.meta[i].dirty
+	c.tags[i], c.meta[i] = 0, lineMeta{}
+	c.stats.Invalidates++
+	return true, dirty
 }
 
 // Owner returns the WID that filled the line, if present.
 func (c *Cache) Owner(addr memory.Addr) (wid int, ok bool) {
-	la := addr.LineAddr()
-	set := c.sets[c.index.SetIndex(la)]
-	for i := range set {
-		if set[i].valid && set[i].addr == la {
-			return set[i].ownerW, true
-		}
+	if i := c.find(c.locate(addr)); i >= 0 {
+		return c.meta[i].owner, true
 	}
 	return 0, false
 }
@@ -258,13 +282,11 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // Flush invalidates every line and returns how many were dirty.
 func (c *Cache) Flush() (dirtyLines int) {
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			if c.sets[si][wi].valid && c.sets[si][wi].dirty {
-				dirtyLines++
-			}
-			c.sets[si][wi] = line{}
+	for i, t := range c.tags {
+		if t != 0 && c.meta[i].dirty {
+			dirtyLines++
 		}
+		c.tags[i], c.meta[i] = 0, lineMeta{}
 	}
 	return dirtyLines
 }
@@ -272,11 +294,9 @@ func (c *Cache) Flush() (dirtyLines int) {
 // OccupiedLines reports how many lines are currently valid.
 func (c *Cache) OccupiedLines() int {
 	n := 0
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			if c.sets[si][wi].valid {
-				n++
-			}
+	for _, t := range c.tags {
+		if t != 0 {
+			n++
 		}
 	}
 	return n

@@ -222,3 +222,93 @@ func TestXORHashConfigChangesMapping(t *testing.T) {
 		t.Errorf("XOR-indexed resident lines = %d, want > 4", xor.OccupiedLines())
 	}
 }
+
+// TestSetIndex checks set-index hashing: modulo and XOR indexing stay
+// in range and depend only on the line, XOR spreads the power-of-two
+// stride that modulo maps to one set, the prefix fold equals the
+// group-XOR loop it replaced, and a one-set cache maps everything to
+// set 0 under either scheme.
+func TestSetIndex(t *testing.T) {
+	withSets := func(sets int, xor bool) *Cache {
+		return New(Config{Name: "idx", SizeBytes: sets * 4 * memory.LineSize, Ways: 4, UseXORHash: xor})
+	}
+	t.Run("modulo_range", func(t *testing.T) {
+		m := withSets(32, false)
+		for a := memory.Addr(0); a < 64*memory.LineSize; a += memory.LineSize {
+			if s := m.setIndex(a); s < 0 || s >= 32 {
+				t.Fatalf("setIndex(%s) = %d out of range", a, s)
+			}
+		}
+		// Consecutive lines map to consecutive sets.
+		if m.setIndex(0) != 0 || m.setIndex(memory.LineSize) != 1 {
+			t.Errorf("modulo indexing wrong: set(0)=%d set(128)=%d", m.setIndex(0), m.setIndex(memory.LineSize))
+		}
+		// Wraps at Sets lines.
+		if s := m.setIndex(32 * memory.LineSize); s != 0 {
+			t.Errorf("expected wrap to set 0, got %d", s)
+		}
+	})
+	t.Run("xor_range", func(t *testing.T) {
+		x := withSets(32, true)
+		f := func(a uint64) bool { s := x.setIndex(memory.Addr(a)); return s >= 0 && s < 32 }
+		if err := quick.Check(f, nil); err != nil {
+			t.Error(err)
+		}
+	})
+	t.Run("xor_pure", func(t *testing.T) {
+		x := withSets(64, true)
+		f := func(a uint64, off uint8) bool {
+			line := memory.Addr(a).LineAddr()
+			return x.setIndex(line) == x.setIndex(line) &&
+				x.setIndex(line) == x.setIndex(line+memory.Addr(off%memory.LineSize))
+		}
+		if err := quick.Check(f, nil); err != nil {
+			t.Error(err)
+		}
+	})
+	t.Run("xor_spreads_power_of_two_strides", func(t *testing.T) {
+		const sets = 32
+		mod, xor := withSets(sets, false), withSets(sets, true)
+		stride := memory.Addr(sets * memory.LineSize)
+		modSets, xorSets := map[int]bool{}, map[int]bool{}
+		for i := 0; i < 64; i++ {
+			a := memory.Addr(i) * stride
+			modSets[mod.setIndex(a)] = true
+			xorSets[xor.setIndex(a)] = true
+		}
+		if len(modSets) != 1 {
+			t.Fatalf("modulo should conflict on power-of-two stride, got %d sets", len(modSets))
+		}
+		if len(xorSets) < sets/2 {
+			t.Errorf("XOR hashing spread only %d/%d sets for power-of-two stride", len(xorSets), sets)
+		}
+	})
+	t.Run("rejects_non_power_of_two", func(t *testing.T) {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("expected panic for non-power-of-two set count")
+			}
+		}()
+		withSets(48, true)
+	})
+	t.Run("xor_equals_group_fold", func(t *testing.T) {
+		for bits := uint64(1); bits <= 7; bits++ {
+			x := withSets(1<<bits, true)
+			f := func(a uint64) bool {
+				return uint64(x.setIndex(memory.Addr(a))) == refSetIndex(memory.Addr(a), 1<<bits, bits, true)
+			}
+			if err := quick.Check(f, nil); err != nil {
+				t.Errorf("%d sets: %v", 1<<bits, err)
+			}
+		}
+	})
+	t.Run("one_set", func(t *testing.T) {
+		for _, xor := range []bool{false, true} {
+			c := New(Config{Name: "one", SizeBytes: 1 << 10, Ways: 8, UseXORHash: xor})
+			f := func(a uint64) bool { return c.setIndex(memory.Addr(a)) == 0 }
+			if err := quick.Check(f, nil); err != nil {
+				t.Errorf("xor=%v: %v", xor, err)
+			}
+		}
+	})
+}

@@ -59,7 +59,7 @@ func (v *VTA) Probe(wid int, line memory.Addr) (hit bool, evictorWID int) {
 	la := line.LineAddr()
 	set := v.sets[wid]
 	for i := range set {
-		if set[i].valid && set[i].line == la {
+		if set[i].line == la && set[i].valid {
 			v.hits++
 			ev := set[i].evictor
 			set[i] = vtaEntry{}

@@ -1,12 +1,10 @@
 // Package memory provides the fundamental memory-system types shared by
 // every level of the simulated GPU memory hierarchy: global addresses,
-// cache-line arithmetic, set-index hashing, memory requests, MSHRs and
-// the queues that connect L1D, shared memory, L2 and DRAM.
+// cache-line arithmetic, memory requests, MSHRs and the queues that
+// connect L1D, shared memory, L2 and DRAM.
 //
 // The models follow the GTX480-like configuration the CIAO paper uses
-// (Table I): 128-byte cache lines, XOR-based set-index hashing at L1D
-// and L2 (after Nugteren et al., "A detailed GPU cache model based on
-// reuse distance theory", HPCA 2014).
+// (Table I): 128-byte cache lines throughout.
 package memory
 
 import "fmt"
@@ -32,75 +30,3 @@ func (a Addr) Offset() uint32 { return uint32(a) & (LineSize - 1) }
 
 // String renders the address in hex.
 func (a Addr) String() string { return fmt.Sprintf("0x%x", uint64(a)) }
-
-// SetIndexer maps a line address to a cache set. Implementations must
-// be pure functions of the address.
-type SetIndexer interface {
-	// SetIndex returns the set for the given address; the result must
-	// be in [0, NumSets()).
-	SetIndex(a Addr) uint32
-	// NumSets reports how many sets the indexer distributes over.
-	NumSets() uint32
-}
-
-// ModuloIndexer is the conventional power-of-two modulo set indexing:
-// set = (addr >> lineShift) mod numSets.
-type ModuloIndexer struct {
-	Sets uint32
-}
-
-// SetIndex implements SetIndexer.
-func (m ModuloIndexer) SetIndex(a Addr) uint32 {
-	return uint32(a.LineIndex()) & (m.Sets - 1)
-}
-
-// NumSets implements SetIndexer.
-func (m ModuloIndexer) NumSets() uint32 { return m.Sets }
-
-// XORIndexer implements the XOR-based set-index hashing the paper adds
-// to both L1D and L2 ("we enhance the baseline L1D and L2 caches with a
-// XOR-based set index hashing technique [26], making it close to the
-// real GPU device's configuration"). The set index is the XOR of
-// consecutive index-width bit groups of the line number, which spreads
-// power-of-two strides across sets.
-type XORIndexer struct {
-	Sets uint32 // must be a power of two
-	bits uint32 // log2(Sets), computed lazily
-}
-
-// NewXORIndexer returns an XORIndexer over sets, which must be a
-// power of two.
-func NewXORIndexer(sets uint32) *XORIndexer {
-	if sets == 0 || sets&(sets-1) != 0 {
-		panic(fmt.Sprintf("memory: XORIndexer sets %d is not a power of two", sets))
-	}
-	return &XORIndexer{Sets: sets, bits: log2u32(sets)}
-}
-
-// SetIndex implements SetIndexer.
-func (x *XORIndexer) SetIndex(a Addr) uint32 {
-	if x.bits == 0 {
-		x.bits = log2u32(x.Sets)
-	}
-	line := a.LineIndex()
-	mask := uint64(x.Sets - 1)
-	idx := uint64(0)
-	// Fold the line number into the index width, XORing each group.
-	for line != 0 {
-		idx ^= line & mask
-		line >>= x.bits
-	}
-	return uint32(idx)
-}
-
-// NumSets implements SetIndexer.
-func (x *XORIndexer) NumSets() uint32 { return x.Sets }
-
-func log2u32(v uint32) uint32 {
-	var n uint32
-	for v > 1 {
-		v >>= 1
-		n++
-	}
-	return n
-}

@@ -35,74 +35,6 @@ func TestLineIndexOffsetRoundTrip(t *testing.T) {
 	}
 }
 
-func TestModuloIndexerRange(t *testing.T) {
-	m := ModuloIndexer{Sets: 32}
-	for a := Addr(0); a < 64*LineSize; a += LineSize {
-		if s := m.SetIndex(a); s >= 32 {
-			t.Fatalf("SetIndex(%s) = %d out of range", a, s)
-		}
-	}
-	// Consecutive lines map to consecutive sets.
-	if m.SetIndex(0) != 0 || m.SetIndex(LineSize) != 1 {
-		t.Errorf("modulo indexing wrong: set(0)=%d set(128)=%d", m.SetIndex(0), m.SetIndex(LineSize))
-	}
-	// Wraps at Sets lines.
-	if m.SetIndex(32*LineSize) != 0 {
-		t.Errorf("expected wrap to set 0, got %d", m.SetIndex(32*LineSize))
-	}
-}
-
-func TestXORIndexerRange(t *testing.T) {
-	x := NewXORIndexer(32)
-	f := func(a uint64) bool { return x.SetIndex(Addr(a)) < 32 }
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestXORIndexerPureFunction(t *testing.T) {
-	x := NewXORIndexer(64)
-	f := func(a uint64) bool {
-		return x.SetIndex(Addr(a)) == x.SetIndex(Addr(a))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestXORIndexerSpreadsPowerOfTwoStrides is the raison d'être of XOR
-// hashing: a stride equal to Sets*LineSize maps every access to the
-// same set under modulo indexing but should spread under XOR hashing.
-func TestXORIndexerSpreadsPowerOfTwoStrides(t *testing.T) {
-	const sets = 32
-	mod := ModuloIndexer{Sets: sets}
-	xor := NewXORIndexer(sets)
-
-	stride := Addr(sets * LineSize)
-	modSets := map[uint32]bool{}
-	xorSets := map[uint32]bool{}
-	for i := 0; i < 64; i++ {
-		a := Addr(i) * stride
-		modSets[mod.SetIndex(a)] = true
-		xorSets[xor.SetIndex(a)] = true
-	}
-	if len(modSets) != 1 {
-		t.Fatalf("modulo should conflict on power-of-two stride, got %d sets", len(modSets))
-	}
-	if len(xorSets) < sets/2 {
-		t.Errorf("XOR hashing spread only %d/%d sets for power-of-two stride", len(xorSets), sets)
-	}
-}
-
-func TestNewXORIndexerRejectsNonPowerOfTwo(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for non-power-of-two set count")
-		}
-	}()
-	NewXORIndexer(48)
-}
-
 func TestAccessKindString(t *testing.T) {
 	if Load.String() != "load" || Store.String() != "store" {
 		t.Errorf("unexpected kind strings: %v %v", Load, Store)

@@ -37,25 +37,28 @@ type MSHREntry struct {
 // walk were ~9% of simulation CPU. Sized at ≥2× capacity the table
 // always has empty slots, so probes terminate without tombstones.
 //
+// A miss costs one probe: Find returns the line's entry or the vacant
+// slot for it, and the caller then merges into the entry or inserts at
+// the slot.
+//
 // Entries are pooled: Fill recycles the retired entry's storage into a
-// free list that the next Allocate reuses (including the Merged slice's
+// free list that the next Insert reuses (including the Merged slice's
 // backing array), so the steady-state miss path performs no heap
-// allocation. Consequently an entry returned by Fill (or Lookup) is
-// only valid until the next Allocate call — callers must finish
+// allocation. Consequently an entry returned by Fill (or Find) is
+// only valid until the next Insert call — callers must finish
 // walking Merged before issuing new misses, which the single-threaded
 // cycle loop does naturally.
 type MSHR struct {
-	capacity      int
-	maxMergedPer  int
-	slots         []*MSHREntry // open-addressed by line address
-	mask          int          // len(slots)-1; len is a power of two
-	shift         uint         // 64 - log2(len(slots)), for the hash
-	live          int
-	free          []*MSHREntry // recycled entries, LIFO
-	stalls        uint64
-	mergeCount    uint64
-	allocations   uint64
-	mergeRejected uint64
+	capacity     int
+	maxMergedPer int
+	slots        []*MSHREntry // open-addressed by line address
+	mask         int          // len(slots)-1; len is a power of two
+	shift        uint         // 64 - log2(len(slots)), for the hash
+	live         int
+	free         []*MSHREntry // recycled entries, LIFO
+	stalls       uint64
+	mergeCount   uint64
+	allocations  uint64
 }
 
 // NewMSHR returns an MSHR with the given number of entries and maximum
@@ -129,50 +132,39 @@ func (m *MSHR) removeSlot(i int) {
 	}
 }
 
-// Lookup returns the entry for the line, or nil.
-func (m *MSHR) Lookup(line Addr) *MSHREntry {
-	_, e := m.findSlot(line.LineAddr())
-	return e
+// Find probes the table once for line's entry. It returns the entry,
+// or nil and the vacant slot where Insert would place the line. The
+// slot stays valid until the table next changes (Insert, Fill, Reset),
+// so a caller decides between Merge and Insert on one probe.
+func (m *MSHR) Find(line Addr) (slot int, e *MSHREntry) {
+	return m.findSlot(line.LineAddr())
 }
 
-// CanAllocate reports whether a new miss for line could be accepted,
-// either by merging or by allocating a fresh entry.
-func (m *MSHR) CanAllocate(line Addr) bool {
-	if _, e := m.findSlot(line.LineAddr()); e != nil {
-		return len(e.Merged) < m.maxMergedPer
+// Merge appends req to the in-flight entry e. It reports false, and
+// changes nothing, when e already holds its maximum of merged requests.
+func (m *MSHR) Merge(e *MSHREntry, req Request) bool {
+	if len(e.Merged) >= m.maxMergedPer {
+		return false
 	}
-	return m.live < m.capacity
+	e.Merged = append(e.Merged, req)
+	m.mergeCount++
+	return true
 }
 
-// Allocate records a miss for req's line. It returns the entry and
-// whether the request was merged into an existing miss (true) or
-// allocated a new one (false). Callers must check CanAllocate first;
-// Allocate panics on structural overflow to surface modelling bugs.
-func (m *MSHR) Allocate(req Request) (entry *MSHREntry, merged bool) {
-	line := req.Addr.LineAddr()
-	i, e := m.findSlot(line)
-	if e != nil {
-		if len(e.Merged) >= m.maxMergedPer {
-			panic("memory: MSHR merge overflow; call CanAllocate first")
-		}
-		e.Merged = append(e.Merged, req)
-		m.mergeCount++
-		return e, true
-	}
+// Insert allocates the entry for req's line at slot, which Find
+// returned for that line with no entry. It returns nil, and changes
+// nothing, when every entry is in use.
+func (m *MSHR) Insert(slot int, req Request) *MSHREntry {
 	if m.live >= m.capacity {
-		panic("memory: MSHR entry overflow; call CanAllocate first")
+		return nil
 	}
-	if n := len(m.free); n > 0 {
-		e = m.free[n-1]
-		m.free = m.free[:n-1]
-		*e = MSHREntry{Line: line, Merged: append(e.Merged[:0], req)}
-	} else {
-		e = &MSHREntry{Line: line, Merged: []Request{req}}
-	}
-	m.slots[i] = e
+	e := m.free[len(m.free)-1]
+	m.free = m.free[:len(m.free)-1]
+	*e = MSHREntry{Line: req.Addr.LineAddr(), Merged: append(e.Merged[:0], req)}
+	m.slots[slot] = e
 	m.live++
 	m.allocations++
-	return e, false
+	return e
 }
 
 // NoteStalls records n cycles on which a request could not be accepted
@@ -182,7 +174,7 @@ func (m *MSHR) NoteStalls(n uint64) { m.stalls += n }
 // Fill completes the miss for line, removes its entry and returns it.
 // Fill returns nil if the line has no outstanding entry. The returned
 // entry's storage is recycled: its contents (notably Merged) are valid
-// only until the next Allocate call.
+// only until the next Insert call.
 func (m *MSHR) Fill(line Addr) *MSHREntry {
 	line = line.LineAddr()
 	i, e := m.findSlot(line)
@@ -217,5 +209,5 @@ func (m *MSHR) Reset() {
 		}
 	}
 	m.live = 0
-	m.stalls, m.mergeCount, m.allocations, m.mergeRejected = 0, 0, 0, 0
+	m.stalls, m.mergeCount, m.allocations = 0, 0, 0
 }

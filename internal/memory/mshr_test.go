@@ -5,27 +5,40 @@ import (
 	"testing/quick"
 )
 
-func TestMSHRAllocateAndMerge(t *testing.T) {
+// add records req the way the SM does: one Find, then Merge into the
+// line's entry or Insert at the returned slot. ok is false, with the
+// table unchanged, when the entry's merge list is full or no entry is
+// free.
+func add(m *MSHR, req Request) (e *MSHREntry, merged, ok bool) {
+	slot, e := m.Find(req.Addr)
+	if e != nil {
+		return e, true, m.Merge(e, req)
+	}
+	e = m.Insert(slot, req)
+	return e, false, e != nil
+}
+
+func TestMSHRInsertAndMerge(t *testing.T) {
 	m := NewMSHR(4, 2)
 	r1 := Request{Addr: 0x1000, WarpID: 1}
 	r2 := Request{Addr: 0x1040, WarpID: 2} // same 128B line
 	r3 := Request{Addr: 0x2000, WarpID: 3} // different line
 
-	e1, merged := m.Allocate(r1)
-	if merged {
-		t.Fatal("first allocation reported as merge")
+	e1, merged, ok := add(m, r1)
+	if !ok || merged {
+		t.Fatal("first request did not insert a fresh entry")
 	}
 	if e1.Line != 0x1000 {
 		t.Fatalf("entry line = %s, want 0x1000", e1.Line)
 	}
-	e2, merged := m.Allocate(r2)
-	if !merged || e2 != e1 {
+	e2, merged, ok := add(m, r2)
+	if !ok || !merged || e2 != e1 {
 		t.Fatal("same-line request should merge into the existing entry")
 	}
 	if len(e1.Merged) != 2 {
 		t.Fatalf("merged count = %d, want 2", len(e1.Merged))
 	}
-	if _, merged := m.Allocate(r3); merged {
+	if _, merged, _ := add(m, r3); merged {
 		t.Fatal("distinct line should not merge")
 	}
 	if m.Outstanding() != 2 {
@@ -33,25 +46,38 @@ func TestMSHRAllocateAndMerge(t *testing.T) {
 	}
 }
 
-func TestMSHRCanAllocateLimits(t *testing.T) {
+func TestMSHRMergeAndEntryLimits(t *testing.T) {
 	m := NewMSHR(1, 2)
-	m.Allocate(Request{Addr: 0x1000})
-	if m.CanAllocate(0x3000) {
+	add(m, Request{Addr: 0x1000})
+	slot, e := m.Find(0x3000)
+	if e != nil {
+		t.Fatal("Find returned an entry for an absent line")
+	}
+	if m.Insert(slot, Request{Addr: 0x3000}) != nil {
 		t.Error("full MSHR should reject new lines")
 	}
-	if !m.CanAllocate(0x1010) {
+	if _, e := m.Find(0x3000); e != nil || m.Outstanding() != 1 {
+		t.Error("a rejected Insert changed the table")
+	}
+	_, e = m.Find(0x1010)
+	if e == nil {
+		t.Fatal("Find missed the in-flight line")
+	}
+	if !m.Merge(e, Request{Addr: 0x1010}) {
 		t.Error("same-line merge should be allowed below merge cap")
 	}
-	m.Allocate(Request{Addr: 0x1010})
-	if m.CanAllocate(0x1020) {
+	if m.Merge(e, Request{Addr: 0x1020}) {
 		t.Error("merge cap reached; should reject")
+	}
+	if len(e.Merged) != 2 {
+		t.Errorf("a rejected Merge changed the entry: %d merged, want 2", len(e.Merged))
 	}
 }
 
 func TestMSHRFill(t *testing.T) {
 	m := NewMSHR(4, 8)
-	m.Allocate(Request{Addr: 0x1000, WarpID: 7})
-	m.Allocate(Request{Addr: 0x1040, WarpID: 9})
+	add(m, Request{Addr: 0x1000, WarpID: 7})
+	add(m, Request{Addr: 0x1040, WarpID: 9})
 
 	e := m.Fill(0x1008) // any address within the line
 	if e == nil {
@@ -70,7 +96,7 @@ func TestMSHRFill(t *testing.T) {
 
 func TestMSHRSharedAddrExtension(t *testing.T) {
 	m := NewMSHR(2, 2)
-	e, _ := m.Allocate(Request{Addr: 0x8000})
+	e, _, _ := add(m, Request{Addr: 0x8000})
 	e.SharedAddr = 0x1234
 	e.SharedValid = true
 	got := m.Fill(0x8000)
@@ -81,8 +107,8 @@ func TestMSHRSharedAddrExtension(t *testing.T) {
 
 func TestMSHRStats(t *testing.T) {
 	m := NewMSHR(2, 2)
-	m.Allocate(Request{Addr: 0x0})
-	m.Allocate(Request{Addr: 0x10})
+	add(m, Request{Addr: 0x0})
+	add(m, Request{Addr: 0x10})
 	m.NoteStalls(1)
 	m.NoteStalls(3)
 	alloc, merges, stalls := m.Stats()
@@ -96,26 +122,25 @@ func TestMSHRStats(t *testing.T) {
 	}
 }
 
-// Property: after any sequence of allocations within capacity, every
-// line either has exactly one entry containing all its requests in
-// order, and Outstanding never exceeds capacity.
+// Property: after any sequence of accepted requests, every line has
+// exactly one entry containing all its requests, and Outstanding never
+// exceeds capacity.
 func TestMSHRInvariant(t *testing.T) {
 	f := func(lines []uint8) bool {
 		m := NewMSHR(64, 64)
 		perLine := map[Addr]int{}
 		for i, l := range lines {
 			a := Addr(l) * LineSize
-			if !m.CanAllocate(a) {
+			if _, _, ok := add(m, Request{Addr: a, WarpID: i}); !ok {
 				continue
 			}
-			m.Allocate(Request{Addr: a, WarpID: i})
 			perLine[a]++
 		}
 		if m.Outstanding() != len(perLine) {
 			return false
 		}
 		for a, n := range perLine {
-			e := m.Lookup(a)
+			_, e := m.Find(a)
 			if e == nil || len(e.Merged) != n {
 				return false
 			}
@@ -127,9 +152,9 @@ func TestMSHRInvariant(t *testing.T) {
 	}
 }
 
-// Property: interleaved allocates and fills keep the open-addressed
-// probe table consistent — backward-shift deletion must never strand a
-// colliding entry behind a vacated slot.
+// Property: interleaved inserts, merges and fills keep the
+// open-addressed probe table consistent — backward-shift deletion must
+// never strand a colliding entry behind a vacated slot.
 func TestMSHRChurnInvariant(t *testing.T) {
 	f := func(ops []uint16) bool {
 		m := NewMSHR(16, 4)
@@ -150,17 +175,16 @@ func TestMSHRChurnInvariant(t *testing.T) {
 				}
 				continue
 			}
-			if !m.CanAllocate(a) {
+			if _, _, ok := add(m, Request{Addr: a, WarpID: i}); !ok {
 				continue
 			}
-			m.Allocate(Request{Addr: a, WarpID: i})
 			want[a] = append(want[a], i)
 		}
 		if m.Outstanding() != len(want) {
 			return false
 		}
 		for a, ids := range want {
-			e := m.Lookup(a)
+			_, e := m.Find(a)
 			if e == nil || len(e.Merged) != len(ids) {
 				return false
 			}
@@ -180,7 +204,7 @@ func TestMSHRChurnInvariant(t *testing.T) {
 func TestMSHRResetRecyclesTable(t *testing.T) {
 	m := NewMSHR(8, 2)
 	for i := 0; i < 8; i++ {
-		m.Allocate(Request{Addr: Addr(i) * LineSize, WarpID: i})
+		add(m, Request{Addr: Addr(i) * LineSize, WarpID: i})
 	}
 	m.Reset()
 	if m.Outstanding() != 0 {
@@ -192,13 +216,12 @@ func TestMSHRResetRecyclesTable(t *testing.T) {
 	// The full pool is available again and lookups find nothing stale.
 	for i := 0; i < 8; i++ {
 		a := Addr(i) * LineSize
-		if m.Lookup(a) != nil {
+		if _, e := m.Find(a); e != nil {
 			t.Fatalf("stale entry for %#x after Reset", a)
 		}
-		if !m.CanAllocate(a) {
-			t.Fatalf("cannot allocate %#x after Reset", a)
+		if _, _, ok := add(m, Request{Addr: a, WarpID: i}); !ok {
+			t.Fatalf("cannot insert %#x after Reset", a)
 		}
-		m.Allocate(Request{Addr: a, WarpID: i})
 	}
 	if m.Outstanding() != 8 {
 		t.Fatalf("Outstanding = %d, want 8", m.Outstanding())

@@ -14,7 +14,7 @@ type Event struct {
 	Payload int
 }
 
-// LatencyQueue is a bounded FIFO whose entries become visible only
+// LatencyQueue is a bounded queue whose entries become visible only
 // after their ReadyCycle, modelling a fixed-latency pipe such as the
 // L1↔L2 interconnect or the response queue in Figure 7a.
 //
@@ -24,31 +24,42 @@ type Event struct {
 // SM fill path relies on for deterministic replay — two fills ready on
 // the same cycle always retire in issue order.
 //
-// The queue is a ring buffer with a cached ReadyCycle lower bound, so
-// the common quiescent case ("is anything ready yet?") is answered in
-// O(1) via NextReady without scanning: an idle queue costs the cycle
-// loop one comparison per cycle. The bound is maintained lazily:
-// removals never rescan (a removal cannot lower the true minimum, so
-// the bound stays valid, merely stale-low), and the first unsuccessful
-// ready-scan repairs it exactly for free.
+// Events live in a slot pool with a free list. A sorted array of small
+// keys {ReadyCycle, insertion sequence, slot} orders them by
+// (ReadyCycle, sequence); a push inserts its key from the tail, where
+// new fills almost always belong. The ready events are therefore a
+// prefix of the keys, so NextReady is the head key (always exact) and
+// PopReady takes the lowest sequence number in that prefix, which is
+// the oldest ready event. Live keys start at a head index, so popping
+// near the front shifts only the keys before the popped one. Bounded
+// queues preallocate everything, so the steady state never allocates.
 type LatencyQueue struct {
 	name     string
 	capacity int
-	buf      []Event // ring storage
-	head     int     // index of the oldest event
-	n        int     // live event count
-	minReady uint64  // lower bound on min ReadyCycle; valid when n > 0
-	pushes   uint64
+	keys     []queueKey // live keys are keys[head:], sorted
+	head     int
+	events   []Event // slot pool
+	free     []int32 // vacant slots of events
+	pushes   uint64  // also the insertion sequence of the next push
 	fullHits uint64
 }
 
+// queueKey orders one queued event.
+type queueKey struct {
+	ready uint64
+	seq   uint64
+	slot  int32
+}
+
 // NewLatencyQueue returns a queue with the given capacity; capacity <= 0
-// means unbounded. Bounded queues preallocate their ring so the steady
-// state never allocates.
+// means unbounded. Bounded queues preallocate their storage; the key
+// array holds twice the capacity so compacting it is amortised O(1).
 func NewLatencyQueue(name string, capacity int) *LatencyQueue {
 	q := &LatencyQueue{name: name, capacity: capacity}
 	if capacity > 0 {
-		q.buf = make([]Event, capacity)
+		q.keys = make([]queueKey, 0, 2*capacity)
+		q.events = make([]Event, 0, capacity)
+		q.free = make([]int32, 0, capacity)
 	}
 	return q
 }
@@ -57,33 +68,11 @@ func NewLatencyQueue(name string, capacity int) *LatencyQueue {
 func (q *LatencyQueue) Name() string { return q.name }
 
 // Len reports the number of queued events.
-func (q *LatencyQueue) Len() int { return q.n }
+func (q *LatencyQueue) Len() int { return len(q.keys) - q.head }
 
 // Full reports whether the queue cannot accept another event.
 func (q *LatencyQueue) Full() bool {
-	return q.capacity > 0 && q.n >= q.capacity
-}
-
-// idx maps a logical position (0 = oldest) to a ring index.
-func (q *LatencyQueue) idx(pos int) int {
-	i := q.head + pos
-	if i >= len(q.buf) {
-		i -= len(q.buf)
-	}
-	return i
-}
-
-// grow doubles the ring of an unbounded queue, unwrapping it.
-func (q *LatencyQueue) grow() {
-	size := len(q.buf) * 2
-	if size == 0 {
-		size = 16
-	}
-	buf := make([]Event, size)
-	for pos := 0; pos < q.n; pos++ {
-		buf[pos] = q.buf[q.idx(pos)]
-	}
-	q.buf, q.head = buf, 0
+	return q.capacity > 0 && q.Len() >= q.capacity
 }
 
 // Push enqueues ev; it reports false (and counts a structural stall)
@@ -93,69 +82,62 @@ func (q *LatencyQueue) Push(ev Event) bool {
 		q.fullHits++
 		return false
 	}
-	if q.n == len(q.buf) {
-		q.grow()
+	var slot int32
+	if n := len(q.free); n > 0 {
+		slot, q.free = q.free[n-1], q.free[:n-1]
+		q.events[slot] = ev
+	} else {
+		slot = int32(len(q.events))
+		q.events = append(q.events, ev)
 	}
-	q.buf[q.idx(q.n)] = ev
-	if q.n == 0 || ev.ReadyCycle < q.minReady {
-		q.minReady = ev.ReadyCycle
+	// Out of room at the tail: slide the live keys down when the dead
+	// prefix is at least half the array, else let append grow it.
+	if len(q.keys) == cap(q.keys) && 2*q.head >= len(q.keys) {
+		q.keys = q.keys[:copy(q.keys, q.keys[q.head:])]
+		q.head = 0
 	}
-	q.n++
+	k := queueKey{ready: ev.ReadyCycle, seq: q.pushes, slot: slot}
+	q.keys = append(q.keys, k)
+	i := len(q.keys) - 1
+	for ; i > q.head && q.keys[i-1].ready > k.ready; i-- {
+		q.keys[i] = q.keys[i-1]
+	}
+	q.keys[i] = k
 	q.pushes++
 	return true
 }
 
-// NextReady returns a lower bound on the earliest ReadyCycle among
-// queued events in O(1), letting the cycle loop skip a quiescent queue
-// entirely: no event is consumable before the returned cycle. The
-// bound may be stale-low after removals; consumers that pop until
-// failure (the SM fill path) pay at most one extra scan, which itself
-// restores exactness. ok is false when the queue is empty.
+// NextReady returns the earliest ReadyCycle among queued events: no
+// event is consumable before it, and one is at it. ok is false when
+// the queue is empty.
 func (q *LatencyQueue) NextReady() (cycle uint64, ok bool) {
-	return q.minReady, q.n > 0
-}
-
-// removeAt deletes the event at logical position pos, preserving FIFO
-// order by shifting the head side forward (ready events cluster near
-// the head, so the shift distance is typically short). The cached
-// bound is deliberately not recomputed: removing an event can only
-// raise the true minimum, so the bound stays a valid lower bound, and
-// the next unsuccessful ready-scan repairs it at no extra cost. This
-// makes retiring k fills O(k + n) amortised instead of the O(k·n) the
-// old eager recompute paid.
-func (q *LatencyQueue) removeAt(pos int) Event {
-	i := q.idx(pos)
-	ev := q.buf[i]
-	for p := pos; p > 0; p-- {
-		q.buf[q.idx(p)] = q.buf[q.idx(p-1)]
+	if q.head == len(q.keys) {
+		return 0, false
 	}
-	q.buf[q.head] = Event{}
-	q.head = q.idx(1)
-	q.n--
-	return ev
+	return q.keys[q.head].ready, true
 }
 
 // PopReady dequeues and returns the oldest event whose ReadyCycle has
 // arrived, or ok=false when none is ready. FIFO order is preserved
-// among ready events. The nothing-ready case is O(1) via the cached
-// bound once it is exact; an unsuccessful scan has seen every live
-// event, so it re-establishes the exact minimum as a side effect.
+// among ready events. The nothing-ready case reads one key.
 func (q *LatencyQueue) PopReady(now uint64) (ev Event, ok bool) {
-	if q.n == 0 || q.minReady > now {
+	h := q.head
+	if h == len(q.keys) || q.keys[h].ready > now {
 		return Event{}, false
 	}
-	min := ^uint64(0)
-	for pos := 0; pos < q.n; pos++ {
-		rc := q.buf[q.idx(pos)].ReadyCycle
-		if rc <= now {
-			return q.removeAt(pos), true
-		}
-		if rc < min {
-			min = rc
+	best := h
+	for i := h + 1; i < len(q.keys) && q.keys[i].ready <= now; i++ {
+		if q.keys[i].seq < q.keys[best].seq {
+			best = i
 		}
 	}
-	q.minReady = min
-	return Event{}, false
+	slot := q.keys[best].slot
+	copy(q.keys[h+1:best+1], q.keys[h:best])
+	if q.head = h + 1; q.head == len(q.keys) {
+		q.keys, q.head = q.keys[:0], 0
+	}
+	q.free = append(q.free, slot)
+	return q.events[slot], true
 }
 
 // Stats reports cumulative pushes and full-queue rejections.
@@ -165,9 +147,7 @@ func (q *LatencyQueue) Stats() (pushes, fullRejections uint64) {
 
 // Reset empties the queue and clears statistics.
 func (q *LatencyQueue) Reset() {
-	for i := range q.buf {
-		q.buf[i] = Event{}
-	}
-	q.head, q.n, q.minReady = 0, 0, 0
+	q.keys, q.head = q.keys[:0], 0
+	q.events, q.free = q.events[:0], q.free[:0]
 	q.pushes, q.fullHits = 0, 0
 }

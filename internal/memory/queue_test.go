@@ -87,17 +87,16 @@ func TestLatencyQueueNextReady(t *testing.T) {
 	if rc, ok := q.NextReady(); !ok || rc != 10 {
 		t.Fatalf("NextReady = %d,%v, want 10,true", rc, ok)
 	}
-	// Popping the minimum event leaves the cached bound stale-low: it
-	// must stay a valid lower bound (nothing consumable before it), but
-	// it is not recomputed eagerly.
+	// After popping the minimum event, NextReady must stay a valid
+	// lower bound: nothing is consumable before it.
 	if ev, ok := q.PopReady(15); !ok || ev.Line != 0x200 {
 		t.Fatalf("PopReady(15) = %+v,%v, want line 0x200", ev, ok)
 	}
 	if rc, ok := q.NextReady(); !ok || rc > 20 {
 		t.Fatalf("after pop, NextReady = %d,%v, want a lower bound <= 20", rc, ok)
 	}
-	// Nothing is consumable before the true minimum, and the failed
-	// scan repairs the bound exactly.
+	// Nothing is consumable before the true minimum, and NextReady
+	// reports it exactly.
 	if _, ok := q.PopReady(19); ok {
 		t.Fatal("PopReady before the true minimum succeeded")
 	}
@@ -112,21 +111,21 @@ func TestLatencyQueueLazyMinRepair(t *testing.T) {
 	q.Push(Event{Line: 0x200, ReadyCycle: 40})
 	q.Push(Event{Line: 0x300, ReadyCycle: 30})
 
-	// Popping the minimum leaves the bound lazy.
+	// After popping the minimum, NextReady is still a lower bound.
 	if ev, ok := q.PopReady(5); !ok || ev.Line != 0x100 {
 		t.Fatalf("PopReady(5) = %+v,%v, want line 0x100", ev, ok)
 	}
 	if rc, ok := q.NextReady(); !ok || rc > 30 {
 		t.Fatalf("after pop, NextReady = %d,%v, want bound <= 30", rc, ok)
 	}
-	// A missed pop sees every event and restores exactness.
+	// A missed pop changes nothing, and NextReady is exact.
 	if _, ok := q.PopReady(29); ok {
 		t.Fatal("PopReady(29) found an event before the true minimum")
 	}
 	if rc, ok := q.NextReady(); !ok || rc != 30 {
 		t.Fatalf("after failed pop, NextReady = %d,%v, want exact 30,true", rc, ok)
 	}
-	// The repaired bound serves pops correctly.
+	// Pops at the bound succeed in ReadyCycle order.
 	if ev, ok := q.PopReady(30); !ok || ev.Line != 0x300 {
 		t.Fatalf("PopReady(30) = %+v,%v, want line 0x300", ev, ok)
 	}
@@ -170,9 +169,9 @@ func TestLatencyQueueDrain(t *testing.T) {
 	}
 }
 
-// TestLatencyQueueWraparound pushes and pops past the ring's physical
-// end so the head wraps, checking FIFO order and the cached minimum
-// survive the seam.
+// TestLatencyQueueWraparound pushes and pops past the end of the
+// queue's preallocated storage, checking FIFO order and NextReady
+// survive the queue reusing it.
 func TestLatencyQueueWraparound(t *testing.T) {
 	q := NewLatencyQueue("t", 4)
 	next := Addr(0)

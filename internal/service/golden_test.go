@@ -9,10 +9,11 @@ import (
 // TestGoldenCellResults pins the exact CellResult JSON of five cells
 // spanning every major simulator path (GTO baseline, CIAO shared-memory
 // isolation, CCWS, statPCAL, CIAO-P) to SHA-256 hashes captured from
-// the simulator before the hot-path rewrite (ring-buffer LatencyQueue,
-// pooled MSHR entries, batched warp streams, live-warp scheduling).
+// the simulator before its hot-path rewrites (the response queue, the
+// pooled single-probe MSHR, the packed-tag caches, batched warp
+// streams, live-warp scheduling, the event-driven cycle loop).
 //
-// A hash mismatch means the rewrite changed simulated behaviour, not
+// A hash mismatch means a rewrite changed simulated behaviour, not
 // just its speed — every optimisation to the cycle loop must be
 // bit-exact. If a deliberate model change lands, regenerate the hashes
 // and say so in the commit message.

@@ -365,3 +365,32 @@ func TestExecuteRealCellOnce(t *testing.T) {
 		t.Error("Execute is not deterministic for a fixed spec")
 	}
 }
+
+// TestOneSetL1CellFinishes runs a cell whose override leaves the L1D a
+// single set (1KB, 8 ways). XOR set indexing once looped forever on a
+// one-set cache, so such a request pinned an engine worker and a core
+// for good. The cell runs in a goroutine under a deadline, so a
+// regression fails this test instead of hanging the suite.
+func TestOneSetL1CellFinishes(t *testing.T) {
+	spec := Spec{
+		Experiment: ExpRun, Bench: "SYRK", Sched: "GTO",
+		Options: OptionSpec{InstrPerWarp: 300},
+		Config:  &harness.Override{L1SizeKB: 1, L1Ways: 8},
+	}
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := Execute(spec)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("one-set L1 cell did not finish within 20s")
+	}
+}

@@ -330,17 +330,10 @@ func (g *GPU) skipTo(c uint64) {
 func (g *GPU) Step() {
 	now := g.cycle
 
-	// 1. Retire ready fills. NextReady answers the common "nothing in
-	// flight is due yet" case in O(1), so a quiescent response queue
-	// costs one comparison.
-	if rc, ok := g.respQ.NextReady(); ok && rc <= now {
-		for {
-			ev, ok := g.respQ.PopReady(now)
-			if !ok {
-				break
-			}
-			g.handleFill(ev, now)
-		}
+	// 1. Retire ready fills. A response queue with nothing due yet
+	// costs one key read.
+	for ev, ok := g.respQ.PopReady(now); ok; ev, ok = g.respQ.PopReady(now) {
+		g.handleFill(ev, now)
 	}
 
 	// 2. Controller epoch work.
@@ -470,14 +463,7 @@ func (g *GPU) load(w *Warp, ins *workload.Instruction, now uint64) (issued, mshr
 	}
 	if path == PathBypass {
 		for _, a := range addrs {
-			done := g.l2c.Bypass(now, a, false)
-			g.respQ.Push(memory.Event{
-				Req:        memory.Request{Addr: a, Kind: memory.Load, WarpID: w.ID, IssueCycle: now},
-				Line:       a.LineAddr(),
-				ReadyCycle: done,
-				Payload:    payloadBypass,
-			})
-			w.Outstanding++
+			g.bypass(w, memory.Request{Addr: a, Kind: memory.Load, WarpID: w.ID, IssueCycle: now}, now)
 		}
 		return true, false
 	}
@@ -493,46 +479,27 @@ func (g *GPU) load(w *Warp, ins *workload.Instruction, now uint64) (issued, mshr
 	return true, false
 }
 
+// loadL1 serves a load through L1D. Each line probes the MSHR once;
+// the entry or vacant slot Find returns serves the whole access.
 func (g *GPU) loadL1(w *Warp, addrs []memory.Addr, now uint64) {
 	misses := 0
 	for _, a := range addrs {
+		req := memory.Request{Addr: a, Kind: memory.Load, WarpID: w.ID, IssueCycle: now}
+		slot, e := g.mshr.Find(a)
 		// Secondary access to an in-flight line: merge silently. It is
 		// neither a hit nor a fresh miss, and it must not probe the
 		// VTA (the line is coming; locality was not lost).
-		if e := g.mshr.Lookup(a); e != nil && !e.SharedValid {
-			if g.mshr.CanAllocate(a) {
-				g.mshr.Allocate(memory.Request{Addr: a, Kind: memory.Load, WarpID: w.ID, IssueCycle: now})
-				w.Outstanding++
-				misses++
-				continue
-			}
+		if e != nil && !e.SharedValid && g.mshr.Merge(e, req) {
+			w.Outstanding++
+			misses++
+			continue
 		}
 		if g.l1.Access(a, w.ID, now, false) {
 			continue
 		}
 		misses++
 		g.probeVTA(w, a, now, false)
-		req := memory.Request{Addr: a, Kind: memory.Load, WarpID: w.ID, IssueCycle: now}
-		if !g.mshr.CanAllocate(a) {
-			// Merge-limit overflow on a hot line: fetch directly
-			// without an MSHR slot (the fill bypasses L1 allocation).
-			done := g.l2c.Bypass(now, a, false)
-			g.respQ.Push(memory.Event{Req: req, Line: a.LineAddr(), ReadyCycle: done, Payload: payloadBypass})
-			w.Outstanding++
-			continue
-		}
-		_, merged := g.mshr.Allocate(req)
-		if !merged {
-			done, level := g.l2c.Access(now, a, w.ID, false)
-			g.respQ.Push(memory.Event{
-				Req:        req,
-				Line:       a.LineAddr(),
-				ReadyCycle: done,
-				HitLevel:   level,
-				Payload:    payloadL1,
-			})
-		}
-		w.Outstanding++
+		g.fetch(w, req, slot, e, now, payloadL1)
 	}
 	if misses == 0 {
 		w.NextReady = now + uint64(g.cfg.L1.HitLatency) + uint64(g.cfg.DependLatency) - 1
@@ -544,14 +511,13 @@ func (g *GPU) loadL1(w *Warp, addrs []memory.Addr, now uint64) {
 func (g *GPU) loadShared(w *Warp, addrs []memory.Addr, now uint64) {
 	misses, migrations := 0, 0
 	for _, a := range addrs {
+		req := memory.Request{Addr: a, Kind: memory.Load, WarpID: w.ID, IssueCycle: now}
+		slot, e := g.mshr.Find(a)
 		// Secondary access to an in-flight shared fill: merge silently.
-		if e := g.mshr.Lookup(a); e != nil && e.SharedValid {
-			if g.mshr.CanAllocate(a) {
-				g.mshr.Allocate(memory.Request{Addr: a, Kind: memory.Load, WarpID: w.ID, IssueCycle: now})
-				w.Outstanding++
-				misses++
-				continue
-			}
+		if e != nil && e.SharedValid && g.mshr.Merge(e, req) {
+			w.Outstanding++
+			misses++
+			continue
 		}
 		// Serialized L1D tag check first: a resident copy must migrate
 		// so exactly one copy exists.
@@ -567,26 +533,9 @@ func (g *GPU) loadShared(w *Warp, addrs []memory.Addr, now uint64) {
 		}
 		misses++
 		g.probeVTA(w, a, now, true)
-		req := memory.Request{Addr: a, Kind: memory.Load, WarpID: w.ID, IssueCycle: now}
-		if !g.mshr.CanAllocate(a) {
-			done := g.l2c.Bypass(now, a, false)
-			g.respQ.Push(memory.Event{Req: req, Line: a.LineAddr(), ReadyCycle: done, Payload: payloadBypass})
-			w.Outstanding++
-			continue
+		if e = g.fetch(w, req, slot, e, now, payloadShared); e != nil {
+			e.SharedValid = true
 		}
-		entry, merged := g.mshr.Allocate(req)
-		entry.SharedValid = true
-		if !merged {
-			done, level := g.l2c.Access(now, a, w.ID, false)
-			g.respQ.Push(memory.Event{
-				Req:        req,
-				Line:       a.LineAddr(),
-				ReadyCycle: done,
-				HitLevel:   level,
-				Payload:    payloadShared,
-			})
-		}
-		w.Outstanding++
 	}
 	switch {
 	case misses > 0:
@@ -596,6 +545,37 @@ func (g *GPU) loadShared(w *Warp, addrs []memory.Addr, now uint64) {
 	default:
 		w.NextReady = now + uint64(g.cfg.SharedHitLatency) + uint64(g.cfg.DependLatency) - 1
 	}
+}
+
+// fetch sends a primary miss on req's line to the MSHR, given the
+// entry e or vacant slot that Find returned for the line: it merges
+// into an entry in flight, or inserts one and sends the request to L2
+// with the given fill payload. It returns the entry, or nil when the
+// entry's merge list is full or no entry is free; the line is then
+// fetched with bypass, without an MSHR slot.
+func (g *GPU) fetch(w *Warp, req memory.Request, slot int, e *memory.MSHREntry, now uint64, payload int) *memory.MSHREntry {
+	if e != nil {
+		if !g.mshr.Merge(e, req) {
+			e = nil
+		}
+	} else if e = g.mshr.Insert(slot, req); e != nil {
+		done, level := g.l2c.Access(now, req.Addr, w.ID, false)
+		g.respQ.Push(memory.Event{Req: req, Line: req.Addr.LineAddr(), ReadyCycle: done, HitLevel: level, Payload: payload})
+	}
+	if e == nil {
+		g.bypass(w, req, now)
+		return nil
+	}
+	w.Outstanding++
+	return e
+}
+
+// bypass fetches req's line from L2 without an MSHR entry; its fill
+// only wakes the warp and allocates no cache line.
+func (g *GPU) bypass(w *Warp, req memory.Request, now uint64) {
+	done := g.l2c.Bypass(now, req.Addr, false)
+	g.respQ.Push(memory.Event{Req: req, Line: req.Addr.LineAddr(), ReadyCycle: done, Payload: payloadBypass})
+	w.Outstanding++
 }
 
 // fillShared installs a line into the shared cache, feeding evictions

@@ -70,9 +70,10 @@ func (w *Warp) Ready(now uint64) bool {
 // with their own eligibility predicate (e.g. the barrier boost that
 // lets a stalled warp run when its CTA is blocked at a barrier).
 // A warp with in-flight fills may keep issuing (hit-under-miss) until
-// its MLP budget is exhausted.
+// its MLP budget is exhausted. NextReady is tested first: it is the
+// check that most often fails in a scheduler's scan.
 func (w *Warp) Issueable(now uint64) bool {
-	return !w.Finished && !w.AtBarrier && w.Outstanding < w.maxPending() && w.NextReady <= now
+	return w.NextReady <= now && !w.Finished && !w.AtBarrier && w.Outstanding < w.maxPending()
 }
 
 // Runnable reports whether the warp could ever issue again regardless
