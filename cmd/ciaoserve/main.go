@@ -9,11 +9,10 @@
 // skipped, failed ones re-run (disable with -no-recover). One
 // ciaoserve owns a -sweepdir.
 //
-// Sweep results live in a tiered store: an append-only NDJSON tail
-// per sweep, compacted (automatically past -compact-after records, or
-// on demand) into immutable, optionally gzip'd segments that read
-// back as one logical stream. Live /sweeps/{id}/results followers
-// share one broadcast of the append path instead of polling the file.
+// Each sweep's results live in one append-only NDJSON file beside its
+// manifest. Live /sweeps/{id}/results followers copy that file as it
+// grows, woken by each append instead of polling it; -sync-results
+// fsyncs every record.
 //
 // Endpoints:
 //
@@ -27,13 +26,11 @@
 //	GET    /sweeps               list sweeps
 //	GET    /sweeps/{id}          sweep progress (done/total, failures,
 //	                             geomean-so-far)
-//	GET    /sweeps/{id}/results  stream results as NDJSON (segments +
-//	                             live tail; ?follow=0 for a snapshot)
-//	POST   /sweeps/{id}/compact  compact the live tail's settled prefix
-//	                             into an immutable segment now
+//	GET    /sweeps/{id}/results  stream results as NDJSON, following the
+//	                             sweep live (?follow=0 for a snapshot)
 //	DELETE /sweeps/{id}          cancel a sweep (results kept on disk;
 //	                             restarts do not resume it)
-//	GET    /metrics              cache/engine/sweep/store counters
+//	GET    /metrics              cache/engine/sweep counters
 //	                             plus per-route RED metrics; JSON by
 //	                             default, Prometheus text exposition
 //	                             with ?format=prom or Accept: text/plain
@@ -74,9 +71,7 @@ func main() {
 		sweepDir  = flag.String("sweepdir", "sweeps", "directory for on-disk sweep results")
 		noRecover = flag.Bool("no-recover", false, "do not resume the interrupted sweeps under -sweepdir at startup")
 
-		compactAfter = flag.Int("compact-after", 4096, "result store: auto-compact a sweep's live tail into an immutable segment once it holds this many records (0 = only on POST /sweeps/{id}/compact)")
-		gzipSegments = flag.Bool("gzip-segments", false, "result store: gzip-compress newly written segments")
-		syncResults  = flag.Bool("sync-results", false, "result store: fsync after every settled cell record; off, a power loss can drop the last unflushed lines (their cells re-run on resume)")
+		syncResults = flag.Bool("sync-results", false, "fsync a sweep's results file after every settled cell record; off, a power loss can drop the last unflushed lines (their cells re-run on resume)")
 
 		maxQueue    = flag.Int("maxqueue", 256, "overload: max requests queued for an engine slot before /run and /sweeps shed with 429 (<= 0 disables)")
 		shedLatency = flag.Duration("shedlatency", 0, "overload: shed /run and /sweeps when the observed /run p95 exceeds this (0 disables)")
@@ -91,8 +86,6 @@ func main() {
 		cacheEntries: *entries,
 		jobs:         *jobs,
 		sweepDir:     *sweepDir,
-		compactAfter: *compactAfter,
-		gzipSegments: *gzipSegments,
 		syncResults:  *syncResults,
 		maxQueue:     *maxQueue,
 		shedLatency:  *shedLatency,

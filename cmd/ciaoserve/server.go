@@ -21,13 +21,8 @@ type serverOpts struct {
 	sweepDir     string
 	parallelism  int
 
-	// Tiered result store tuning: compactAfter auto-freezes a sweep's
-	// settled tail prefix into an immutable segment once the tail holds
-	// that many records (0 = on-demand only), gzipSegments compresses
-	// new segments, syncResults fsyncs every settled record.
-	compactAfter int
-	gzipSegments bool
-	syncResults  bool
+	// syncResults fsyncs every settled cell record of every sweep.
+	syncResults bool
 
 	// Overload protection: maxQueue bounds requests waiting for an
 	// engine slot before /run and /sweeps shed with 429; shedLatency
@@ -72,11 +67,7 @@ func newServer(o serverOpts) *server {
 	}
 	engine := service.NewEngine(service.Config{Workers: o.workers, CacheEntries: cacheEntries, MaxJobs: o.jobs, Run: o.run})
 	sweeps := sweep.NewManager(engine, o.sweepDir, o.parallelism)
-	sweeps.SetStoreOptions(sweep.StoreOptions{
-		SyncAppend:   o.syncResults,
-		CompactAfter: o.compactAfter,
-		GzipSegments: o.gzipSegments,
-	})
+	sweeps.SetSyncResults(o.syncResults)
 
 	red := metrics.NewRED()
 	sweepRED := metrics.NewRED()

@@ -190,11 +190,6 @@ var promFamilies = []string{
 	"ciao_sweep_cells_failed_total counter",
 	"ciao_sweeps_active gauge",
 	"ciao_sweeps_tracked gauge",
-	"ciao_store_compactions_total counter",
-	"ciao_store_segments_written_total counter",
-	"ciao_store_segment_bytes_total counter",
-	"ciao_store_tail_lagged_total counter",
-	"ciao_store_tail_subscribers gauge",
 }
 
 // TestServerMetricsFormats checks the /metrics content negotiation:

@@ -2,8 +2,8 @@
 // from a JSON spec file (see examples/sweep-l1-capacity.json): axes
 // over schedulers × benchmarks/classes × machine-configuration
 // overrides expand into cells, cells execute through the same cached
-// worker-pool engine as ciaoserve, and every outcome appends to an
-// on-disk NDJSON store.
+// worker-pool engine as ciaoserve, and every outcome appends one line
+// to the results directory's append-only results.ndjson.
 //
 // A spec with a "search" clause (see
 // examples/sweep-synthetic-halving.json) runs a successive-halving
@@ -58,8 +58,6 @@ func main() {
 		shard    = flag.String("shard", "", "run only shard i of n, as i/n (e.g. 0/2)")
 		merge    = flag.String("merge", "", "comma-separated shard store directories to merge into -dir, then exit")
 		every    = flag.Duration("progress", 2*time.Second, "progress print interval (0 disables)")
-		compact  = flag.Bool("compact", false, "compact the store's settled records into an immutable segment after a run or merge finishes")
-		gzipSegs = flag.Bool("gzip-segments", false, "gzip-compress segments written by -compact")
 	)
 	flag.Parse()
 	log.SetFlags(0)
@@ -67,33 +65,17 @@ func main() {
 
 	var err error
 	if *merge != "" {
-		err = runMerge(*specPath, *dir, *merge, *compact, *gzipSegs)
+		err = runMerge(*specPath, *dir, *merge)
 	} else {
-		err = run(*specPath, *dir, *resume, *workers, *entries, *shard, *every, *compact, *gzipSegs)
+		err = run(*specPath, *dir, *resume, *workers, *entries, *shard, *every)
 	}
 	if err != nil {
 		log.Fatal(err)
 	}
 }
 
-// compactStore freezes a store's settled records into a segment (the
-// -compact flag's shared tail for runs and merges).
-func compactStore(store *sweep.Store, gzipSegs bool) error {
-	store.SetOptions(sweep.StoreOptions{GzipSegments: gzipSegs})
-	seg, compacted, err := store.Compact()
-	if err != nil {
-		return err
-	}
-	if compacted {
-		log.Printf("compacted %d record(s) (%d bytes) into %s", seg.Records, seg.Bytes, seg.Name)
-	}
-	return nil
-}
-
 // runMerge collapses hand-sharded stores into one canonical store.
-// Segmented sources merge like flat ones — ReadRecords walks their
-// segments and tail as one stream.
-func runMerge(specPath, dir, srcs string, compact, gzipSegs bool) error {
+func runMerge(specPath, dir, srcs string) error {
 	if specPath == "" {
 		return errors.New("-spec is required")
 	}
@@ -125,13 +107,10 @@ func runMerge(specPath, dir, srcs string, compact, gzipSegs bool) error {
 		log.Printf("merged %s: %d record(s) appended, %d duplicate(s) skipped", src, merged, skipped)
 	}
 	log.Printf("%s now holds %d/%d completed cells", dir, len(store.Completed()), len(cells))
-	if compact {
-		return compactStore(store, gzipSegs)
-	}
 	return nil
 }
 
-func run(specPath, dir string, resume bool, workers, entries int, shard string, every time.Duration, compact, gzipSegs bool) error {
+func run(specPath, dir string, resume bool, workers, entries int, shard string, every time.Duration) error {
 	if specPath == "" {
 		return errors.New("-spec is required")
 	}
@@ -235,9 +214,6 @@ func run(specPath, dir string, resume bool, workers, entries int, shard string, 
 	case sweep.StateDone:
 		if final.Failed > 0 {
 			return fmt.Errorf("%d of %d cells failed (see %s)", final.Failed, final.Total, store.ResultsPath())
-		}
-		if compact {
-			return compactStore(store, gzipSegs)
 		}
 		return nil
 	default:

@@ -22,7 +22,7 @@ func benchRecord(i int) CellRecord {
 }
 
 // BenchmarkStoreAppend measures the hot write path: one NDJSON line
-// appended, deduped, and broadcast (with no subscribers attached).
+// appended and deduped (with no followers attached).
 func BenchmarkStoreAppend(b *testing.B) {
 	st, err := Create(filepath.Join(b.TempDir(), "s"), "bench", testSpec(), b.N)
 	if err != nil {
@@ -37,42 +37,5 @@ func BenchmarkStoreAppend(b *testing.B) {
 		if err := st.Append(rec); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkSegmentRead measures a full ReadRecords over a compacted
-// store — the recovery/merge read path — for plain and gzip segments.
-func BenchmarkSegmentRead(b *testing.B) {
-	const records = 4096
-	for _, gz := range []bool{false, true} {
-		name := "plain"
-		if gz {
-			name = "gzip"
-		}
-		b.Run(name, func(b *testing.B) {
-			dir := filepath.Join(b.TempDir(), "s")
-			st, err := Create(dir, "bench", testSpec(), records)
-			if err != nil {
-				b.Fatal(err)
-			}
-			st.SetOptions(StoreOptions{GzipSegments: gz})
-			for i := 0; i < records; i++ {
-				if err := st.Append(benchRecord(i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if _, ok, err := st.Compact(); err != nil || !ok {
-				b.Fatalf("Compact = (%v, %v)", ok, err)
-			}
-			st.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				recs, corrupt, err := ReadRecords(dir)
-				if err != nil || corrupt != 0 || len(recs) != records {
-					b.Fatalf("ReadRecords = (%d recs, %d corrupt, %v)", len(recs), corrupt, err)
-				}
-			}
-		})
 	}
 }

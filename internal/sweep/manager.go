@@ -33,10 +33,9 @@ type Manager struct {
 	maxRuns  int
 	seq      uint64
 
-	counters      metrics.SweepCounters
-	storeCounters metrics.StoreCounters // tiered-store metrics, shared by every store
-	storeOpts     StoreOptions          // applied to every store this manager opens
-	red           *metrics.RED          // per-sweep cell RED series, nil = disabled
+	counters    metrics.SweepCounters
+	syncResults bool         // fsync every record of every store this manager opens
+	red         *metrics.RED // per-sweep cell RED series, nil = disabled
 }
 
 // NewManager builds a manager persisting sweeps under dir.
@@ -60,16 +59,15 @@ func NewManager(e *service.Engine, dir string, parallelism int) *Manager {
 // before serving requests.
 func (m *Manager) SetRED(r *metrics.RED) { m.red = r }
 
-// SetStoreOptions sets the durability/compaction tuning applied to
-// every store the manager opens from now on (started or recovered).
-// Call before serving requests.
-func (m *Manager) SetStoreOptions(o StoreOptions) { m.storeOpts = o }
+// SetSyncResults makes every store the manager opens from now on
+// (started or recovered) fsync each record it appends (see
+// Store.SetSync). Call before serving requests.
+func (m *Manager) SetSyncResults(on bool) { m.syncResults = on }
 
-// observeStore hooks a sweep's store into the manager's observability
-// and applies the configured store options.
+// observeStore applies the manager's sync setting to a sweep's store
+// and hooks the store into the manager's observability.
 func (m *Manager) observeStore(id string, store *Store) {
-	store.SetOptions(m.storeOpts)
-	store.SetCounters(&m.storeCounters)
+	store.SetSync(m.syncResults)
 	if m.red == nil {
 		return
 	}
@@ -483,7 +481,6 @@ func (m *Manager) MetricsSnapshot() map[string]any {
 		"cells_failed": snap.CellsFailed,
 		"active":       active,
 		"tracked":      total,
-		"store":        m.storeCounters.Snapshot(),
 	}
 }
 
@@ -506,12 +503,6 @@ func (m *Manager) WriteProm(p *metrics.PromWriter) {
 	p.Counter("ciao_sweep_cells_failed_total", "Sweep cell failures.", snap.CellsFailed)
 	p.Gauge("ciao_sweeps_active", "Sweeps currently running.", float64(active))
 	p.Gauge("ciao_sweeps_tracked", "Sweep run records retained in memory.", float64(tracked))
-	store := m.storeCounters.Snapshot()
-	p.Counter("ciao_store_compactions_total", "Result-store compaction rewrites.", store.Compactions)
-	p.Counter("ciao_store_segments_written_total", "Immutable result segments written.", store.SegmentsWritten)
-	p.Counter("ciao_store_segment_bytes_total", "Result bytes moved into immutable segments (uncompressed).", store.SegmentBytes)
-	p.Counter("ciao_store_tail_lagged_total", "Result followers cut off for lagging the broadcast.", store.TailLagged)
-	p.Gauge("ciao_store_tail_subscribers", "Live result-stream followers.", float64(store.TailSubscribers))
 	if m.red != nil {
 		m.red.WriteProm(p, "ciao_sweep_cell", "sweep")
 	}
@@ -525,11 +516,9 @@ const maxSpecBytes = 1 << 20
 //	POST   /sweeps                       — start a sweep from a JSON spec (202)
 //	GET    /sweeps                       — list sweeps
 //	GET    /sweeps/{id}                  — progress (done/total, failures, geomean)
-//	GET    /sweeps/{id}/results          — NDJSON result stream (segments +
-//	                                       live tail spliced); follows the
-//	                                       sweep live unless ?follow=0
-//	POST   /sweeps/{id}/compact          — freeze the tail's settled prefix
-//	                                       into a segment now
+//	GET    /sweeps/{id}/results          — the results.ndjson stream;
+//	                                       follows the sweep live unless
+//	                                       ?follow=0
 //	DELETE /sweeps/{id}                  — cancel; completed cells stay on
 //	                                       disk, and restarts skip the sweep
 func (m *Manager) Handler() http.Handler {
@@ -570,27 +559,6 @@ func (m *Manager) Handler() http.Handler {
 		m.streamResults(w, r, run)
 	})
 
-	mux.HandleFunc("POST /sweeps/{id}/compact", func(w http.ResponseWriter, r *http.Request) {
-		run, ok := m.Get(r.PathValue("id"))
-		if !ok {
-			httpError(w, http.StatusNotFound, fmt.Errorf("sweep: unknown sweep %q", r.PathValue("id")))
-			return
-		}
-		seg, compacted, err := run.store.Compact()
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err)
-			return
-		}
-		resp := struct {
-			Compacted bool         `json:"compacted"`
-			Segment   *SegmentInfo `json:"segment,omitempty"`
-		}{Compacted: compacted}
-		if compacted {
-			resp.Segment = &seg
-		}
-		writeJSON(w, http.StatusOK, resp)
-	})
-
 	mux.HandleFunc("DELETE /sweeps/{id}", func(w http.ResponseWriter, r *http.Request) {
 		run, ok, err := m.Cancel(r.PathValue("id"))
 		if !ok {
@@ -612,66 +580,39 @@ func (m *Manager) Handler() http.Handler {
 	return mux
 }
 
-// streamResults writes the store's logical result stream (committed
-// segments spliced with the live tail) to the client and, by default,
-// keeps following it until the sweep's store closes (tail -f
-// semantics, ending in a clean EOF instead of an idle hang). ?follow=0
-// returns the current snapshot.
+// streamResults writes the sweep's results.ndjson to the client and,
+// by default, keeps following it until the sweep's store closes (tail
+// -f semantics, ending in a clean EOF instead of an idle hang).
+// ?follow=0 returns the current snapshot.
 //
-// Followers ride the store's broadcast hub: one subscription per
-// client, fed from the single in-memory append path, so N watchers do
-// not cost N disk pollers. Disk is read only to catch a subscriber up
-// — on first attach, or after it lagged the broadcast and was cut off.
-// Byte offsets into the logical stream survive compaction, so a
-// resync never re-sends or skips a record. Client disconnects are
-// noticed via the request context, not the next append.
+// A follower copies the file's settled prefix, which never changes,
+// without holding the store lock, then waits for the next Append or
+// Close to wake it; each wake copies whatever was appended since. So
+// followers never hold up an append, and a slow one only falls behind
+// itself. Client disconnects are noticed via the request context, not
+// the next append.
 func (m *Manager) streamResults(w http.ResponseWriter, r *http.Request, run *Run) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
-	flush := func() {
+	follow := r.URL.Query().Get("follow") != "0"
+	var sent int64
+	for {
+		size, wake := run.store.Follow()
+		if err := run.store.CopyRange(w, sent, size); err != nil {
+			return // client went away (or the store is gone)
+		}
+		sent = size
 		if flusher != nil {
 			flusher.Flush()
 		}
-	}
-	if r.URL.Query().Get("follow") == "0" {
-		run.store.CopyRange(w, 0, run.store.LogicalSize())
-		return
-	}
-	ctx := r.Context()
-	var sent int64
-	for {
-		off, ch, cancel := run.store.Subscribe()
-		if off > sent {
-			if err := run.store.CopyRange(w, sent, off); err != nil {
-				cancel()
-				return // client went away (or the store is gone)
-			}
-			sent = off
-			flush()
-		}
-		if ch == nil {
+		if wake == nil || !follow {
 			return // store closed: the stream is complete — clean EOF
 		}
-	consume:
-		for {
-			select {
-			case line, ok := <-ch:
-				if !ok {
-					// Lagged or closing: resubscribe and resync from sent.
-					break consume
-				}
-				if _, err := w.Write(line); err != nil {
-					cancel()
-					return
-				}
-				sent += int64(len(line))
-				flush()
-			case <-ctx.Done():
-				cancel()
-				return
-			}
+		select {
+		case <-wake:
+		case <-r.Context().Done():
+			return
 		}
-		cancel()
 	}
 }
 

@@ -38,6 +38,31 @@ func TestManagerStartSurfacesBothStoreErrors(t *testing.T) {
 	}
 }
 
+// TestRecoverReportsCompactedDirectoryAndResumesTheRest: a sweep
+// directory an older version compacted must not strand the others.
+// Recover names it in its error and still resumes the interrupted
+// sweep beside it, and a re-POST of its spec is refused the same way.
+func TestRecoverReportsCompactedDirectoryAndResumesTheRest(t *testing.T) {
+	base := t.TempDir()
+	plain, _ := eightCells(t)
+	old := plain
+	old.Name = "compacted"
+	partialSweep(t, base, plain, fakeEngine(0), nil)
+	partialSweep(t, base, old, fakeEngine(0), nil)
+	oldDir := keyDir(base, old)
+	compactLikeAnOlderVersion(t, oldDir)
+
+	m := NewManager(fakeEngine(0), base, 0)
+	n, err := m.Recover()
+	if n != 1 || err == nil || !strings.Contains(err.Error(), oldDir) {
+		t.Fatalf("Recover = (%d, %v), want 1 resumed and an error naming %s", n, err, oldDir)
+	}
+	resumed(t, m, plain)
+	if _, err := m.Start(old); err == nil || !strings.Contains(err.Error(), oldDir) {
+		t.Errorf("Start over the compacted directory = %v, want an error naming %s", err, oldDir)
+	}
+}
+
 // TestRecoverIsANoopWithoutSweeps: Recover must tolerate a base
 // directory that does not exist yet — the common first-boot case.
 func TestRecoverIsANoopWithoutSweeps(t *testing.T) {

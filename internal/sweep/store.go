@@ -13,8 +13,6 @@ import (
 	"path/filepath"
 	"sync"
 	"time"
-
-	"repro/internal/metrics"
 )
 
 // Store file names inside a sweep directory.
@@ -64,50 +62,26 @@ type CellRecord struct {
 	Result json.RawMessage `json:"result,omitempty"`
 }
 
-// StoreOptions tune the tiered store's durability and compaction.
-// The zero value matches the historical behaviour: no fsync per
-// append, compaction only on demand, uncompressed segments.
-type StoreOptions struct {
-	// SyncAppend fsyncs the results file after every append. Off, a
-	// kill loses at most the OS page cache's unflushed lines (their
-	// cells simply re-run on resume); on, a settled record survives
-	// power loss at the cost of one fsync per cell.
-	SyncAppend bool
-	// CompactAfter triggers an automatic compaction from inside Append
-	// once the live tail holds at least this many records (0 = manual
-	// Compact() only).
-	CompactAfter int
-	// GzipSegments compresses newly written segments.
-	GzipSegments bool
-}
-
-// Store is the tiered, append-only on-disk result set of one sweep:
-// an ordered list of immutable (optionally gzip'd) segment blobs plus
-// a live NDJSON tail, which read as one logical byte stream. Appends
-// go to the tail, serialised, each record a single write of one
-// complete line, so a killed process can lose at most the line being
-// written — Open tolerates (and repairs) a truncated tail. Compaction
-// freezes the tail's settled prefix into a new segment; logical byte
-// offsets into the stream survive it, which is what lets live
-// followers resync after a lag without re-reading from zero.
+// Store is the append-only on-disk result set of one sweep: a
+// manifest plus one NDJSON file, results.ndjson. Appends are
+// serialised, each record a single write of one complete line, so a
+// killed process can lose at most the line being written — Open
+// tolerates (and repairs) a torn final line. The file only grows while
+// the store is open, so any prefix of it a reader has been told about
+// never changes; that is what lets followers copy it without the lock.
 type Store struct {
 	dir      string
 	manifest Manifest
-	backend  *DirBackend // segment blobs + segments.json, under dir/segments
 
 	mu       sync.Mutex
 	f        *os.File
-	segs     []SegmentInfo
-	segBytes int64               // sum of segment extents: the tail's base logical offset
-	tailLen  int64               // bytes currently in the live tail file
-	tailRecs int                 // parseable records currently in the live tail
+	fsync    bool                // fsync after every append
+	size     int64               // bytes in results.ndjson
 	done     map[string]float64  // key → IPC of the last "ok" record
 	failed   map[string]struct{} // keys with failures and no success yet
 	corrupt  int                 // complete-but-unparseable lines seen by load
 	observer func(CellRecord)    // sees each appended record (metrics)
-	opts     StoreOptions
-	counters *metrics.StoreCounters
-	subs     map[*tailSub]struct{} // live followers of the tail broadcast
+	wake     chan struct{}       // closed by the next Append or Close; nil until someone follows
 }
 
 // Sink receives cell records as a sweep executes. *Store is the
@@ -161,11 +135,9 @@ func Create(dir, id string, spec Spec, totalCells int) (*Store, error) {
 // Open reopens an existing store for resumption. The stored manifest's
 // spec key must always match spec — a nameless spec is rejected rather
 // than silently resuming against whatever the directory holds.
-// Consumers that genuinely want "whatever is here" (read-only tooling)
-// must say so explicitly via OpenAny.
 func Open(dir string, spec Spec) (*Store, error) {
 	if spec.Name == "" {
-		return nil, errors.New("sweep: refusing to open a store against a nameless spec (use OpenAny to skip the spec check)")
+		return nil, errors.New("sweep: refusing to open a store against a nameless spec")
 	}
 	m, err := readManifest(dir)
 	if err != nil {
@@ -174,17 +146,6 @@ func Open(dir string, spec Spec) (*Store, error) {
 	if m.SpecKey != spec.Key() {
 		return nil, fmt.Errorf("sweep: %s holds sweep %q (spec key %.12s…), not the requested spec (%.12s…)",
 			dir, m.Spec.Name, m.SpecKey, spec.Key())
-	}
-	return openResults(dir, m)
-}
-
-// OpenAny reopens an existing store without pinning it to a spec — the
-// explicit form of the spec-key skip, for read-only consumers (result
-// streaming, store merging). Runners should use Open.
-func OpenAny(dir string) (*Store, error) {
-	m, err := readManifest(dir)
-	if err != nil {
-		return nil, err
 	}
 	return openResults(dir, m)
 }
@@ -205,91 +166,69 @@ func openResults(dir string, m Manifest) (*Store, error) {
 	s := &Store{
 		dir:      dir,
 		manifest: m,
-		backend:  NewDirBackend(filepath.Join(dir, SegmentsDir)),
 		done:     map[string]float64{},
 		failed:   map[string]struct{}{},
 	}
 	if err := s.load(); err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(s.tailPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(s.ResultsPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("sweep: open results: %w", err)
 	}
 	s.f = f
 	if s.corrupt > 0 {
-		log.Printf("sweep: %s: ignored %d corrupt result line(s); their cells count as incomplete and will re-run", s.tailPath(), s.corrupt)
+		log.Printf("sweep: %s: ignored %d corrupt result line(s); their cells count as incomplete and will re-run", s.ResultsPath(), s.corrupt)
 	}
 	return s, nil
 }
 
-// tailPath is where the live (not yet compacted) results tail lives.
-func (s *Store) tailPath() string { return filepath.Join(s.dir, ResultsFile) }
-
-// load replays the committed segments and then the live tail into the
-// completed-cell set, repairing the two states a kill mid-compaction
-// can leave behind (see Compact for the write protocol):
-//
-//   - a stale results.ndjson.tmp (the compaction died before its
-//     commit point) is deleted — the tail is still whole;
-//   - a tail still carrying the last committed segment's bytes as its
-//     prefix (the compaction committed segments.json but died before
-//     swapping the tail in) gets the swap finished now.
-//
-// A torn final tail line — a kill mid-append — is truncated away from
-// the file itself, not just skipped by the parse: the next append
-// would otherwise fuse with the fragment into one corrupt line, and
-// follower byte offsets must agree with the bytes on disk. Any other
+// load replays results.ndjson into the completed-cell set. A torn
+// final line — a kill mid-append — is truncated away from the file
+// itself, not just skipped by the parse: the next append would
+// otherwise fuse with the fragment into one corrupt line, and follower
+// byte offsets must agree with the bytes on disk. Any other
 // unparseable line is mid-file corruption: it is counted (and logged
 // by openResults) instead of being mistaken for cells to re-run.
 func (s *Store) load() error {
-	segs, err := loadSegmentList(s.backend)
+	data, err := readResults(s.dir)
 	if err != nil {
 		return err
 	}
-	var lastSeg []byte
-	for i, seg := range segs {
-		data, err := readSegment(s.backend, seg)
-		if err != nil {
-			return err
-		}
-		recs, corrupt := recordsFromBytes(data)
-		s.corrupt += corrupt
-		for _, rec := range recs {
-			s.record(rec)
-		}
-		s.segBytes += seg.Bytes
-		if i == len(segs)-1 {
-			lastSeg = data
-		}
-	}
-	s.segs = segs
-
-	os.Remove(s.tailPath() + ".tmp")
-	tail, err := os.ReadFile(s.tailPath())
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("sweep: read results tail: %w", err)
-	}
-	if len(lastSeg) > 0 && bytes.HasPrefix(tail, lastSeg) {
-		tail = tail[len(lastSeg):]
-		if err := writeFileSync(s.tailPath(), tail); err != nil {
-			return fmt.Errorf("sweep: finish interrupted compaction: %w", err)
-		}
-	}
-	if n := completeLen(tail); n < len(tail) {
-		tail = tail[:n]
-		if err := os.Truncate(s.tailPath(), int64(n)); err != nil {
+	if n := completeLen(data); n < len(data) {
+		data = data[:n]
+		if err := os.Truncate(s.ResultsPath(), int64(n)); err != nil {
 			return fmt.Errorf("sweep: drop torn results tail: %w", err)
 		}
 	}
-	recs, corrupt := recordsFromBytes(tail)
-	s.corrupt += corrupt
+	recs, corrupt := recordsFromBytes(data)
 	for _, rec := range recs {
 		s.record(rec)
 	}
-	s.tailLen = int64(len(tail))
-	s.tailRecs = len(recs)
+	s.corrupt = corrupt
+	s.size = int64(len(data))
 	return nil
+}
+
+// legacySegmentList is where older versions of this store, which
+// compacted records out of results.ndjson into segment files, listed
+// those segments.
+const legacySegmentList = "segments/segments.json"
+
+// readResults reads a store directory's results file whole; a missing
+// file reads empty. A directory an older version compacted is refused:
+// part of its records live outside results.ndjson, so reading the file
+// alone would silently re-run their cells.
+func readResults(dir string) ([]byte, error) {
+	if _, err := os.Stat(filepath.Join(dir, legacySegmentList)); err == nil {
+		return nil, fmt.Errorf("sweep: %s was compacted by an older version: the records %s lists are not in %s; fold them back in front of it first (see README, \"Result store\")",
+			dir, legacySegmentList, ResultsFile)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, ResultsFile))
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("sweep: read results: %w", err)
+	}
+	return data, nil
 }
 
 // completeLen returns the length of data up to and including its last
@@ -347,8 +286,7 @@ const maxLineBytes = 1 << 20
 // to use, which reports whether it was usable. A torn final line (no
 // trailing newline — a kill mid-append) is passed with torn=true and
 // never counted corrupt; any other unusable line — use rejected it, or
-// it exceeded maxLine — is. Segment blobs read it from memory, the
-// live tail from disk, with identical torn-tail semantics.
+// it exceeded maxLine — is.
 func scanNDJSON(rd io.Reader, maxLine int, use func(line []byte, torn bool) bool) (corrupt int, err error) {
 	r := bufio.NewReaderSize(rd, maxLine)
 	for {
@@ -396,50 +334,25 @@ func useRecord(recs *[]CellRecord) func(line []byte, torn bool) bool {
 	}
 }
 
-// recordsFromBytes parses NDJSON result lines held in memory (a
-// segment blob, a loaded tail), tolerating a torn final line.
+// recordsFromBytes parses NDJSON result lines held in memory,
+// tolerating a torn final line.
 func recordsFromBytes(data []byte) (recs []CellRecord, corrupt int) {
 	corrupt, _ = scanNDJSON(bytes.NewReader(data), maxLineBytes, useRecord(&recs))
 	return recs, corrupt
 }
 
-// ReadRecords loads every well-formed record from a store directory —
-// committed segments first, then the live tail, i.e. logical stream
-// order — tolerating a torn final tail line. Corrupt mid-file lines
-// are counted, not fatal. It is a read-only scan: an interrupted
-// compaction (segment committed, tail swap unfinished) is skipped
-// over, not repaired — reopening the store repairs it.
+// ReadRecords loads every well-formed record of a store directory's
+// results file, in append order, tolerating a torn final line.
+// Corrupt mid-file lines are counted, not fatal. It is a read-only
+// scan: the torn line is skipped, not truncated — reopening the store
+// repairs it.
 func ReadRecords(dir string) (recs []CellRecord, corrupt int, err error) {
-	b := NewDirBackend(filepath.Join(dir, SegmentsDir))
-	segs, err := loadSegmentList(b)
+	data, err := readResults(dir)
 	if err != nil {
 		return nil, 0, err
 	}
-	var lastSeg []byte
-	for i, seg := range segs {
-		data, err := readSegment(b, seg)
-		if err != nil {
-			return nil, 0, err
-		}
-		r, c := recordsFromBytes(data)
-		recs = append(recs, r...)
-		corrupt += c
-		if i == len(segs)-1 {
-			lastSeg = data
-		}
-	}
-	tail, err := os.ReadFile(filepath.Join(dir, ResultsFile))
-	if errors.Is(err, fs.ErrNotExist) {
-		return recs, corrupt, nil
-	}
-	if err != nil {
-		return nil, 0, err
-	}
-	if len(lastSeg) > 0 && bytes.HasPrefix(tail, lastSeg) {
-		tail = tail[len(lastSeg):] // unfinished tail swap: don't read the frozen prefix twice
-	}
-	r, c := recordsFromBytes(tail)
-	return append(recs, r...), corrupt + c, nil
+	recs, corrupt = recordsFromBytes(data)
+	return recs, corrupt, nil
 }
 
 // Record statuses.
@@ -457,26 +370,20 @@ func (s *Store) SetObserver(fn func(CellRecord)) {
 	s.observer = fn
 }
 
-// SetOptions applies durability/compaction tuning. Call before the
-// store sees concurrent appends (right after Create/Open).
-func (s *Store) SetOptions(o StoreOptions) {
+// SetSync turns the fsync after every append on or off. Off, a kill
+// loses nothing Append returned (the line reached the OS), but a power
+// loss can drop the last unflushed lines — their cells simply re-run
+// on resume; on, a settled record survives power loss at the cost of
+// one fsync per cell. Call before the store sees concurrent appends.
+func (s *Store) SetSync(on bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.opts = o
+	s.fsync = on
 }
 
-// SetCounters points the store at a process-wide metrics block (shared
-// across sweeps). Pass before serving; nil detaches.
-func (s *Store) SetCounters(c *metrics.StoreCounters) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.counters = c
-}
-
-// Append writes one record as a single NDJSON line to the live tail,
-// updates the completed set, and fans the line out to tail
-// subscribers. With SyncAppend set the line is fsync'd before Append
-// returns.
+// Append writes one record as a single NDJSON line, updates the
+// completed set, and wakes the followers waiting for the file to
+// grow. With sync on, the line is fsync'd before Append returns.
 func (s *Store) Append(rec CellRecord) error {
 	line, err := json.Marshal(rec)
 	if err != nil {
@@ -489,21 +396,13 @@ func (s *Store) Append(rec CellRecord) error {
 		return errors.New("sweep: append to a closed store")
 	}
 	_, werr := s.f.Write(line)
-	if werr == nil && s.opts.SyncAppend {
+	if werr == nil && s.fsync {
 		werr = s.f.Sync()
 	}
 	if werr == nil {
 		s.record(rec)
-		s.tailLen += int64(len(line))
-		s.tailRecs++
-		s.publishLocked(line)
-		if s.opts.CompactAfter > 0 && s.tailRecs >= s.opts.CompactAfter {
-			if _, _, cerr := s.compactLocked(); cerr != nil {
-				// Compaction is an optimisation: a failure leaves the tail
-				// longer, never the records worse off.
-				log.Printf("sweep: %s: auto-compaction: %v", s.dir, cerr)
-			}
-		}
+		s.size += int64(len(line))
+		s.wakeLocked()
 	}
 	obs := s.observer
 	s.mu.Unlock()
@@ -514,6 +413,56 @@ func (s *Store) Append(rec CellRecord) error {
 		obs(rec)
 	}
 	return nil
+}
+
+// wakeLocked releases every follower waiting on the current wake
+// channel. Callers hold s.mu.
+func (s *Store) wakeLocked() {
+	if s.wake != nil {
+		close(s.wake)
+		s.wake = nil
+	}
+}
+
+// Follow reports how many bytes of results.ndjson hold appended
+// records and, while the store is open, a channel the next Append or
+// Close closes. Those bytes never change, so a follower copies the
+// ones it has not sent with CopyRange, holding no lock, and then waits
+// on the channel. A nil channel means the store is closed: size is
+// final, and after copying up to it the stream is complete.
+func (s *Store) Follow() (size int64, wake <-chan struct{}) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.f == nil {
+		return s.size, nil
+	}
+	if s.wake == nil {
+		s.wake = make(chan struct{})
+	}
+	return s.size, s.wake
+}
+
+// CopyRange writes bytes [from, to) of results.ndjson to w. to must
+// not exceed a size Follow reported; that prefix of the file never
+// changes, so the copy takes no lock and never holds up Append. It
+// works on a closed store (the file remains).
+func (s *Store) CopyRange(w io.Writer, from, to int64) error {
+	if from < 0 || from > to {
+		return fmt.Errorf("sweep: bad copy range [%d, %d)", from, to)
+	}
+	if from == to {
+		return nil
+	}
+	f, err := os.Open(s.ResultsPath())
+	if err != nil {
+		return fmt.Errorf("sweep: copy range: %w", err)
+	}
+	defer f.Close()
+	n, err := io.Copy(w, io.NewSectionReader(f, from, to-from))
+	if err == nil && n < to-from {
+		err = fmt.Errorf("sweep: copy range: %s ends at byte %d, before %d", s.ResultsPath(), from+n, to)
+	}
+	return err
 }
 
 // Merge appends foreign records (another shard's store) into this
@@ -547,8 +496,8 @@ func (s *Store) Merge(recs []CellRecord) (merged, skipped int, err error) {
 // MergeStore merges every record of the store at srcDir into dst —
 // how separate hand-sharded stores collapse into one canonical store.
 // The source manifest must pin the same spec as dst, upholding the
-// cannot-mix-sweeps invariant across merges. Segmented sources read
-// exactly like flat ones: ReadRecords walks segments then tail.
+// cannot-mix-sweeps invariant across merges. A source an older version
+// compacted is refused, as ReadRecords refuses it.
 func MergeStore(dst *Store, srcDir string) (merged, skipped int, err error) {
 	srcM, err := readManifest(srcDir)
 	if err != nil {
@@ -689,28 +638,16 @@ func (s *Store) rewriteManifestLocked() error {
 // Dir returns the store directory.
 func (s *Store) Dir() string { return s.dir }
 
-// ResultsPath returns the live tail's NDJSON file path. Readers that
-// want the whole result set must not read just this file any more —
-// use ReadRecords or CopyRange, which splice segments and tail back
-// into one stream.
+// ResultsPath returns the path of the store's NDJSON results file,
+// which holds every record the store has accepted.
 func (s *Store) ResultsPath() string { return filepath.Join(s.dir, ResultsFile) }
 
-// Segments snapshots the committed segment list.
-func (s *Store) Segments() []SegmentInfo {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]SegmentInfo(nil), s.segs...)
-}
-
-// Close releases the results file and closes every tail subscription
-// (followers drain what the broadcast already handed them, then see
-// end-of-stream).
+// Close releases the results file and wakes every follower, which
+// then sees a nil wake channel and ends its stream.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for sub := range s.subs {
-		s.dropSubLocked(sub)
-	}
+	s.wakeLocked()
 	if s.f == nil {
 		return nil
 	}

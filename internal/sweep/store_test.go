@@ -1,11 +1,15 @@
 package sweep
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 func testSpec() Spec {
@@ -13,6 +17,12 @@ func testSpec() Spec {
 		Name: "t",
 		Axes: Axes{Schedulers: []string{"GTO"}, Benchmarks: []string{"SYRK", "ATAX"}},
 	}
+}
+
+// okRec builds a minimal successful record for store tests.
+func okRec(key string, ipc float64) CellRecord {
+	return CellRecord{Key: key, Bench: "SYRK", Sched: "GTO", Status: StatusOK, IPC: ipc,
+		Result: json.RawMessage(fmt.Sprintf(`{"ipc":%g}`, ipc))}
 }
 
 func TestStoreRoundTrip(t *testing.T) {
@@ -169,17 +179,9 @@ func TestStoreRejectsNamelessSpec(t *testing.T) {
 		st.Close()
 	}
 	// The old behaviour silently resumed a nameless spec against any
-	// directory; now it is rejected and OpenAny is the explicit opt-out.
+	// directory; now it is rejected.
 	if _, err := Open(dir, Spec{}); err == nil || !strings.Contains(err.Error(), "nameless") {
 		t.Errorf("Open with a nameless spec = %v, want nameless-spec rejection", err)
-	}
-	st, err := OpenAny(dir)
-	if err != nil {
-		t.Fatalf("OpenAny: %v", err)
-	}
-	defer st.Close()
-	if st.Manifest().Spec.Name != "t" {
-		t.Errorf("OpenAny manifest = %+v", st.Manifest())
 	}
 }
 
@@ -300,5 +302,185 @@ func TestStoreSpecMismatch(t *testing.T) {
 	// Creating over an existing sweep is refused.
 	if _, err := Create(dir, "id2", testSpec(), 2); err == nil {
 		t.Error("Create over an existing manifest should fail")
+	}
+}
+
+// TestStoreRefusesCompactedDirectory: a directory an older version
+// compacted keeps records in segments outside results.ndjson. Opening,
+// reading or merging it must fail with an error naming the directory,
+// not silently treat its segmented cells as never run.
+func TestStoreRefusesCompactedDirectory(t *testing.T) {
+	base := t.TempDir()
+	spec := testSpec()
+	dir := filepath.Join(base, "old")
+	st, err := Create(dir, "id", spec, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Append(okRec("k2", 2)); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	compactLikeAnOlderVersion(t, dir)
+
+	if _, err := Open(dir, spec); err == nil || !strings.Contains(err.Error(), dir) {
+		t.Errorf("Open = %v, want a refusal naming %s", err, dir)
+	}
+	if _, _, err := ReadRecords(dir); err == nil || !strings.Contains(err.Error(), dir) {
+		t.Errorf("ReadRecords = %v, want a refusal naming %s", err, dir)
+	}
+	dst, err := Create(filepath.Join(base, "dst"), "dst", spec, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dst.Close()
+	if _, _, err := MergeStore(dst, dir); err == nil || !strings.Contains(err.Error(), dir) {
+		t.Errorf("MergeStore = %v, want a refusal naming %s", err, dir)
+	}
+	if n := len(dst.Completed()); n != 0 {
+		t.Errorf("refused merge still appended %d record(s)", n)
+	}
+}
+
+// compactLikeAnOlderVersion leaves dir the way an older, compacting
+// version of the store did: one record frozen into a segment listed in
+// segments/segments.json, the rest in results.ndjson.
+func compactLikeAnOlderVersion(t *testing.T, dir string) {
+	t.Helper()
+	seg, err := json.Marshal(okRec("k1", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg = append(seg, '\n')
+	list := fmt.Sprintf(`{"segments":[{"name":"seg-000001.ndjson","records":1,"bytes":%d,"gzip":false}]}`, len(seg))
+	if err := os.MkdirAll(filepath.Join(dir, "segments"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{"seg-000001.ndjson": seg, "segments.json": []byte(list)} {
+		if err := os.WriteFile(filepath.Join(dir, "segments", name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// follow copies st's results file into w the way streamResults does —
+// the unsent prefix Follow reports, then a wait for the next wake —
+// until the store closes.
+func follow(st *Store, w *bytes.Buffer) error {
+	var sent int64
+	for {
+		size, wake := st.Follow()
+		if err := st.CopyRange(w, sent, size); err != nil {
+			return err
+		}
+		sent = size
+		if wake == nil {
+			return nil
+		}
+		<-wake
+	}
+}
+
+// TestStoreConcurrentAppendAndFollow races appenders against followers
+// that attach at different moments — the -race workout for the
+// store's locking. Each follower must end, once the store closes, with
+// exactly the bytes of results.ndjson, and those bytes must hold every
+// appended record exactly once.
+func TestStoreConcurrentAppendAndFollow(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "s")
+	st, err := Create(dir, "id", testSpec(), 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, perWriter, followers = 4, 32, 6
+	got := make([]bytes.Buffer, followers)
+	errs := make(chan error, followers)
+	var appended sync.WaitGroup
+	appended.Add(writers)
+	for w := 0; w < writers; w++ {
+		go func(w int) {
+			defer appended.Done()
+			for i := 0; i < perWriter; i++ {
+				if err := st.Append(okRec(fmt.Sprintf("w%d-k%d", w, i), 1)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	for i := range got {
+		go func(i int) {
+			time.Sleep(time.Duration(i) * 200 * time.Microsecond) // attach mid-stream
+			errs <- follow(st, &got[i])
+		}(i)
+	}
+	appended.Wait()
+	st.Close()
+	for range got {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("a follower never saw the store close")
+		}
+	}
+
+	want, err := os.ReadFile(filepath.Join(dir, ResultsFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		if !bytes.Equal(got[i].Bytes(), want) {
+			t.Fatalf("follower %d holds %d bytes that differ from the %d in %s", i, got[i].Len(), len(want), ResultsFile)
+		}
+	}
+	recs, corrupt := recordsFromBytes(want)
+	if corrupt != 0 || len(recs) != writers*perWriter {
+		t.Fatalf("stream holds %d records (%d corrupt), want %d", len(recs), corrupt, writers*perWriter)
+	}
+	seen := map[string]int{}
+	for _, r := range recs {
+		seen[r.Key]++
+	}
+	for k, n := range seen {
+		if n != 1 {
+			t.Errorf("record %s appears %d times", k, n)
+		}
+	}
+}
+
+// TestFollowClosedStore: Close wakes a waiting follower, and on a
+// closed store Follow returns no wake channel — so a follower ends its
+// stream instead of waiting forever — with the file's full size.
+func TestFollowClosedStore(t *testing.T) {
+	st, err := Create(filepath.Join(t.TempDir(), "s"), "id", testSpec(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Append(okRec("k1", 1)); err != nil {
+		t.Fatal(err)
+	}
+	size, wake := st.Follow()
+	if wake == nil {
+		t.Fatal("Follow on an open store returned no wake channel")
+	}
+	st.Close()
+	select {
+	case <-wake:
+	default:
+		t.Fatal("Close did not wake the follower")
+	}
+	final, wake := st.Follow()
+	if wake != nil {
+		t.Error("Follow on a closed store returned a wake channel")
+	}
+	info, err := os.Stat(st.ResultsPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final != size || final != info.Size() {
+		t.Errorf("closed-store size = %d, want %d (the whole file)", final, info.Size())
 	}
 }

@@ -2,10 +2,9 @@ package sweep
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
-	"io"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -31,23 +30,6 @@ func gatedEngine(bench, sched string) (*service.Engine, func()) {
 		},
 	})
 	return eng, func() { close(gate) }
-}
-
-func getBody(t *testing.T, url string) []byte {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s: %d", url, resp.StatusCode)
-	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
 }
 
 // TestStreamResultsFollowEndsCleanly: the default (follow) stream
@@ -93,20 +75,22 @@ func TestStreamResultsFollowEndsCleanly(t *testing.T) {
 }
 
 // TestStreamResultsDisconnectDropsSubscriber: a follower that goes
-// away is noticed via its request context and unsubscribed promptly —
-// not discovered dead at the next append.
+// away is noticed via its request context and its handler returns
+// promptly — not when the next append wakes it.
 func TestStreamResultsDisconnectDropsSubscriber(t *testing.T) {
 	eng, release := gatedEngine("ATAX", "GTO")
 	mgr := NewManager(eng, t.TempDir(), 0)
-	srv := httptest.NewServer(mgr.Handler())
+	h := mgr.Handler()
+	returned := make(chan struct{}, 1)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r)
+		if strings.HasSuffix(r.URL.Path, "/results") {
+			returned <- struct{}{}
+		}
+	}))
 	defer srv.Close()
 
 	st := postSweep(t, srv.URL, `{"name":"gone","axes":{"schedulers":["GTO"],"benchmarks":["SYRK","ATAX"]}}`)
-	run, ok := mgr.Get(st.ID)
-	if !ok {
-		t.Fatal("run not tracked")
-	}
-
 	ctx, cancel := context.WithCancel(context.Background())
 	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/sweeps/"+st.ID+"/results", nil)
 	resp, err := http.DefaultClient.Do(req)
@@ -114,60 +98,41 @@ func TestStreamResultsDisconnectDropsSubscriber(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	waitFor(t, "follower subscribed", func() bool { return run.store.TailSubscribers() == 1 })
+	// The gated cell pins the sweep open, so only the client can end
+	// this stream.
+	select {
+	case <-returned:
+		t.Fatal("results handler returned while its client still followed")
+	case <-time.After(50 * time.Millisecond):
+	}
 
 	cancel() // the client vanishes mid-follow
-	waitFor(t, "subscriber dropped on disconnect", func() bool { return run.store.TailSubscribers() == 0 })
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("results handler still running after its client disconnected")
+	}
 
 	release()
 	waitDone(t, srv.URL, st.ID)
 }
 
-// TestStreamAndEndpointsAcrossCompaction: compacting a finished sweep
-// through POST /sweeps/{id}/compact changes neither the snapshot nor
-// the followed stream.
-func TestStreamAndEndpointsAcrossCompaction(t *testing.T) {
+// TestSweepHTTPCompactRouteIsGone: the store no longer compacts, so
+// POST /sweeps/{id}/compact is an unknown route.
+func TestSweepHTTPCompactRouteIsGone(t *testing.T) {
 	mgr := NewManager(fakeEngine(0), t.TempDir(), 0)
 	srv := httptest.NewServer(mgr.Handler())
 	defer srv.Close()
 
 	st := postSweep(t, srv.URL, sweepBody)
 	waitDone(t, srv.URL, st.ID)
-	base := srv.URL + "/sweeps/" + st.ID
-	before := getBody(t, base+"/results?follow=0")
-	if len(before) == 0 {
-		t.Fatal("empty snapshot before compaction")
-	}
-
-	resp, err := http.Post(base+"/compact", "application/json", nil)
+	resp, err := http.Post(srv.URL+"/sweeps/"+st.ID+"/compact", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cr struct {
-		Compacted bool         `json:"compacted"`
-		Segment   *SegmentInfo `json:"segment"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&cr)
 	resp.Body.Close()
-	if err != nil || !cr.Compacted || cr.Segment == nil {
-		t.Fatalf("POST /compact = (%+v, %v)", cr, err)
-	}
-	if cr.Segment.Records != 8 {
-		t.Fatalf("segment = %+v, want all 8 records frozen", cr.Segment)
-	}
-
-	if after := getBody(t, base+"/results?follow=0"); !bytes.Equal(after, before) {
-		t.Error("snapshot changed across compaction")
-	}
-	// The followed stream of a finished sweep replays everything and
-	// ends; its bytes must match the snapshot too.
-	if followed := getBody(t, base+"/results"); !bytes.Equal(followed, before) {
-		t.Error("followed stream diverged from the snapshot after compaction")
-	}
-	// An uncompressed segment is the verbatim stream prefix it froze.
-	run, _ := mgr.Get(st.ID)
-	if blob, err := run.store.backend.Get(cr.Segment.Name); err != nil || !bytes.Equal(blob, before) {
-		t.Errorf("segment blob = (%d bytes, %v), want the %d stream bytes it froze", len(blob), err, len(before))
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /sweeps/{id}/compact = %d, want 404", resp.StatusCode)
 	}
 }
 
@@ -184,33 +149,36 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// TestSweepManagerAppliesStoreOptions: SetStoreOptions must reach the
-// stores of newly started sweeps — the wiring ciaoserve's
-// -compact-after flag rides on.
-func TestSweepManagerAppliesStoreOptions(t *testing.T) {
-	mgr := NewManager(fakeEngine(0), t.TempDir(), 0)
-	mgr.SetStoreOptions(StoreOptions{CompactAfter: 4})
-	srv := httptest.NewServer(mgr.Handler())
-	defer srv.Close()
-
-	st := postSweep(t, srv.URL, sweepBody) // 8 cells → two auto-compactions
-	waitDone(t, srv.URL, st.ID)
-	run, ok := mgr.Get(st.ID)
-	if !ok {
-		t.Fatal("run not tracked")
-	}
-	if segs := run.store.Segments(); len(segs) != 2 {
-		t.Fatalf("auto-compaction wrote %d segments, want 2 (8 cells / compact-after 4): %+v", len(segs), segs)
-	}
-	if snap := mgr.MetricsSnapshot(); snap["store"] == nil {
-		t.Fatal("metrics snapshot lacks the store block")
-	}
-	if got := mgr.storeCounters.Snapshot(); got.Compactions != 2 || got.SegmentsWritten != 2 {
-		t.Errorf("store counters = %+v, want 2 compactions", got)
-	}
-	// The streamed results still hold all 8 records.
-	lines := strings.Count(string(getBody(t, srv.URL+"/sweeps/"+st.ID+"/results?follow=0")), "\n")
-	if lines != 8 {
-		t.Errorf("snapshot holds %d lines, want 8", lines)
+// TestManagerSyncResultsReachesStores: SetSyncResults must reach the
+// stores of both started and recovered sweeps — the wiring ciaoserve's
+// -sync-results flag rides on.
+func TestManagerSyncResultsReachesStores(t *testing.T) {
+	for _, on := range []bool{false, true} {
+		t.Run(fmt.Sprintf("sync=%v", on), func(t *testing.T) {
+			base := t.TempDir()
+			plain, _ := eightCells(t)
+			partialSweep(t, base, plain, fakeEngine(0), nil)
+			mgr := NewManager(fakeEngine(0), base, 0)
+			mgr.SetSyncResults(on)
+			if n, err := mgr.Recover(); n != 1 || err != nil {
+				t.Fatalf("Recover = (%d, %v), want the interrupted sweep resumed", n, err)
+			}
+			recovered, ok := mgr.Get(resumeID(plain))
+			if !ok {
+				t.Fatal("recovered run not tracked")
+			}
+			other := plain
+			other.Name = "started"
+			started, err := mgr.Start(other)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for what, run := range map[string]*Run{"recovered": recovered, "started": started} {
+				finish(t, run)
+				if run.store.fsync != on {
+					t.Errorf("%s sweep's store fsyncs appends = %v, want %v", what, run.store.fsync, on)
+				}
+			}
+		})
 	}
 }
