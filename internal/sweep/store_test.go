@@ -381,6 +381,53 @@ func follow(st *Store, w *bytes.Buffer) error {
 	}
 }
 
+// TestFollowReceivesAppends: a follower attached to a fresh store is
+// woken by every Append, the size it is then told grows by exactly
+// the appended line, and the bytes it copies up to that size are the
+// file's bytes, in order.
+func TestFollowReceivesAppends(t *testing.T) {
+	st, err := Create(filepath.Join(t.TempDir(), "s"), "id", testSpec(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	size, wake := st.Follow()
+	if size != 0 || wake == nil {
+		t.Fatalf("Follow on a fresh store = (%d, %v)", size, wake)
+	}
+	var got bytes.Buffer
+	for i := 0; i < 3; i++ {
+		rec := okRec(fmt.Sprintf("k%d", i), 1)
+		line, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-wake:
+		default:
+			t.Fatalf("append %d did not wake the follower", i)
+		}
+		next, nextWake := st.Follow()
+		if next != size+int64(len(line))+1 {
+			t.Fatalf("after append %d Follow reports %d bytes, want %d", i, next, size+int64(len(line))+1)
+		}
+		if err := st.CopyRange(&got, size, next); err != nil {
+			t.Fatal(err)
+		}
+		size, wake = next, nextWake
+	}
+	want, err := os.ReadFile(st.ResultsPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Error("followed bytes differ from the stream on disk")
+	}
+}
+
 // TestStoreConcurrentAppendAndFollow races appenders against followers
 // that attach at different moments — the -race workout for the
 // store's locking. Each follower must end, once the store closes, with
