@@ -5,14 +5,6 @@
 // worker-pool engine as ciaoserve, and every outcome appends one line
 // to the results directory's append-only results.ndjson.
 //
-// A spec with a "search" clause (see
-// examples/sweep-synthetic-halving.json) runs a successive-halving
-// refinement instead of a fixed grid: numeric parameters declare
-// ranges, each round samples a coarse grid, keeps the top-k scoring
-// points and halves the region around each. Rounds execute through the
-// same store, so a killed search resumes exactly where it stopped; the
-// final summary ranks the winning configurations.
-//
 // The store is what makes sweeps durable: kill the process at any
 // point and re-run with -resume to execute only the remaining cells.
 // Shards split one sweep across processes: -shard 0/2 and -shard 1/2
@@ -126,11 +118,6 @@ func run(specPath, dir string, resume bool, workers, entries int, shard string, 
 	if err != nil {
 		return err
 	}
-	if spec.Search != nil && shardN > 1 {
-		// Hand-sharding cuts against one fixed expansion; a search grows
-		// its cell set round by round.
-		return errors.New("-shard does not apply to search sweeps")
-	}
 	if dir == "" {
 		dir = filepath.Join("sweeps", spec.Name)
 	}
@@ -151,36 +138,17 @@ func run(specPath, dir string, resume bool, workers, entries int, shard string, 
 			return
 		}
 		lastPrint = time.Now()
-		if p.Rounds > 0 {
-			log.Printf("round %d/%d: %d/%d done (%d skipped, %d failed) geomean-ipc=%.4f",
-				p.Round, p.Rounds, p.Done, p.Total, p.Skipped, p.Failed, p.GeoMeanIPC)
-			return
-		}
 		log.Printf("%d/%d done (%d skipped, %d failed) geomean-ipc=%.4f",
 			p.Done, p.Total, p.Skipped, p.Failed, p.GeoMeanIPC)
 	}
 	start := time.Now()
-	var final sweep.Progress
-	if spec.Search != nil {
-		final, err = sweep.RunSearch(ctx, spec, store, func(ctx context.Context, plan *sweep.SearchPlan) (sweep.Progress, error) {
-			log.Printf("search round %d/%d: %d point(s), %d new cell(s)",
-				plan.Round+1, plan.Rounds, plan.Points, len(plan.NewCells))
-			runner := &sweep.Runner{
-				Engine:     engine,
-				Store:      store,
-				OnProgress: plan.Decorate(progress),
-			}
-			return runner.Run(ctx, plan.NewCells)
-		})
-	} else {
-		runner := &sweep.Runner{
-			Engine:     engine,
-			Store:      store,
-			Indexes:    sweep.ShardIndexes(len(cells), shardIdx, shardN),
-			OnProgress: progress,
-		}
-		final, err = runner.Run(ctx, cells)
+	runner := &sweep.Runner{
+		Engine:     engine,
+		Store:      store,
+		Indexes:    sweep.ShardIndexes(len(cells), shardIdx, shardN),
+		OnProgress: progress,
 	}
+	final, err := runner.Run(ctx, cells)
 	if err != nil {
 		return err
 	}

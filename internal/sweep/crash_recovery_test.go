@@ -1,4 +1,4 @@
-package coord_test
+package sweep_test
 
 import (
 	"bytes"

@@ -248,6 +248,7 @@ func TestSweepHTTPBadSpec(t *testing.T) {
 		`{`,
 		`{"name":"x","axes":{"schedulers":["nope"]}}`,
 		`{"name":"x","unknown_field":1}`,
+		`{"name":"x","axes":{"schedulers":["GTO"],"benchmarks":["SYRK"]},"search":{"axes":[{"param":"mshr_entries","min":8,"max":64,"pow2":true}]}}`,
 	} {
 		resp, err := http.Post(srv.URL+"/sweeps", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -200,10 +200,9 @@ func (m *Manager) unreserve(key string) {
 	m.mu.Unlock()
 }
 
-// launch registers a run over an open store and executes it in the
-// background: RunSearch for a search spec, the Runner over cells
-// otherwise. Started and resumed sweeps share it; the run owns the
-// store and closes it when it ends.
+// launch registers a run over an open store and executes its cells
+// through the Runner in the background. Started and resumed sweeps
+// share it; the run owns the store and closes it when it ends.
 func (m *Manager) launch(id, key string, spec Spec, cells []Cell, store *Store, created time.Time) *Run {
 	m.observeStore(id, store)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -233,16 +232,13 @@ func (m *Manager) launch(id, key string, spec Spec, cells []Cell, store *Store, 
 			delete(m.active, key)
 			m.mu.Unlock()
 		}()
-		sink := m.progressSink(run)
-		var final Progress
-		var err error
-		if spec.Search != nil {
-			final, err = RunSearch(ctx, spec, store, func(ctx context.Context, plan *SearchPlan) (Progress, error) {
-				return m.runner(store, plan.Decorate(sink)).Run(ctx, plan.NewCells)
-			})
-		} else {
-			final, err = m.runner(store, sink).Run(ctx, cells)
+		runner := &Runner{
+			Engine:      m.engine,
+			Store:       store,
+			Parallelism: m.parallelism,
+			OnProgress:  m.progressSink(run),
 		}
+		final, err := runner.Run(ctx, cells)
 		if err != nil && final.Error == "" {
 			final.Error = err.Error()
 		}
@@ -253,17 +249,6 @@ func (m *Manager) launch(id, key string, spec Spec, cells []Cell, store *Store, 
 	return run
 }
 
-// runner builds the in-process Runner every managed sweep executes its
-// cells through.
-func (m *Manager) runner(store *Store, onProgress func(Progress)) *Runner {
-	return &Runner{
-		Engine:      m.engine,
-		Store:       store,
-		Parallelism: m.parallelism,
-		OnProgress:  onProgress,
-	}
-}
-
 // progressSink builds the ordered progress observer of one run: it
 // differences successive snapshots into the manager-wide counters and
 // mirrors the latest snapshot on the run. The counters accumulate
@@ -272,9 +257,8 @@ func (m *Manager) runner(store *Store, onProgress func(Progress)) *Runner {
 func (m *Manager) progressSink(run *Run) func(Progress) {
 	var last Progress
 	return func(p Progress) {
-		// Deliveries are ordered (see Runner.OnProgress), so the
-		// positive deltas below are meaningful; the > 0 guards skip the
-		// reset a search's round boundary can show.
+		// Deliveries are ordered (see Runner.OnProgress), so each delta
+		// counts the cells settled since the previous snapshot.
 		okCells := (p.Done - p.Skipped) - (last.Done - last.Skipped)
 		if okCells > 0 {
 			m.counters.CellsDone.Add(uint64(okCells))
@@ -291,16 +275,17 @@ func (m *Manager) progressSink(run *Run) func(Progress) {
 
 // Recover resumes, under their original ids, the sweeps a crash or
 // restart interrupted: every sweep directory under the base directory
-// that still has an unsettled cell (neither an ok nor a failed record;
-// for a search, rounds left to derive) and whose manifest carries no
-// cancelled stamp. Resumption is the store resume Start uses — settled
-// cells are skipped, failed ones re-run — so a settled sweep is left
-// alone; only a re-POST retries its failures. Only directories this
-// manager names (sweep-<spec key>) are considered, so stores another
-// tool keeps under the same base are never taken over. Call once at
-// startup, before serving requests. It reports how many sweeps
-// resumed; per-directory failures are joined into err but do not stop
-// the scan (one corrupt directory must not strand every other sweep).
+// that still has an unsettled cell (neither an ok nor a failed record)
+// and whose manifest carries no cancelled stamp. Resumption is the
+// store resume Start uses — settled cells are skipped, failed ones
+// re-run — so a settled sweep is left alone; only a re-POST retries its
+// failures. Only directories this manager names (sweep-<spec key>) are
+// considered, so stores another tool keeps under the same base are
+// never taken over. Call once at startup, before serving requests. It
+// reports how many sweeps resumed; per-directory failures (a corrupt
+// manifest, or a directory in a form an older version left that this
+// one refuses) are joined into err but do not stop the scan, so one
+// such directory cannot strand every other sweep.
 func (m *Manager) Recover() (recovered int, err error) {
 	entries, err := os.ReadDir(m.dir)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -338,7 +323,7 @@ func (m *Manager) resumeDir(dir string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	if man.Cancelled || man.SearchDone {
+	if man.Cancelled {
 		return false, nil
 	}
 	spec := man.Spec
@@ -359,28 +344,19 @@ func (m *Manager) resumeDir(dir string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	settled, err := isSettled(spec, cells, store)
-	if err != nil || settled {
+	if isSettled(cells, store) {
 		store.Close()
-		return false, err
+		return false, nil
 	}
 	m.launch(man.ID, key, spec, cells, store, man.Created)
 	return true, nil
 }
 
-// isSettled reports whether every cell of the store's sweep has an ok
-// or failed record. A search is settled once DeriveSearch finishes it;
-// a settled search missing its search_done stamp (the crash hit
-// between the last record and the stamp) gets the stamp, so the next
-// startup skips it without opening the store.
-func isSettled(spec Spec, cells []Cell, store *Store) (bool, error) {
-	if spec.Search != nil {
-		plan, err := spec.DeriveSearch(store.Completed(), store.FailedCells())
-		if err != nil || !plan.Finished {
-			return false, err
-		}
-		return true, store.MarkSearchDone()
-	}
+// isSettled reports whether every cell has an ok or failed record in
+// the store. That alone decides a restart: a settled sweep is left
+// alone (only a re-POST retries its failed cells), an unsettled one
+// resumes.
+func isSettled(cells []Cell, store *Store) bool {
 	completed, failed := store.Completed(), store.FailedCells()
 	for _, c := range cells {
 		key := c.Key()
@@ -388,10 +364,10 @@ func isSettled(spec Spec, cells []Cell, store *Store) (bool, error) {
 			continue
 		}
 		if _, ok := failed[key]; !ok {
-			return false, nil
+			return false
 		}
 	}
-	return true, nil
+	return true
 }
 
 // bumpSeqLocked advances the id sequence past a resumed run's, so a
@@ -437,15 +413,36 @@ func (m *Manager) Get(id string) (*Run, bool) {
 // Cancel stops a running sweep and stamps its manifest cancelled, so a
 // restart does not resume it — even while cells already handed to the
 // engine are still draining. Completed cells stay on disk, and a later
-// identical POST resumes the sweep and lifts the stamp. It reports
-// whether the ID exists; err is a failed manifest write.
+// identical POST resumes the sweep and lifts the stamp. Only the
+// latest run of a spec stamps: an older run's store holds a stale copy
+// of a manifest a later run has since rewritten, so cancelling it
+// writes nothing. It reports whether the ID exists; err is a failed
+// manifest write.
 func (m *Manager) Cancel(id string) (run *Run, ok bool, err error) {
-	r, ok := m.Get(id)
+	m.mu.Lock()
+	r, ok := m.runs[id]
+	latest := ok && m.latestInDirLocked(r)
+	m.mu.Unlock()
 	if !ok {
 		return nil, false, nil
 	}
 	r.cancel()
+	if !latest {
+		return r, true, nil
+	}
 	return r, true, r.store.MarkCancelled()
+}
+
+// latestInDirLocked reports whether r is the last run, in start order,
+// over its store directory (one per spec key): the run whose id the
+// directory's manifest records. Callers must hold m.mu.
+func (m *Manager) latestInDirLocked(r *Run) bool {
+	for i := len(m.order) - 1; i >= 0; i-- {
+		if later := m.runs[m.order[i]]; later.store.Dir() == r.store.Dir() {
+			return later == r
+		}
+	}
+	return false
 }
 
 // List snapshots every managed sweep in start order.

@@ -1,9 +1,14 @@
 package sweep
 
 import (
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/harness"
+	"repro/internal/service"
 )
 
 // TestManagerStartSurfacesBothStoreErrors pins the failure-path fix:
@@ -81,5 +86,88 @@ func TestSpecKeyIgnoresDistributed(t *testing.T) {
 	dist.Distributed = true
 	if spec.Key() != dist.Key() {
 		t.Error("Spec.Key must not depend on Distributed")
+	}
+}
+
+// TestCancelOlderRunLeavesLiveManifest: DELETE of an earlier run's id
+// must not write over the manifest of the run that now owns the
+// directory. Run A ends failed on a store write error with two cells
+// unsettled, a re-POST starts run B, and A is cancelled while B runs:
+// the manifest must still name B, uncancelled, so a restart over the
+// directory resumes the sweep.
+func TestCancelOlderRunLeavesLiveManifest(t *testing.T) {
+	plain, _ := eightCells(t)
+	gate := make(chan struct{})
+	eng := service.NewEngine(service.Config{
+		Workers: 1,
+		// No cache: B must execute the cells A lost, not replay them.
+		CacheEntries: -1,
+		Run: func(s service.Spec) ([]byte, error) {
+			if s.Bench == "KMN" && s.Sched == "GTO" {
+				<-gate
+			}
+			return json.Marshal(harness.CellResult{Bench: s.Bench, Sched: s.Sched, IPC: 2})
+		},
+	})
+	base := t.TempDir()
+	m := NewManager(eng, base, 1)
+
+	a, err := m.Start(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "six settled cells", func() bool { return a.Progress().Done == 6 })
+	// Close A's results file under it, so its next append fails.
+	a.store.mu.Lock()
+	a.store.f.Close()
+	a.store.mu.Unlock()
+	gate <- struct{}{}
+	if final := finish(t, a); final.State != StateFailed || final.Done != 6 {
+		t.Fatalf("run A = %+v, want failed with 6 cells done", final)
+	}
+
+	b, err := m.Start(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		close(gate)
+		finish(t, b)
+	})
+	if b.ID() == a.ID() {
+		t.Fatalf("re-POST returned run A (%s)", a.ID())
+	}
+	if _, ok, err := m.Cancel(a.ID()); !ok || err != nil {
+		t.Fatalf("Cancel(A) = (%v, %v)", ok, err)
+	}
+	if man := manifestOf(t, base, plain); man.ID != b.ID() || man.Cancelled {
+		t.Errorf("manifest after DELETE of A: id=%s cancelled=%v, want %s uncancelled", man.ID, man.Cancelled, b.ID())
+	}
+	if p := b.Progress(); p.State != StateRunning {
+		t.Fatalf("run B = %+v, want it still running", p)
+	}
+
+	// A restart over the directory as it stands resumes the sweep.
+	restart := t.TempDir()
+	if err := os.MkdirAll(keyDir(restart, plain), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{ManifestFile, ResultsFile} {
+		data, err := os.ReadFile(filepath.Join(keyDir(base, plain), name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(keyDir(restart, plain), name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	again := NewManager(fakeEngine(0), restart, 0)
+	if n, err := again.Recover(); n != 1 || err != nil {
+		t.Fatalf("Recover after the restart = (%d, %v), want the sweep resumed", n, err)
+	}
+	if run, ok := again.Get(b.ID()); !ok {
+		t.Errorf("restart did not resume under B's id %s", b.ID())
+	} else {
+		finish(t, run)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -60,8 +59,7 @@ func finish(t *testing.T, run *Run) Progress {
 }
 
 // resumed looks up the run Recover registered for spec and waits for it
-// to finish: all cells done and, for a plain sweep, the shard-0 half
-// skipped.
+// to finish: all cells done and the shard-0 half skipped.
 func resumed(t *testing.T, m *Manager, spec Spec) Progress {
 	t.Helper()
 	run, ok := m.Get(resumeID(spec))
@@ -72,7 +70,7 @@ func resumed(t *testing.T, m *Manager, spec Spec) Progress {
 	if final.State != StateDone || final.Done != final.Total || final.Failed != 0 {
 		t.Fatalf("resumed run = %+v", final)
 	}
-	if want := (final.Total + 1) / 2; spec.Search == nil && final.Skipped != want {
+	if want := (final.Total + 1) / 2; final.Skipped != want {
 		t.Errorf("resumed run skipped %d cells, want the %d settled before the crash", final.Skipped, want)
 	}
 	return final
@@ -199,54 +197,20 @@ func TestRecoverResumeContract(t *testing.T) {
 			},
 		},
 		{
-			name: "search interrupted mid-round resumes to the uninterrupted winners",
+			name: "search sweep is refused by name while the plain sweep resumes",
 			setup: func(t *testing.T, base string) {
-				partialSweep(t, base, searchSpec("resume"), searchEngine(), nil)
+				partialSweep(t, base, plain, fakeEngine(0), nil)
+				dir := filepath.Join(base, "sweep-cb7c5db4c34ad5ab")
+				if err := os.MkdirAll(dir, 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, ManifestFile), []byte(searchManifest), 0o644); err != nil {
+					t.Fatal(err)
+				}
 			},
 			wantResumed: 1,
-			check: func(t *testing.T, m *Manager, base string) {
-				spec := searchSpec("resume")
-				got := resumed(t, m, spec)
-				control, err := NewManager(searchEngine(), t.TempDir(), 0).Start(spec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := finish(t, control)
-				if len(want.Winners) == 0 || !reflect.DeepEqual(got.Winners, want.Winners) {
-					t.Errorf("resumed winners = %+v, want %+v", got.Winners, want.Winners)
-				}
-				if !manifestOf(t, base, spec).SearchDone {
-					t.Error("resumed search not stamped done")
-				}
-			},
-		},
-		{
-			name: "settled search missing search_done is stamped, not resumed",
-			setup: func(t *testing.T, base string) {
-				spec := searchSpec("settled")
-				st, err := Create(keyDir(base, spec), resumeID(spec), spec, 3)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer st.Close()
-				for {
-					plan, err := spec.DeriveSearch(st.Completed(), st.FailedCells())
-					if err != nil {
-						t.Fatal(err)
-					}
-					if plan.Finished {
-						return
-					}
-					if _, err := (&Runner{Engine: searchEngine(), Store: st}).Run(context.Background(), plan.NewCells); err != nil {
-						t.Fatal(err)
-					}
-				}
-			},
-			check: func(t *testing.T, m *Manager, base string) {
-				if !manifestOf(t, base, searchSpec("settled")).SearchDone {
-					t.Error("settled search did not get its search_done stamp")
-				}
-			},
+			wantErr:     "sweep-cb7c5db4c34ad5ab",
+			check:       func(t *testing.T, m *Manager, base string) { resumed(t, m, plain) },
 		},
 		{
 			name: "legacy distributed spec with a coordinator journal resumes locally",
@@ -300,7 +264,7 @@ func TestRecoverResumeContract(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			base := t.TempDir()
 			tc.setup(t, base)
-			m := NewManager(searchEngine(), base, 0)
+			m := NewManager(fakeEngine(0), base, 0)
 			n, err := m.Recover()
 			if n != tc.wantResumed {
 				t.Errorf("Recover resumed %d sweep(s), want %d", n, tc.wantResumed)
@@ -320,6 +284,27 @@ func TestRecoverResumeContract(t *testing.T) {
 		})
 	}
 }
+
+// searchManifest is the manifest an older version wrote for an
+// interrupted successive-halving search, in the directory its spec key
+// named: sweep-cb7c5db4c34ad5ab.
+const searchManifest = `{
+  "id": "sweep-3-cb7c5db4c34a",
+  "spec": {
+    "name": "halving",
+    "axes": {"schedulers": ["GTO"], "benchmarks": ["SYRK"]},
+    "options": {},
+    "search": {
+      "axes": [{"param": "mshr_entries", "min": 8, "max": 128, "pow2": true}],
+      "rounds": 3, "top_k": 1, "grid": 3
+    }
+  },
+  "spec_key": "cb7c5db4c34ad5ab1849fca8c1ad202a97473d5a6703f7585f52eb057b1e8767",
+  "created": "2026-10-17T22:53:05Z",
+  "total_cells": 3,
+  "search_rounds": [{"round": 0, "points": 3, "new_cells": 3, "total_issued": 3}]
+}
+`
 
 // legacySpec decodes, strictly, a spec written for the retired
 // multi-host runner: it still parses, and runs in-process.

@@ -39,15 +39,6 @@ type Progress struct {
 	// far (resumed cells included) — the sweep-wide "geomean so far".
 	GeoMeanIPC float64 `json:"geomean_ipc"`
 	Error      string  `json:"error,omitempty"`
-	// Round/Rounds track a halving search's refinement progress
-	// (1-based; zero on plain sweeps). Total then counts every cell
-	// issued through the current round, not the final total — later
-	// rounds grow it.
-	Round  int `json:"round,omitempty"`
-	Rounds int `json:"rounds,omitempty"`
-	// Winners ranks the search's final top-k configuration points, set
-	// once the search finishes.
-	Winners []PointScore `json:"winners,omitempty"`
 }
 
 // Runner executes a sweep's cells through a service engine, appending
@@ -91,17 +82,15 @@ func ShardIndexes(total, idx, n int) []int {
 	return out
 }
 
-// Geo accumulates a running geometric mean in log space. Zero and
-// negative values are skipped, matching metrics.GeoMean. The runner
-// and the search ranking share it so their geomean semantics cannot
-// diverge.
-type Geo struct {
+// geo accumulates a running geometric mean in log space. Zero and
+// negative values are skipped, matching metrics.GeoMean.
+type geo struct {
 	logSum float64
 	n      int
 }
 
 // Add folds one value into the mean (non-positive values are ignored).
-func (g *Geo) Add(v float64) {
+func (g *geo) Add(v float64) {
 	if v > 0 {
 		g.logSum += math.Log(v)
 		g.n++
@@ -109,7 +98,7 @@ func (g *Geo) Add(v float64) {
 }
 
 // Mean returns the geometric mean so far (0 with no values).
-func (g *Geo) Mean() float64 {
+func (g *geo) Mean() float64 {
 	if g.n == 0 {
 		return 0
 	}
@@ -146,7 +135,7 @@ func (r *Runner) Run(ctx context.Context, cells []Cell) (Progress, error) {
 	var (
 		mu   sync.Mutex
 		prog = Progress{State: StateRunning, Total: len(mine)}
-		gm   Geo
+		gm   geo
 	)
 	// notify delivers a snapshot while holding mu, so observers see
 	// monotonically advancing progress (no reordered deliveries).

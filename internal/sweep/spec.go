@@ -85,12 +85,6 @@ type Spec struct {
 	// Key zeroes them so such specs keep their store directory.
 	Distributed bool     `json:"distributed,omitempty"`
 	Requires    []string `json:"requires,omitempty"`
-	// Search replaces the static configuration axis with an iterative
-	// successive-halving refinement over numeric parameter ranges (see
-	// Search). Mutually exclusive with Axes.Configs and Points. A
-	// search spec's Expand returns its first round's cells; RunSearch
-	// drives the full refinement.
-	Search *Search `json:"search,omitempty"`
 }
 
 // Cell is one expanded simulation: its position in the sweep, its
@@ -253,16 +247,6 @@ func cellSpec(bench, sched string, cfg *Config, opts service.OptionSpec) service
 func (s Spec) Expand() ([]Cell, error) {
 	if s.Name == "" {
 		return nil, fmt.Errorf("sweep: spec needs a name")
-	}
-	if s.Search != nil {
-		// A search's static expansion is its round-0 grid: enough for
-		// Validate, cell counting and store sizing; the later rounds are
-		// derived from results as they settle (see DeriveSearch).
-		plan, err := s.DeriveSearch(nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		return plan.NewCells, nil
 	}
 	if s.MaxCells < 0 {
 		return nil, fmt.Errorf("sweep %s: negative max_cells", s.Name)

@@ -1,6 +1,8 @@
 package sweep
 
 import (
+	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 
@@ -152,6 +154,34 @@ func TestSpecKeyStable(t *testing.T) {
 	b := Spec{Name: "x", Axes: Axes{Schedulers: []string{"CCWS"}}}
 	if a.Key() == b.Key() {
 		t.Error("different specs share a key")
+	}
+}
+
+// TestExampleSpecKeyIsPinned: a store lives in sweep-<first 16 hex
+// digits of Spec.Key()>, so a change to how a spec encodes renames
+// every existing sweep directory and strands its results. The l1
+// capacity example pins the key of a plain grid with a config axis.
+func TestExampleSpecKeyIsPinned(t *testing.T) {
+	f, err := os.Open("../../examples/sweep-l1-capacity.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	var spec Spec
+	if err := dec.Decode(&spec); err != nil {
+		t.Fatal(err)
+	}
+	cells, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != 60 {
+		t.Errorf("example expands to %d cells, want 60 (3 schedulers x 5 benchmarks x 4 configs)", len(cells))
+	}
+	if got, want := spec.Key(), "8f85bc1111b1dd8f45012a68e6e793e5d139331352dec05854c69ee8cb777f6b"; got != want {
+		t.Errorf("example spec key = %s, want %s: its store directory would be renamed", got, want)
 	}
 }
 

@@ -28,15 +28,8 @@ type Manifest struct {
 	Spec    Spec      `json:"spec"`
 	SpecKey string    `json:"spec_key"`
 	Created time.Time `json:"created"`
-	// TotalCells is the expansion size at creation time. For a search
-	// sweep this is the round-0 grid; SearchRounds tracks growth.
+	// TotalCells is the spec's expansion size at creation time.
 	TotalCells int `json:"total_cells"`
-	// SearchRounds journals the derived rounds of a halving search, in
-	// order — the durable audit trail of how the sweep's cell set grew.
-	SearchRounds []RoundMark `json:"search_rounds,omitempty"`
-	// SearchDone is stamped once every search round has settled, so
-	// startup recovery can skip the directory without opening the store.
-	SearchDone bool `json:"search_done,omitempty"`
 	// Cancelled is stamped when a client cancels the sweep, so startup
 	// recovery leaves it alone; the re-POST that resumes it lifts it.
 	Cancelled bool `json:"cancelled,omitempty"`
@@ -158,6 +151,18 @@ func readManifest(dir string) (Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(b, &m); err != nil {
 		return Manifest{}, fmt.Errorf("sweep: corrupt manifest in %s: %w", dir, err)
+	}
+	// Older versions also ran successive-halving searches, whose specs
+	// carry a "search" clause. Decoding would drop the clause, so the
+	// spec's key would stop naming the directory and the sweep would be
+	// skipped without a word; refuse it by name instead.
+	var legacy struct {
+		Spec struct {
+			Search *struct{} `json:"search"`
+		} `json:"spec"`
+	}
+	if json.Unmarshal(b, &legacy) == nil && legacy.Spec.Search != nil {
+		return Manifest{}, fmt.Errorf("sweep: %s holds a search sweep, which this version no longer runs; re-run its cells from a grid spec with axes.configs (see README, \"Crash safety\")", dir)
 	}
 	return m, nil
 }
@@ -554,47 +559,6 @@ func (s *Store) Manifest() Manifest {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.manifest
-}
-
-// MarkSearchRound journals one derived search round into the manifest
-// (atomic rewrite). A mark for an already-journaled round replaces it
-// — a resumed search re-derives the interrupted round and re-marks it
-// with identical content, so the rewrite is skipped when nothing
-// changed.
-func (s *Store) MarkSearchRound(rm RoundMark) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	replaced := false
-	for i, old := range s.manifest.SearchRounds {
-		if old.Round == rm.Round {
-			if old == rm {
-				return nil
-			}
-			s.manifest.SearchRounds[i] = rm
-			// Later rounds were derived from results this round now
-			// supersedes; drop them so the journal stays a prefix of
-			// the actual progression.
-			s.manifest.SearchRounds = s.manifest.SearchRounds[:i+1]
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
-		s.manifest.SearchRounds = append(s.manifest.SearchRounds, rm)
-	}
-	return s.rewriteManifestLocked()
-}
-
-// MarkSearchDone stamps the manifest once a halving search has fully
-// settled. Idempotent.
-func (s *Store) MarkSearchDone() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.manifest.SearchDone {
-		return nil
-	}
-	s.manifest.SearchDone = true
-	return s.rewriteManifestLocked()
 }
 
 // MarkCancelled stamps the manifest cancelled, so startup recovery
