@@ -1,4 +1,4 @@
-package sweep_test
+package coord_test
 
 import (
 	"bytes"
@@ -27,7 +27,7 @@ const maxLineBytes = 1 << 20
 // again reaches the same state.
 //
 // Run the seed corpus with `go test -run FuzzJournalReplay`; fuzz with
-// `go test -run '^$' -fuzz '^FuzzJournalReplay$' ./internal/sweep`.
+// `go test -fuzz FuzzJournalReplay ./internal/coord`.
 func FuzzJournalReplay(f *testing.F) {
 	rec := func(key, status string, ipc float64) string {
 		b, err := json.Marshal(sweep.CellRecord{Key: key, Bench: "SYRK", Sched: "GTO", Status: status, IPC: ipc})

@@ -1,8 +1,10 @@
-// Package sweep_test checks the crash-recovery and result-merging
-// invariants from outside the package, through its exported API only:
-// the store's replay and resume, hand-sharded runs collapsed with
-// sweep.MergeStore, and Manager.Recover at server start.
-package sweep_test
+// Package coord_test holds the crash-recovery and result-merging
+// invariants the retired shard coordinator was tested for, checked
+// against what provides them now: the sweep store's replay and resume,
+// hand-sharded runs collapsed with sweep.MergeStore, and
+// Manager.Recover at server start. The directory holds tests only; the
+// code under test is package sweep.
+package coord_test
 
 import (
 	"encoding/json"

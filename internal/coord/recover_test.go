@@ -1,4 +1,4 @@
-package sweep_test
+package coord_test
 
 import (
 	"bytes"
