@@ -1,20 +1,22 @@
-// Package repro's benchmark suite regenerates every table and figure
-// of the CIAO paper's evaluation (run with `go test -bench=. -benchmem`).
-// Each benchmark drives the corresponding experiment end-to-end and
-// reports the headline quantities as custom metrics, so the paper's
-// rows can be read straight from the -bench output. Simulation length
-// is shortened (benchInstr) to keep the full suite tractable; use
+// Package repro's benchmark suite times what no test or bench/
+// workload already runs: the cell hot path (BenchmarkCellRun, which
+// cmd/benchgate gates, and the allocation-free BenchmarkCellCycle), the
+// Table I/II checks, the Fig 1a interference count, sweep expansion and
+// the design ablations (run with `go test -bench=. -benchmem`). The
+// figures are regenerated by tests instead: internal/harness's tests
+// run Fig 1b, Fig 4 and the Fig 9/10 time series,
+// TestGoldenFigurePayloads pins fig8, fig11a/b and fig12a/b, and bench/
+// times fig8. Simulation length
+// is shortened (benchInstr) to keep the suite tractable; use
 // cmd/ciaosim for full-length runs.
 package repro_test
 
 import (
-	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/sched"
-	"repro/internal/service"
 	"repro/internal/sm"
 	"repro/internal/sweep"
 	"repro/internal/workload"
@@ -25,12 +27,6 @@ const benchInstr = 1500
 
 func benchOpt() harness.Options {
 	return harness.Options{InstrPerWarp: benchInstr}
-}
-
-// benchCells runs a figure's cells on a fresh engine, so no iteration
-// is served from another's cache.
-func benchCells() harness.CellRunner {
-	return service.NewEngine(service.Config{}).CellRunner(service.OptionSpec{InstrPerWarp: benchInstr})
 }
 
 // BenchmarkTable1Config verifies and times construction of the Table I
@@ -94,157 +90,6 @@ func BenchmarkFig1aInterferenceMatrix(b *testing.B) {
 		total = g.Interference().Total()
 	}
 	b.ReportMetric(float64(total), "interference-events")
-}
-
-// BenchmarkFig1b regenerates the Backprop Best-SWL vs CCWS comparison.
-func BenchmarkFig1b(b *testing.B) {
-	var res *harness.Fig1bResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = harness.RunFig1b(benchOpt())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.IPC["Best-SWL"]/res.IPC["CCWS"], "bestswl-over-ccws")
-}
-
-// BenchmarkFig4 regenerates the interference-skew study.
-func BenchmarkFig4(b *testing.B) {
-	var res *harness.Fig4Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = harness.RunFig4(benchOpt())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	mm := res.WorkloadMinMax[res.Bench]
-	b.ReportMetric(float64(mm[1]), "max-pair-interference")
-}
-
-// BenchmarkFig8aIPC regenerates the headline scheduler comparison and
-// reports the geometric-mean normalized IPCs.
-func BenchmarkFig8aIPC(b *testing.B) {
-	var res *harness.Fig8Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = harness.RunFig8(benchCells())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.OverallGeoMean["CCWS"], "ccws-vs-gto")
-	b.ReportMetric(res.OverallGeoMean["Best-SWL"], "bestswl-vs-gto")
-	b.ReportMetric(res.OverallGeoMean["statPCAL"], "statpcal-vs-gto")
-	b.ReportMetric(res.OverallGeoMean["CIAO-T"], "ciaot-vs-gto")
-	b.ReportMetric(res.OverallGeoMean["CIAO-P"], "ciaop-vs-gto")
-	b.ReportMetric(res.OverallGeoMean["CIAO-C"], "ciaoc-vs-gto")
-}
-
-// BenchmarkFig8bSharedMemUtilization reports the CIAO shared-memory
-// cache utilization per class.
-func BenchmarkFig8bSharedMemUtilization(b *testing.B) {
-	var res *harness.Fig8Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = harness.RunFig8(benchCells())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.SharedUtil[workload.LWS], "util-lws")
-	b.ReportMetric(res.SharedUtil[workload.SWS], "util-sws")
-	b.ReportMetric(res.SharedUtil[workload.CI], "util-ci")
-}
-
-// BenchmarkFig9TimeSeries regenerates the ATAX/Backprop dynamic traces.
-func BenchmarkFig9TimeSeries(b *testing.B) {
-	opt := benchOpt()
-	opt.SampleInterval = 1000
-	for i := 0; i < b.N; i++ {
-		for _, bench := range []string{"ATAX", "Backprop"} {
-			if _, err := harness.RunTimeSeries(bench, []string{"Best-SWL", "CCWS", "CIAO-T"}, opt); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkFig10TimeSeries regenerates the SYRK/KMN CIAO-variant traces.
-func BenchmarkFig10TimeSeries(b *testing.B) {
-	opt := benchOpt()
-	opt.SampleInterval = 1000
-	for i := 0; i < b.N; i++ {
-		for _, bench := range []string{"SYRK", "KMN"} {
-			if _, err := harness.RunTimeSeries(bench, []string{"CIAO-T", "CIAO-P", "CIAO-C"}, opt); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkFig11aEpochSensitivity sweeps the high-cutoff epoch.
-func BenchmarkFig11aEpochSensitivity(b *testing.B) {
-	var res *harness.SensitivityResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = harness.RunEpochSensitivity([]uint64{1000, 5000, 10000, 50000}, benchCells())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	// Spread across epoch values should stay modest (paper: ≤ ~15%).
-	lo, hi := 10.0, 0.0
-	for _, row := range res.Normalized {
-		for _, v := range row {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-	}
-	b.ReportMetric(hi-lo, "ipc-spread")
-}
-
-// BenchmarkFig11bCutoffSensitivity sweeps the high-cutoff threshold.
-func BenchmarkFig11bCutoffSensitivity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := harness.RunCutoffSensitivity([]float64{0.04, 0.02, 0.01, 0.005}, benchCells()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig12aCacheConfigs regenerates the L1D configuration study.
-func BenchmarkFig12aCacheConfigs(b *testing.B) {
-	var res *harness.Fig12Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = harness.RunFig12a(benchCells())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.GeoMean["GTO-cap"], "gtocap-vs-gto")
-	b.ReportMetric(res.GeoMean["GTO-8way"], "gto8way-vs-gto")
-	b.ReportMetric(res.GeoMean["CIAO-C"], "ciaoc-vs-gto")
-}
-
-// BenchmarkFig12bDRAMBandwidth regenerates the 2× bandwidth study.
-func BenchmarkFig12bDRAMBandwidth(b *testing.B) {
-	var res *harness.Fig12Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = harness.RunFig12b(benchCells())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.GeoMean["statPCAL-2X"], "statpcal2x-vs-gto")
-	b.ReportMetric(res.GeoMean["CIAO-C-2X"], "ciaoc2x-vs-gto")
 }
 
 // BenchmarkCellRun measures the end-to-end cost of one sweep cell —
@@ -314,28 +159,10 @@ func BenchmarkCellCycle(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatorThroughput measures raw simulation speed
-// (cycles/op) of the core engine under GTO.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	spec, err := workload.ByName("SYRK")
-	if err != nil {
-		b.Fatal(err)
-	}
-	spec.InstrPerWarp = 2000
-	b.ResetTimer()
-	var cycles uint64
-	for i := 0; i < b.N; i++ {
-		g := sm.MustGPU(sm.DefaultConfig(), workload.MustKernel(spec), sched.NewGTO(), nil)
-		r := g.Run()
-		cycles = r.Cycles
-	}
-	b.ReportMetric(float64(cycles), "sim-cycles")
-}
+// --- Sweep expansion ---
 
-// --- Sweep engine hot path ---
-
-// sweepSpec is the grid the sweep benchmarks expand: 7 schedulers ×
-// 21 benchmarks × 4 configurations = 588 cells.
+// sweepSpec is the grid BenchmarkSweepExpansion expands: 7 schedulers
+// × 21 benchmarks × 4 configurations = 588 cells.
 func sweepSpec() sweep.Spec {
 	return sweep.Spec{
 		Name: "bench",
@@ -364,34 +191,6 @@ func BenchmarkSweepExpansion(b *testing.B) {
 		n = len(cells)
 	}
 	b.ReportMetric(float64(n), "cells")
-}
-
-// BenchmarkSweepStoreAppend measures the NDJSON result store's append
-// path (marshal + single write), the per-cell bookkeeping overhead of
-// a running sweep.
-func BenchmarkSweepStoreAppend(b *testing.B) {
-	spec := sweepSpec()
-	cells, err := spec.Expand()
-	if err != nil {
-		b.Fatal(err)
-	}
-	st, err := sweep.Create(filepath.Join(b.TempDir(), "s"), "bench", spec, len(cells))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer st.Close()
-	payload := []byte(`{"bench":"SYRK","sched":"GTO","ipc":1.25,"cycles":100000}`)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := cells[i%len(cells)]
-		rec := sweep.CellRecord{
-			Key: c.Key(), Index: c.Index, Bench: c.Bench, Sched: c.Sched,
-			Config: c.Config, Status: sweep.StatusOK, IPC: 1.25, Result: payload,
-		}
-		if err := st.Append(rec); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // --- Ablations (the paper's baseline and CIAO design choices) ---

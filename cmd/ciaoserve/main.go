@@ -38,9 +38,8 @@
 //
 // Every request is classified into a bounded route-class label and
 // observed into RED (rate, errors, duration) series; /run and /sweeps
-// shed load with 429 + Retry-After once the engine queue or observed
-// p95 latency degrades past -maxqueue / -shedlatency, and -clientrate
-// adds a per-client token bucket. SIGINT/SIGTERM drains in-flight
+// shed load with 429 + Retry-After: 1 once their accept queue or the
+// engine queue reaches -maxqueue. SIGINT/SIGTERM drains in-flight
 // requests for up to -drain before exiting.
 //
 // Example:
@@ -73,11 +72,8 @@ func main() {
 
 		syncResults = flag.Bool("sync-results", false, "fsync a sweep's results file after every settled cell record; off, a power loss can drop the last unflushed lines (their cells re-run on resume)")
 
-		maxQueue    = flag.Int("maxqueue", 256, "overload: max requests queued for an engine slot before /run and /sweeps shed with 429 (<= 0 disables)")
-		shedLatency = flag.Duration("shedlatency", 0, "overload: shed /run and /sweeps when the observed /run p95 exceeds this (0 disables)")
-		clientRate  = flag.Float64("clientrate", 0, "overload: per-client request rate on the work-creating POSTs, requests/second (0 disables)")
-		clientBurst = flag.Int("clientburst", 0, "overload: per-client burst allowance (0 = derived from -clientrate)")
-		drain       = flag.Duration("drain", 15*time.Second, "shutdown: how long to drain in-flight requests after SIGINT/SIGTERM")
+		maxQueue = flag.Int("maxqueue", 256, "overload: max requests queued for an engine slot before /run and /sweeps shed with 429 (<= 0 disables)")
+		drain    = flag.Duration("drain", 15*time.Second, "shutdown: how long to drain in-flight requests after SIGINT/SIGTERM")
 	)
 	flag.Parse()
 
@@ -88,9 +84,6 @@ func main() {
 		sweepDir:     *sweepDir,
 		syncResults:  *syncResults,
 		maxQueue:     *maxQueue,
-		shedLatency:  *shedLatency,
-		clientRate:   *clientRate,
-		clientBurst:  *clientBurst,
 	})
 	if !*noRecover {
 		// Resume the sweeps a crash or restart interrupted, under their

@@ -24,23 +24,17 @@ type serverOpts struct {
 	// syncResults fsyncs every settled cell record of every sweep.
 	syncResults bool
 
-	// Overload protection: maxQueue bounds requests waiting for an
-	// engine slot before /run and /sweeps shed with 429; shedLatency
-	// sheds when the observed /run p95 degrades past it (0 = off);
-	// clientRate/clientBurst configure the per-client token bucket
-	// (rate 0 = off).
-	maxQueue    int
-	shedLatency time.Duration
-	clientRate  float64
-	clientBurst int
+	// maxQueue bounds requests waiting for an engine slot before /run
+	// and /sweeps shed with 429.
+	maxQueue int
 
 	run  service.RunFunc
 	logf func(r *http.Request, code int, bytes int64, d time.Duration)
 }
 
 // server is the assembled ciaoserve instance: every subsystem plus the
-// fully wrapped handler (routing, admission control, rate limiting,
-// RED instrumentation).
+// fully wrapped handler (routing, admission control, RED
+// instrumentation).
 type server struct {
 	engine  *service.Engine
 	sweeps  *sweep.Manager
@@ -53,13 +47,12 @@ type server struct {
 //
 //	Instrument (RED + access log)
 //	  └─ mux
-//	       POST /run, /sweeps, /experiment → rate limiter → admission → handler
+//	       POST /run, /sweeps → admission → handler
 //	       everything else → handler
 //
 // The admission controllers on /run and /sweeps have separate accept
 // queues (a sweep burst cannot starve /run of queue slots) but share
-// the shed signals: the engine's slot-wait depth and the windowed p95
-// of /run latency.
+// the engine's slot-wait depth as a second shed signal.
 func newServer(o serverOpts) *server {
 	cacheEntries := o.cacheEntries
 	if cacheEntries <= 0 {
@@ -89,21 +82,9 @@ func newServer(o serverOpts) *server {
 	// Backpressure wraps only the POSTs that create work; the Go 1.22
 	// method+path patterns are more specific than the catch-alls above,
 	// so they win routing for exactly those requests.
-	runSeries := red.Series("/run")
-	sweepSeries := red.Series("/sweeps")
-	window := metrics.NewWindow(runSeries, time.Second)
-	admit := httpx.AdmissionConfig{
-		MaxQueue:    o.maxQueue,
-		ShedLatency: o.shedLatency,
-		Depth:       engine.QueueDepth,
-		P95:         window.P95,
-	}
-	limiter := httpx.NewRateLimiter(o.clientRate, o.clientBurst)
-	runAdmit := httpx.NewAdmission(admit)
-	sweepAdmit := httpx.NewAdmission(admit)
-	mux.Handle("POST /run", limiter.Wrap(runSeries, runAdmit.Wrap(runSeries, svc)))
-	mux.Handle("POST /experiment", limiter.Wrap(red.Series("/experiment"), svc))
-	mux.Handle("POST /sweeps", limiter.Wrap(sweepSeries, sweepAdmit.Wrap(sweepSeries, sweepH)))
+	admit := httpx.AdmissionConfig{MaxQueue: o.maxQueue, Depth: engine.QueueDepth}
+	mux.Handle("POST /run", httpx.NewAdmission(admit).Wrap(red.Series("/run"), svc))
+	mux.Handle("POST /sweeps", httpx.NewAdmission(admit).Wrap(red.Series("/sweeps"), sweepH))
 
 	logf := o.logf
 	if logf == nil {

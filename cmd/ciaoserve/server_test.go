@@ -141,32 +141,6 @@ func TestServerShedsUnderLoad(t *testing.T) {
 	}
 }
 
-func TestServerRateLimitsPerClient(t *testing.T) {
-	_, ts, release := testServer(t, serverOpts{workers: 4, clientRate: 0.001, clientBurst: 1})
-	close(release) // executor never blocks in this test
-
-	do := func(n int, client string) int {
-		req, _ := http.NewRequest("POST", ts.URL+"/run", strings.NewReader(runSpec(n)))
-		req.Header.Set("X-Client-ID", client)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		return resp.StatusCode
-	}
-	if c := do(0, "a"); c != http.StatusOK {
-		t.Fatalf("first request = %d, want 200", c)
-	}
-	if c := do(1, "a"); c != http.StatusTooManyRequests {
-		t.Fatalf("burst-exceeded request = %d, want 429", c)
-	}
-	if c := do(2, "b"); c != http.StatusOK {
-		t.Fatalf("other client = %d, want 200", c)
-	}
-}
-
 // promFamilies is the ordered list of metric families a fresh server
 // exposes after one /run: the /metrics contract. Adding, removing or
 // reordering a family is a deliberate change to this list.
@@ -182,7 +156,6 @@ var promFamilies = []string{
 	"ciao_http_requests_total counter",
 	"ciao_http_request_errors_total counter",
 	"ciao_http_requests_shed_total counter",
-	"ciao_http_rate_limited_total counter",
 	"ciao_http_response_bytes_total counter",
 	"ciao_http_request_seconds histogram",
 	"ciao_sweeps_started_total counter",

@@ -3,8 +3,6 @@ package httpx
 import (
 	"fmt"
 	"net/http"
-	"strconv"
-	"time"
 
 	"repro/internal/metrics"
 )
@@ -14,27 +12,19 @@ import (
 type AdmissionConfig struct {
 	// MaxQueue bounds accepted-but-unfinished requests on the wrapped
 	// endpoint (the accept queue), and doubles as the ceiling on the
-	// Depth signal. 0 disables queue-bound shedding.
+	// Depth signal. 0 disables shedding.
 	MaxQueue int
-	// ShedLatency sheds when the observed recent p95 latency (from P95)
-	// exceeds it. 0 disables latency shedding.
-	ShedLatency time.Duration
 	// Depth, when non-nil, reports a deeper congestion signal — the
 	// engine's count of requests waiting for an execution slot, which
 	// also covers pressure arriving through other endpoints.
 	Depth func() int
-	// P95 reports the recent 95th-percentile latency (a metrics.Window
-	// over the endpoint's RED series).
-	P95 func() time.Duration
-	// RetryAfter is the hint sent with 429 responses (default 1s).
-	RetryAfter time.Duration
 }
 
-// Admission applies bounded-accept-queue and latency-degradation
-// shedding to one endpoint: requests past the bound answer 429 with
-// Retry-After immediately instead of queueing unboundedly, so the
-// server keeps answering its control plane at overload. Every shed is
-// counted in the endpoint's RED series.
+// Admission applies bounded-accept-queue shedding to one endpoint:
+// requests past the bound answer 429 with Retry-After immediately
+// instead of queueing unboundedly, so the server keeps answering its
+// control plane at overload. Every shed is counted in the endpoint's
+// RED series.
 type Admission struct {
 	cfg AdmissionConfig
 	sem chan struct{}
@@ -44,9 +34,6 @@ type Admission struct {
 // its own accept queue (wrap /run and /sweeps separately so one cannot
 // starve the other).
 func NewAdmission(cfg AdmissionConfig) *Admission {
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
-	}
 	a := &Admission{cfg: cfg}
 	if cfg.MaxQueue > 0 {
 		a.sem = make(chan struct{}, cfg.MaxQueue)
@@ -63,19 +50,13 @@ func (a *Admission) Wrap(series *metrics.Series, next http.Handler) http.Handler
 			case a.sem <- struct{}{}:
 				defer func() { <-a.sem }()
 			default:
-				a.shed(w, series, fmt.Sprintf("accept queue full (%d deep)", a.cfg.MaxQueue))
+				shed(w, series, fmt.Sprintf("accept queue full (%d deep)", a.cfg.MaxQueue))
 				return
 			}
 		}
 		if a.cfg.Depth != nil && a.cfg.MaxQueue > 0 {
 			if d := a.cfg.Depth(); d >= a.cfg.MaxQueue {
-				a.shed(w, series, fmt.Sprintf("engine queue depth %d at limit %d", d, a.cfg.MaxQueue))
-				return
-			}
-		}
-		if a.cfg.ShedLatency > 0 && a.cfg.P95 != nil {
-			if p := a.cfg.P95(); p > a.cfg.ShedLatency {
-				a.shed(w, series, fmt.Sprintf("p95 latency %s over shed threshold %s", p.Round(time.Millisecond), a.cfg.ShedLatency))
+				shed(w, series, fmt.Sprintf("engine queue depth %d at limit %d", d, a.cfg.MaxQueue))
 				return
 			}
 		}
@@ -83,23 +64,13 @@ func (a *Admission) Wrap(series *metrics.Series, next http.Handler) http.Handler
 	})
 }
 
-// shed answers 429 + Retry-After and counts the decision. Failing fast
-// is the point: the client learns to back off in microseconds instead
-// of occupying a connection for seconds.
-func (a *Admission) shed(w http.ResponseWriter, series *metrics.Series, reason string) {
+// shed answers 429 + Retry-After: 1 and counts the decision. Failing
+// fast is the point: the client learns to back off in microseconds
+// instead of occupying a connection for seconds.
+func shed(w http.ResponseWriter, series *metrics.Series, reason string) {
 	if series != nil {
 		series.CountShed()
 	}
-	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(a.cfg.RetryAfter)))
+	w.Header().Set("Retry-After", "1")
 	Error(w, http.StatusTooManyRequests, fmt.Errorf("server overloaded: %s", reason))
-}
-
-// retryAfterSeconds renders a duration as the whole-second Retry-After
-// value, rounding up so "500ms" does not become "0".
-func retryAfterSeconds(d time.Duration) int {
-	s := int((d + time.Second - 1) / time.Second)
-	if s < 1 {
-		s = 1
-	}
-	return s
 }

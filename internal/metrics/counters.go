@@ -33,23 +33,6 @@ type SweepCounters struct {
 	CellsFailed Counter
 }
 
-// SweepSnapshot is a point-in-time, JSON-serializable view of
-// SweepCounters.
-type SweepSnapshot struct {
-	Started     uint64 `json:"started"`
-	CellsDone   uint64 `json:"cells_done"`
-	CellsFailed uint64 `json:"cells_failed"`
-}
-
-// Snapshot captures the current values.
-func (c *SweepCounters) Snapshot() SweepSnapshot {
-	return SweepSnapshot{
-		Started:     c.Started.Value(),
-		CellsDone:   c.CellsDone.Value(),
-		CellsFailed: c.CellsFailed.Value(),
-	}
-}
-
 // CacheSnapshot is a point-in-time, JSON-serializable view of
 // CacheCounters.
 type CacheSnapshot struct {

@@ -144,41 +144,36 @@ func formatFloat(v float64) string {
 // output.
 func (r *RED) WriteProm(p *PromWriter, prefix, label string) {
 	names := r.Names()
+	// Read each series once, not once per family.
 	type row struct {
-		name   string
-		series *Series
+		name                        string
+		req, errs, shed, bytes, dur uint64
+		counts                      [RedBuckets]uint64
 	}
 	rows := make([]row, 0, len(names))
 	for _, n := range names {
 		if v, ok := r.series.Load(n); ok {
-			rows = append(rows, row{n, v.(*Series)})
+			s := v.(*Series)
+			rw := row{name: n, counts: s.BucketCounts()}
+			rw.req, rw.errs, rw.shed, rw.bytes, rw.dur = s.Totals()
+			rows = append(rows, rw)
 		}
+	}
+	for _, rw := range rows {
+		p.Counter(prefix+"_requests_total", "Requests handled, by "+label+".", rw.req, label, rw.name)
+	}
+	for _, rw := range rows {
+		p.Counter(prefix+"_request_errors_total", "Requests that failed (5xx / failed cells), by "+label+".", rw.errs, label, rw.name)
+	}
+	for _, rw := range rows {
+		p.Counter(prefix+"_requests_shed_total", "Requests rejected by overload admission control (429), by "+label+".", rw.shed, label, rw.name)
+	}
+	for _, rw := range rows {
+		p.Counter(prefix+"_response_bytes_total", "Response payload bytes written, by "+label+".", rw.bytes, label, rw.name)
 	}
 	bounds := RedBoundsSeconds()
 	for _, rw := range rows {
-		req, _, _, _, _, _ := rw.series.Totals()
-		p.Counter(prefix+"_requests_total", "Requests handled, by "+label+".", req, label, rw.name)
-	}
-	for _, rw := range rows {
-		_, errs, _, _, _, _ := rw.series.Totals()
-		p.Counter(prefix+"_request_errors_total", "Requests that failed (5xx / failed cells), by "+label+".", errs, label, rw.name)
-	}
-	for _, rw := range rows {
-		_, _, shed, _, _, _ := rw.series.Totals()
-		p.Counter(prefix+"_requests_shed_total", "Requests rejected by overload admission control (429), by "+label+".", shed, label, rw.name)
-	}
-	for _, rw := range rows {
-		_, _, _, rl, _, _ := rw.series.Totals()
-		p.Counter(prefix+"_rate_limited_total", "Requests rejected by the per-client rate limiter (429), by "+label+".", rl, label, rw.name)
-	}
-	for _, rw := range rows {
-		_, _, _, _, bytes, _ := rw.series.Totals()
-		p.Counter(prefix+"_response_bytes_total", "Response payload bytes written, by "+label+".", bytes, label, rw.name)
-	}
-	for _, rw := range rows {
-		counts := rw.series.BucketCounts()
-		_, _, _, _, _, dur := rw.series.Totals()
 		p.Histogram(prefix+"_request_seconds", "Request duration, by "+label+".",
-			bounds, counts[:], float64(dur)/float64(time.Second), label, rw.name)
+			bounds, rw.counts[:], float64(rw.dur)/float64(time.Second), label, rw.name)
 	}
 }

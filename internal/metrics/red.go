@@ -10,10 +10,10 @@ import (
 // This file is the RED (requests / errors / duration) layer: the
 // request path pays a handful of atomic adds and nothing else — no
 // locks, no allocation, no aggregation — while the *reading* caller
-// (/metrics, the admission controller) pays the whole cost of turning
-// raw bucket counts into rates and quantiles. Duration lands in fixed
-// latency-bound buckets, so a percentile estimate is a read-time walk
-// over at most redBuckets counters.
+// (/metrics) pays the whole cost of turning raw bucket counts into
+// rates and quantiles. Duration lands in fixed latency-bound buckets,
+// so a percentile estimate is a read-time walk over at most
+// redBuckets counters.
 
 // redBoundsNS are the upper bounds (inclusive, in nanoseconds) of the
 // duration histogram buckets, spanning sub-millisecond probes
@@ -63,14 +63,13 @@ const (
 // redStripe is one copy of a series' counters. The trailing pad keeps
 // adjacent stripes from sharing a cache line.
 type redStripe struct {
-	requests    atomic.Uint64
-	errors      atomic.Uint64
-	shed        atomic.Uint64
-	rateLimited atomic.Uint64
-	bytes       atomic.Uint64
-	durationNS  atomic.Uint64
-	buckets     [RedBuckets]atomic.Uint64
-	_           [64]byte
+	requests   atomic.Uint64
+	errors     atomic.Uint64
+	shed       atomic.Uint64
+	bytes      atomic.Uint64
+	durationNS atomic.Uint64
+	buckets    [RedBuckets]atomic.Uint64
+	_          [64]byte
 }
 
 // Series is one labeled RED stream (an HTTP route class, a sweep id).
@@ -114,24 +113,21 @@ func (s *Series) AddBytes(n int64) {
 	}
 }
 
-// CountShed records an admission-control rejection (429: queue full or
-// latency degraded). The rejection response itself still flows through
-// Observe, so shed requests appear in both the request count and here.
+// CountShed records an admission-control rejection (429: accept queue
+// or engine queue full). The rejection response itself still flows
+// through Observe, so shed requests appear in both the request count
+// and here.
 func (s *Series) CountShed() { s.stripes[0].shed.Add(1) }
-
-// CountRateLimited records a per-client token-bucket rejection (429).
-func (s *Series) CountRateLimited() { s.stripes[0].rateLimited.Add(1) }
 
 // Totals returns the raw monotonic counters, summed across stripes.
 // Each counter is individually consistent (atomic); the set is a
 // near-point-in-time view, not a transaction.
-func (s *Series) Totals() (requests, errors, shed, rateLimited, bytes, durationNS uint64) {
+func (s *Series) Totals() (requests, errors, shed, bytes, durationNS uint64) {
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		requests += st.requests.Load()
 		errors += st.errors.Load()
 		shed += st.shed.Load()
-		rateLimited += st.rateLimited.Load()
 		bytes += st.bytes.Load()
 		durationNS += st.durationNS.Load()
 	}
@@ -153,28 +149,26 @@ func (s *Series) BucketCounts() [RedBuckets]uint64 {
 // SeriesSnapshot is a read-time aggregation of one series: totals plus
 // latency quantiles estimated from the bucket histogram.
 type SeriesSnapshot struct {
-	Requests    uint64  `json:"requests"`
-	Errors      uint64  `json:"errors"`
-	Shed        uint64  `json:"shed,omitempty"`
-	RateLimited uint64  `json:"rate_limited,omitempty"`
-	Bytes       uint64  `json:"bytes,omitempty"`
-	MeanMS      float64 `json:"mean_ms"`
-	P50MS       float64 `json:"p50_ms"`
-	P95MS       float64 `json:"p95_ms"`
-	P99MS       float64 `json:"p99_ms"`
+	Requests uint64  `json:"requests"`
+	Errors   uint64  `json:"errors"`
+	Shed     uint64  `json:"shed,omitempty"`
+	Bytes    uint64  `json:"bytes,omitempty"`
+	MeanMS   float64 `json:"mean_ms"`
+	P50MS    float64 `json:"p50_ms"`
+	P95MS    float64 `json:"p95_ms"`
+	P99MS    float64 `json:"p99_ms"`
 }
 
 // Snapshot aggregates the series: this is where all the math the hot
 // path skipped actually happens.
 func (s *Series) Snapshot() SeriesSnapshot {
-	req, errs, shed, rl, bytes, dur := s.Totals()
+	req, errs, shed, bytes, dur := s.Totals()
 	counts := s.BucketCounts()
 	snap := SeriesSnapshot{
-		Requests:    req,
-		Errors:      errs,
-		Shed:        shed,
-		RateLimited: rl,
-		Bytes:       bytes,
+		Requests: req,
+		Errors:   errs,
+		Shed:     shed,
+		Bytes:    bytes,
 	}
 	if req > 0 {
 		snap.MeanMS = float64(dur) / float64(req) / 1e6
@@ -289,51 +283,4 @@ func (r *RED) Snapshot() map[string]SeriesSnapshot {
 		return true
 	})
 	return out
-}
-
-// Window tracks a series' recent p95 latency by differencing bucket
-// counts at most once per interval — the admission controller's view
-// of "latency right now", as opposed to the since-boot distribution.
-// Between refreshes callers get the last computed value, so the cost
-// of a windowed quantile is amortised across all the requests that
-// consult it.
-type Window struct {
-	s        *Series
-	interval time.Duration
-
-	mu   sync.Mutex
-	last time.Time
-	prev [RedBuckets]uint64
-	p95  time.Duration
-}
-
-// NewWindow observes s with the given refresh interval (minimum 100ms;
-// 0 means 1s).
-func NewWindow(s *Series, interval time.Duration) *Window {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	if interval < 100*time.Millisecond {
-		interval = 100 * time.Millisecond
-	}
-	return &Window{s: s, interval: interval, last: time.Now(), prev: s.BucketCounts()}
-}
-
-// P95 returns the 95th-percentile latency of the most recent complete
-// window (0 until a window with traffic has elapsed).
-func (w *Window) P95() time.Duration {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	now := time.Now()
-	if now.Sub(w.last) < w.interval {
-		return w.p95
-	}
-	cur := w.s.BucketCounts()
-	var delta [RedBuckets]uint64
-	for i := range cur {
-		delta[i] = cur[i] - w.prev[i]
-	}
-	w.p95 = QuantileFromBuckets(delta[:], 0.95)
-	w.prev, w.last = cur, now
-	return w.p95
 }

@@ -17,7 +17,6 @@ func TestSeriesObserveAndSnapshot(t *testing.T) {
 	}
 	s.AddBytes(1234)
 	s.CountShed()
-	s.CountRateLimited()
 
 	snap := s.Snapshot()
 	if snap.Requests != 100 {
@@ -26,8 +25,8 @@ func TestSeriesObserveAndSnapshot(t *testing.T) {
 	if snap.Errors != 10 {
 		t.Fatalf("errors = %d, want 10", snap.Errors)
 	}
-	if snap.Shed != 1 || snap.RateLimited != 1 {
-		t.Fatalf("shed/rate_limited = %d/%d, want 1/1", snap.Shed, snap.RateLimited)
+	if snap.Shed != 1 {
+		t.Fatalf("shed = %d, want 1", snap.Shed)
 	}
 	if snap.Bytes != 1234 {
 		t.Fatalf("bytes = %d, want 1234", snap.Bytes)
@@ -94,7 +93,7 @@ func TestREDConcurrentReaders(t *testing.T) {
 			for _, c := range counts {
 				sum += c
 			}
-			req, errs, _, _, _, _ := s.Totals()
+			req, errs, _, _, _ := s.Totals()
 			if req < lastReq || errs < lastErrs {
 				readerErr = fmt.Errorf("snapshot went backwards: requests %d→%d errors %d→%d", lastReq, req, lastErrs, errs)
 				return
@@ -130,7 +129,7 @@ func TestREDConcurrentReaders(t *testing.T) {
 		t.Fatal(readerErr)
 	}
 
-	req, _, _, _, _, _ := red.Series("hot").Totals()
+	req, _, _, _, _ := red.Series("hot").Totals()
 	if want := uint64(writers * perWriter); req != want {
 		t.Fatalf("final requests = %d, want %d", req, want)
 	}
@@ -147,30 +146,9 @@ func TestREDSeriesCap(t *testing.T) {
 	if len(names) != 5 {
 		t.Fatalf("series count = %d (%v), want 5", len(names), names)
 	}
-	over, _, _, _, _, _ := red.Series(RedOverflow).Totals()
+	over, _, _, _, _ := red.Series(RedOverflow).Totals()
 	if over != 6 {
 		t.Fatalf("overflow requests = %d, want 6", over)
-	}
-}
-
-func TestWindowP95Refreshes(t *testing.T) {
-	var s Series
-	w := NewWindow(&s, 100*time.Millisecond)
-	if p := w.P95(); p != 0 {
-		t.Fatalf("fresh window p95 = %v, want 0", p)
-	}
-	for i := 0; i < 100; i++ {
-		s.Observe(2*time.Second, false)
-	}
-	time.Sleep(120 * time.Millisecond)
-	if p := w.P95(); p < time.Second {
-		t.Fatalf("window p95 after slow burst = %v, want >= 1s", p)
-	}
-	// A quiet window decays back to zero rather than pinning the old
-	// p95 forever.
-	time.Sleep(120 * time.Millisecond)
-	if p := w.P95(); p != 0 {
-		t.Fatalf("window p95 after quiet window = %v, want 0", p)
 	}
 }
 

@@ -459,25 +459,40 @@ func (m *Manager) List() []Status {
 	return out
 }
 
+// sweepMetrics is one read of the manager's counters and run table,
+// rendered by both MetricsSnapshot and WriteProm.
+type sweepMetrics struct {
+	started, cellsDone, cellsFailed uint64
+	active, tracked                 int
+}
+
+func (m *Manager) readMetrics() sweepMetrics {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	snap := sweepMetrics{
+		started:     m.counters.Started.Value(),
+		cellsDone:   m.counters.CellsDone.Value(),
+		cellsFailed: m.counters.CellsFailed.Value(),
+		tracked:     len(m.runs),
+	}
+	for _, r := range m.runs {
+		if r.Progress().State == StateRunning {
+			snap.active++
+		}
+	}
+	return snap
+}
+
 // MetricsSnapshot reports the sweep counters plus the number of
 // currently running sweeps (for /metrics and /healthz).
 func (m *Manager) MetricsSnapshot() map[string]any {
-	m.mu.Lock()
-	active := 0
-	for _, r := range m.runs {
-		if r.Progress().State == StateRunning {
-			active++
-		}
-	}
-	total := len(m.runs)
-	m.mu.Unlock()
-	snap := m.counters.Snapshot()
+	snap := m.readMetrics()
 	return map[string]any{
-		"started":      snap.Started,
-		"cells_done":   snap.CellsDone,
-		"cells_failed": snap.CellsFailed,
-		"active":       active,
-		"tracked":      total,
+		"started":      snap.started,
+		"cells_done":   snap.cellsDone,
+		"cells_failed": snap.cellsFailed,
+		"active":       snap.active,
+		"tracked":      snap.tracked,
 	}
 }
 
@@ -485,21 +500,12 @@ func (m *Manager) MetricsSnapshot() map[string]any {
 // the per-sweep cell RED families labeled by sweep id — in Prometheus
 // text format.
 func (m *Manager) WriteProm(p *metrics.PromWriter) {
-	m.mu.Lock()
-	active := 0
-	for _, r := range m.runs {
-		if r.Progress().State == StateRunning {
-			active++
-		}
-	}
-	tracked := len(m.runs)
-	m.mu.Unlock()
-	snap := m.counters.Snapshot()
-	p.Counter("ciao_sweeps_started_total", "Sweeps started.", snap.Started)
-	p.Counter("ciao_sweep_cells_done_total", "Sweep cells completed successfully.", snap.CellsDone)
-	p.Counter("ciao_sweep_cells_failed_total", "Sweep cell failures.", snap.CellsFailed)
-	p.Gauge("ciao_sweeps_active", "Sweeps currently running.", float64(active))
-	p.Gauge("ciao_sweeps_tracked", "Sweep run records retained in memory.", float64(tracked))
+	snap := m.readMetrics()
+	p.Counter("ciao_sweeps_started_total", "Sweeps started.", snap.started)
+	p.Counter("ciao_sweep_cells_done_total", "Sweep cells completed successfully.", snap.cellsDone)
+	p.Counter("ciao_sweep_cells_failed_total", "Sweep cell failures.", snap.cellsFailed)
+	p.Gauge("ciao_sweeps_active", "Sweeps currently running.", float64(snap.active))
+	p.Gauge("ciao_sweeps_tracked", "Sweep run records retained in memory.", float64(snap.tracked))
 	if m.red != nil {
 		m.red.WriteProm(p, "ciao_sweep_cell", "sweep")
 	}

@@ -2,12 +2,16 @@ package sweep
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/harness"
+	"repro/internal/metrics"
 	"repro/internal/service"
 )
 
@@ -169,5 +173,65 @@ func TestCancelOlderRunLeavesLiveManifest(t *testing.T) {
 		t.Errorf("restart did not resume under B's id %s", b.ID())
 	} else {
 		finish(t, run)
+	}
+}
+
+// TestManagerWritesSweepCellRED follows a sweep into the manager's RED
+// registry: the store observes every record it accepts into a series
+// labeled by the sweep id, so the exposition counts each cell once and
+// each failed cell as an error.
+func TestManagerWritesSweepCellRED(t *testing.T) {
+	spec, cells := eightCells(t)
+	eng := service.NewEngine(service.Config{
+		Workers: 2,
+		Run: func(s service.Spec) ([]byte, error) {
+			if s.Bench == "KMN" && s.Sched == "CCWS" {
+				return nil, errors.New("injected cell failure")
+			}
+			return json.Marshal(harness.CellResult{Bench: s.Bench, Sched: s.Sched, IPC: 2})
+		},
+	})
+	m := NewManager(eng, t.TempDir(), 0)
+	m.SetRED(metrics.NewRED())
+	run, err := m.Start(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final := finish(t, run); final.State != StateDone || final.Failed != 1 {
+		t.Fatalf("final = %+v, want done with 1 failed cell", final)
+	}
+
+	var sb strings.Builder
+	p := metrics.NewPromWriter(&sb)
+	m.WriteProm(p)
+	if err := p.Err(); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	label := `{sweep="` + run.ID() + `"} `
+	for _, want := range []string{
+		"ciao_sweep_cell_requests_total" + label + strconv.Itoa(len(cells)) + "\n",
+		"ciao_sweep_cell_request_errors_total" + label + "1\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition missing %q\n--- got ---\n%s", want, out)
+		}
+	}
+	// The per-sweep families are exactly the RED set, in order.
+	var families []string
+	for _, line := range strings.Split(out, "\n") {
+		if f, ok := strings.CutPrefix(line, "# TYPE ciao_sweep_cell_"); ok {
+			families = append(families, f)
+		}
+	}
+	want := []string{
+		"requests_total counter",
+		"request_errors_total counter",
+		"requests_shed_total counter",
+		"response_bytes_total counter",
+		"request_seconds histogram",
+	}
+	if !slices.Equal(families, want) {
+		t.Errorf("ciao_sweep_cell_ families = %q, want %q", families, want)
 	}
 }

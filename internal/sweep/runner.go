@@ -172,12 +172,6 @@ func (r *Runner) Run(ctx context.Context, cells []Cell) (Progress, error) {
 	)
 loop:
 	for _, c := range todo {
-		mu.Lock()
-		broken := storeErr != nil
-		mu.Unlock()
-		if broken {
-			break
-		}
 		// Acquire the submission slot and the cancellation signal
 		// together, so a cancel arriving while blocked on a full
 		// semaphore does not launch one more cell.
@@ -186,7 +180,13 @@ loop:
 		case <-ctx.Done():
 			break loop
 		}
-		if ctx.Err() != nil {
+		// Check for a failed append only with the slot held: the cell
+		// whose append failed records the error before it frees its
+		// slot, so a check made before the wait would launch one more.
+		mu.Lock()
+		broken := storeErr != nil
+		mu.Unlock()
+		if broken || ctx.Err() != nil {
 			<-sem
 			break
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -213,5 +214,39 @@ func TestRunnerRecordsFailures(t *testing.T) {
 	}
 	if final.State != StateDone || final.Failed != 2 || final.Done != 6 {
 		t.Fatalf("final = %+v", final)
+	}
+}
+
+// TestRunnerStopsAtAppendFailure: once an append fails, no further
+// cell is simulated. The results file closes during the 5th
+// simulation, so that cell's append fails and the sweep stops after 5
+// simulations, not 6.
+func TestRunnerStopsAtAppendFailure(t *testing.T) {
+	spec, cells := eightCells(t)
+	st, err := Create(filepath.Join(t.TempDir(), "s"), "id", spec, len(cells))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var calls atomic.Int32
+	eng := service.NewEngine(service.Config{
+		Workers:      1,
+		CacheEntries: -1,
+		Run: func(spec service.Spec) ([]byte, error) {
+			if calls.Add(1) == 5 {
+				st.Close()
+			}
+			return json.Marshal(harness.CellResult{Bench: spec.Bench, Sched: spec.Sched, IPC: 2})
+		},
+	})
+	final, err := (&Runner{Engine: eng, Store: st, Parallelism: 1}).Run(context.Background(), cells)
+	if err == nil || final.State != StateFailed {
+		t.Fatalf("final = %+v, err = %v; want a failed sweep", final, err)
+	}
+	if final.Executed != 5 {
+		t.Errorf("executed = %d, want 5", final.Executed)
+	}
+	if got := eng.Simulations(); got != 5 {
+		t.Errorf("simulations = %d, want 5", got)
 	}
 }
