@@ -62,13 +62,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// lineMeta is one way's state beside its tag.
-type lineMeta struct {
-	lastUse uint64 // cycle of last touch, for LRU
-	owner   int    // WID of the warp that filled the line
-	dirty   bool
-}
-
 // Eviction records a replaced line: the victim's address and the warp
 // that owned it, plus the warp whose fill evicted it. This is exactly
 // the (address, evictor WID) pair CIAO feeds into the owner's VTA set.
@@ -105,17 +98,31 @@ func (s Stats) HitRate() float64 {
 // Every lookup is one fixed-length pass over its set, which is faster
 // than early-exit scans whose exits the host cannot predict. Each way's
 // tag is stored as line|1 in one dense array, 0 meaning invalid (line
-// addresses have zero low bits); the LRU time, owner and dirty bit sit
-// in a parallel array. A tag match visits every way (at most one can
+// addresses have zero low bits). The LRU time, owner and dirty bit sit
+// in arrays parallel to the tags, so a victim scan reads the set's
+// tags and one run of LRU times (64 bytes each for an 8-way set), not
+// whole per-way records. A tag match visits every way (at most one can
 // match). A fill's victim is the first invalid way, else the first way
 // with the least recent use.
 type Cache struct {
-	cfg   Config
-	fold  uint       // first XOR-fold shift of the set index; 64 = none
-	mask  uint64     // sets-1
-	tags  []uint64   // line|1 per way, set by set; 0 = invalid
-	meta  []lineMeta // parallel to tags
-	stats Stats
+	cfg     Config
+	fold    uint     // first XOR-fold shift of the set index; 64 = none
+	mask    uint64   // sets-1
+	tags    []uint64 // line|1 per way, set by set; 0 = invalid
+	lastUse []uint64 // cycle of each way's last touch, for LRU
+	owner   []int32  // WID of the warp that filled each way
+	dirty   []bool
+	stats   Stats
+}
+
+// Set locates one line in a cache: its set, its tag and the way that
+// holds it (-1 while absent). AccessSet returns it, and on a miss
+// FillMiss and WriteHit reuse it, so a miss that allocates looks its
+// set up once. A Set is valid until the cache next changes by any
+// other call.
+type Set struct {
+	base, way int
+	tag       uint64
 }
 
 // New builds a cache from cfg, panicking on invalid geometry (a
@@ -129,12 +136,15 @@ func New(cfg Config) *Cache {
 	if cfg.UseXORHash && nsets > 1 {
 		fold = uint(bits.TrailingZeros(uint(nsets)))
 	}
+	n := nsets * cfg.Ways
 	return &Cache{
-		cfg:  cfg,
-		fold: fold,
-		mask: uint64(nsets - 1),
-		tags: make([]uint64, nsets*cfg.Ways),
-		meta: make([]lineMeta, nsets*cfg.Ways),
+		cfg:     cfg,
+		fold:    fold,
+		mask:    uint64(nsets - 1),
+		tags:    make([]uint64, n),
+		lastUse: make([]uint64, n),
+		owner:   make([]int32, n),
+		dirty:   make([]bool, n),
 	}
 }
 
@@ -175,7 +185,7 @@ func (c *Cache) find(base int, tag uint64) int {
 
 // victim returns the way of the set at base a fill replaces.
 func (c *Cache) victim(base int) int {
-	tags, meta := c.tags[base:base+c.cfg.Ways], c.meta[base:base+c.cfg.Ways]
+	tags, lru := c.tags[base:base+c.cfg.Ways], c.lastUse[base:base+c.cfg.Ways]
 	way := -1
 	for i := len(tags) - 1; i >= 0; i-- {
 		if tags[i] == 0 {
@@ -183,12 +193,12 @@ func (c *Cache) victim(base int) int {
 		}
 	}
 	if way < 0 {
-		lu := meta[0].lastUse
-		for _, m := range meta[1:] {
-			lu = min(lu, m.lastUse)
+		lu := lru[0]
+		for _, t := range lru[1:] {
+			lu = min(lu, t)
 		}
-		for i := len(meta) - 1; i >= 0; i-- {
-			if meta[i].lastUse == lu {
+		for i := len(lru) - 1; i >= 0; i-- {
+			if lru[i] == lu {
 				way = i
 			}
 		}
@@ -201,31 +211,55 @@ func (c *Cache) Probe(addr memory.Addr) bool {
 	return c.find(c.locate(addr)) >= 0
 }
 
-// Access performs a load or store lookup at cycle now for warp wid.
-// On a hit it updates LRU state and returns hit=true. On a miss the
-// caller is expected to allocate an MSHR entry and later call Fill.
-// Store behaviour follows the configured write policy: under
-// write-through-no-allocate a store miss does not allocate and a store
-// hit updates the line in place (and is propagated by the caller).
+// Access performs a load or store lookup at cycle now for warp wid; it
+// is AccessSet for callers that fill later, after other accesses.
 func (c *Cache) Access(addr memory.Addr, wid int, now uint64, isWrite bool) (hit bool) {
-	i := c.find(c.locate(addr))
+	hit, _ = c.AccessSet(addr, now, isWrite)
+	return hit
+}
+
+// AccessSet performs a load or store lookup at cycle now. On a hit it
+// updates LRU state and returns hit=true. On a miss the caller is
+// expected to allocate an MSHR entry and later fill the line: with
+// FillMiss on the returned Set when nothing touches the cache in
+// between (the L2), else with Fill. Store behaviour follows the
+// configured write policy: under write-through-no-allocate a store
+// miss does not allocate and a store hit updates the line in place
+// (and is propagated by the caller); under write-back a store hit
+// marks the line dirty.
+func (c *Cache) AccessSet(addr memory.Addr, now uint64, isWrite bool) (hit bool, s Set) {
+	s.base, s.tag = c.locate(addr)
+	s.way = c.find(s.base, s.tag)
 	c.stats.Accesses++
-	if i < 0 {
+	if s.way < 0 {
 		c.stats.Misses++
 		if isWrite {
 			c.stats.WriteMiss++
 		}
-		return false
+		return false, s
 	}
-	c.meta[i].lastUse = now
+	c.hit(s.way, now, isWrite)
+	return true, s
+}
+
+// WriteHit is a store access at cycle now to the line s holds, as
+// after FillMiss installed it: a write-allocate store miss counts its
+// miss and then its write.
+func (c *Cache) WriteHit(s Set, now uint64) {
+	c.stats.Accesses++
+	c.hit(s.way, now, true)
+}
+
+// hit records an access that found its line in way.
+func (c *Cache) hit(way int, now uint64, isWrite bool) {
+	c.lastUse[way] = now
 	if isWrite {
 		c.stats.WriteHits++
 		if c.cfg.Write == WriteBackAllocate {
-			c.meta[i].dirty = true
+			c.dirty[way] = true
 		}
 	}
 	c.stats.Hits++
-	return true
 }
 
 // Fill installs the line for warp wid at cycle now, returning the
@@ -235,21 +269,32 @@ func (c *Cache) Access(addr memory.Addr, wid int, now uint64, isWrite bool) (hit
 // the MSHR).
 func (c *Cache) Fill(addr memory.Addr, wid int, now uint64) (ev Eviction, evicted bool) {
 	base, tag := c.locate(addr)
-	c.stats.Fills++
 	if i := c.find(base, tag); i >= 0 {
-		c.meta[i].lastUse = now
+		c.stats.Fills++
+		c.lastUse[i] = now
 		return Eviction{}, false
 	}
-	v := c.victim(base)
+	return c.FillMiss(&Set{base: base, way: -1, tag: tag}, wid, now)
+}
+
+// FillMiss installs the absent line s locates for warp wid at cycle
+// now, like Fill without its lookup, and points s at the line's way.
+func (c *Cache) FillMiss(s *Set, wid int, now uint64) (ev Eviction, evicted bool) {
+	c.stats.Fills++
+	v := c.victim(s.base)
 	if c.tags[v] != 0 {
-		m := c.meta[v]
-		ev = Eviction{Line: memory.Addr(c.tags[v] &^ 1), OwnerWID: m.owner, Evictor: wid, Dirty: m.dirty}
+		ev = Eviction{Line: memory.Addr(c.tags[v] &^ 1), OwnerWID: int(c.owner[v]), Evictor: wid, Dirty: c.dirty[v]}
 		evicted = true
 		c.stats.Evictions++
 	}
-	c.tags[v] = tag
-	c.meta[v] = lineMeta{lastUse: now, owner: wid}
+	c.tags[v], c.lastUse[v], c.owner[v], c.dirty[v] = s.tag, now, int32(wid), false
+	s.way = v
 	return ev, evicted
+}
+
+// clear empties way i.
+func (c *Cache) clear(i int) {
+	c.tags[i], c.lastUse[i], c.owner[i], c.dirty[i] = 0, 0, 0, false
 }
 
 // Invalidate removes the line if present, returning whether it was
@@ -260,8 +305,8 @@ func (c *Cache) Invalidate(addr memory.Addr) (present, dirty bool) {
 	if i < 0 {
 		return false, false
 	}
-	dirty = c.meta[i].dirty
-	c.tags[i], c.meta[i] = 0, lineMeta{}
+	dirty = c.dirty[i]
+	c.clear(i)
 	c.stats.Invalidates++
 	return true, dirty
 }
@@ -269,7 +314,7 @@ func (c *Cache) Invalidate(addr memory.Addr) (present, dirty bool) {
 // Owner returns the WID that filled the line, if present.
 func (c *Cache) Owner(addr memory.Addr) (wid int, ok bool) {
 	if i := c.find(c.locate(addr)); i >= 0 {
-		return c.meta[i].owner, true
+		return int(c.owner[i]), true
 	}
 	return 0, false
 }
@@ -283,10 +328,10 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 // Flush invalidates every line and returns how many were dirty.
 func (c *Cache) Flush() (dirtyLines int) {
 	for i, t := range c.tags {
-		if t != 0 && c.meta[i].dirty {
+		if t != 0 && c.dirty[i] {
 			dirtyLines++
 		}
-		c.tags[i], c.meta[i] = 0, lineMeta{}
+		c.clear(i)
 	}
 	return dirtyLines
 }

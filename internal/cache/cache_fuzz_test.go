@@ -210,9 +210,12 @@ func fuzzLines(cfg Config, seed uint64) [16]memory.Addr {
 // Access/Fill/Probe/Invalidate/Owner sequence and requires identical
 // answers (hits, evictions with line, owner and dirty bit, owners) and
 // identical Stats after every op, then equal occupancy and Flush
-// counts. Each op is two bytes: the first picks the op and the warp,
-// the second the line, a byte offset within it and how far the clock
-// moves (often not at all, so LRU ties are common).
+// counts. The L2's fused path, AccessSet and on a miss FillMiss and
+// (for a store) WriteHit on the returned Set, must match the
+// reference's Access, Fill and Access. Each op is two bytes: the first
+// picks the op and the warp, the second the line, a byte offset within
+// it and how far the clock moves (often not at all, so LRU ties are
+// common).
 func FuzzCache(f *testing.F) {
 	geoms := []uint8{
 		0x00,                // one set, one way, modulo
@@ -243,10 +246,29 @@ func FuzzCache(f *testing.F) {
 			addr := lines[arg&15] + memory.Addr(arg>>6)*37
 			now += uint64(arg >> 4 & 3)
 			switch op & 7 {
-			case 0, 1, 2:
+			case 0, 2:
 				write := op&7 == 2
 				if got, want := c.Access(addr, wid, now, write), ref.Access(addr, wid, now, write); got != want {
 					t.Fatalf("op %d: Access(%s, write=%v) = %v, reference %v", i/2, addr, write, got, want)
+				}
+			case 1:
+				// The warp's low bit picks a store; the fill lands a few
+				// cycles later, as an L2 fill does after DRAM.
+				write, fillAt := wid&1 == 1, now+uint64(wid>>1&3)
+				hit, set := c.AccessSet(addr, now, write)
+				if want := ref.Access(addr, wid, now, write); hit != want {
+					t.Fatalf("op %d: AccessSet(%s, write=%v) = %v, reference %v", i/2, addr, write, hit, want)
+				}
+				if !hit {
+					ev, evicted := c.FillMiss(&set, wid, fillAt)
+					wantEv, wantEvicted := ref.Fill(addr, wid, fillAt)
+					if ev != wantEv || evicted != wantEvicted {
+						t.Fatalf("op %d: FillMiss(%s) = %+v,%v, reference %+v,%v", i/2, addr, ev, evicted, wantEv, wantEvicted)
+					}
+					if write {
+						c.WriteHit(set, fillAt)
+						ref.Access(addr, wid, fillAt, true)
+					}
 				}
 			case 3, 4:
 				ev, evicted := c.Fill(addr, wid, now)

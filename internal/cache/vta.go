@@ -16,9 +16,11 @@ type VTA struct {
 	hits, probes, inserts uint64
 }
 
+// vtaEntry is one victim tag: the evicted line stored as line|1, 0
+// meaning empty (line addresses have zero low bits), as the cache
+// tags do, and the evicting warp.
 type vtaEntry struct {
-	valid   bool
-	line    memory.Addr
+	tag     uint64
 	evictor int
 }
 
@@ -43,8 +45,11 @@ func (v *VTA) Insert(ownerWID int, line memory.Addr, evictorWID int) {
 	}
 	set := v.sets[ownerWID]
 	cur := v.next[ownerWID]
-	set[cur] = vtaEntry{valid: true, line: line.LineAddr(), evictor: evictorWID}
-	v.next[ownerWID] = (cur + 1) % v.tagsPerSet
+	set[cur] = vtaEntry{tag: uint64(line.LineAddr()) | 1, evictor: evictorWID}
+	if cur++; cur == v.tagsPerSet {
+		cur = 0
+	}
+	v.next[ownerWID] = cur
 	v.inserts++
 }
 
@@ -56,10 +61,10 @@ func (v *VTA) Probe(wid int, line memory.Addr) (hit bool, evictorWID int) {
 		return false, 0
 	}
 	v.probes++
-	la := line.LineAddr()
+	tag := uint64(line.LineAddr()) | 1
 	set := v.sets[wid]
 	for i := range set {
-		if set[i].line == la && set[i].valid {
+		if set[i].tag == tag {
 			v.hits++
 			ev := set[i].evictor
 			set[i] = vtaEntry{}

@@ -57,8 +57,8 @@ func (c Config) Validate() error {
 	if c.Banks <= 0 || c.TCL < 0 || c.TRCD < 0 || c.TRAS < 0 {
 		return fmt.Errorf("dram: invalid timing %+v", c)
 	}
-	if c.RowBytes <= 0 || c.TransferCycles <= 0 {
-		return fmt.Errorf("dram: invalid geometry %+v", c)
+	if c.RowBytes < memory.LineSize || c.TransferCycles <= 0 {
+		return fmt.Errorf("dram: invalid geometry %+v (rows hold at least one %dB line)", c, memory.LineSize)
 	}
 	return nil
 }
@@ -93,6 +93,10 @@ type bank struct {
 type DRAM struct {
 	cfg   Config
 	banks []bank
+	// bankDiv and rowDiv split a line number into bank and row
+	// without a runtime divide; xfer is the bus occupancy of one line.
+	bankDiv, rowDiv memory.Divisor
+	xfer            uint64
 	// busFree is the first cycle at which the data bus is idle.
 	busFree uint64
 	stats   Stats
@@ -110,18 +114,24 @@ func New(cfg Config) *DRAM {
 	for i := range banks {
 		banks[i].openRow = -1
 	}
-	return &DRAM{cfg: cfg, banks: banks}
+	return &DRAM{
+		cfg:     cfg,
+		banks:   banks,
+		bankDiv: memory.NewDivisor(uint64(cfg.Banks)),
+		rowDiv:  memory.NewDivisor(uint64(cfg.RowBytes / memory.LineSize)),
+		xfer:    max(uint64(cfg.TransferCycles)/uint64(cfg.BandwidthMultiplier), 1),
+	}
 }
 
 // Config returns the device configuration.
 func (d *DRAM) Config() Config { return d.cfg }
 
-// bankAndRow decomposes a line address.
+// bankAndRow decomposes a line address: lines interleave across banks,
+// and each bank's row holds RowBytes/LineSize consecutive lines of it.
 func (d *DRAM) bankAndRow(addr memory.Addr) (bankIdx int, row int64) {
-	line := addr.LineIndex()
-	bankIdx = int(line % uint64(d.cfg.Banks))
-	row = int64(line / uint64(d.cfg.Banks) / uint64(d.cfg.RowBytes/memory.LineSize))
-	return bankIdx, row
+	q, b := d.bankDiv.DivMod(addr.LineIndex())
+	r, _ := d.rowDiv.DivMod(q)
+	return int(b), int64(r)
 }
 
 // Service performs a line read or write beginning no earlier than now
@@ -157,19 +167,15 @@ func (d *DRAM) Service(now uint64, addr memory.Addr, isWrite bool) (done uint64)
 
 	// Bus arbitration: the transfer starts when both the column data is
 	// ready and the bus is free.
-	xfer := uint64(d.cfg.TransferCycles) / uint64(d.cfg.BandwidthMultiplier)
-	if xfer == 0 {
-		xfer = 1
-	}
 	busStart := colReady
 	if d.busFree > busStart {
 		busStart = d.busFree
 	}
-	done = busStart + xfer
+	done = busStart + d.xfer
 	d.busFree = done
 	b.readyAt = colReady
 
-	d.stats.BusBusy += xfer
+	d.stats.BusBusy += d.xfer
 	d.stats.LastFinish = done
 	if isWrite {
 		d.stats.Writes++

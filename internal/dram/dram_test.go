@@ -127,6 +127,30 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsSubLineRows: a row narrower than one line holds
+// no line, and decomposing an address by it would divide by zero.
+func TestValidateRejectsSubLineRows(t *testing.T) {
+	for _, rb := range []int{-1, 0, 1, 64, memory.LineSize - 1} {
+		bad := DefaultConfig()
+		bad.RowBytes = rb
+		if bad.Validate() == nil {
+			t.Errorf("RowBytes %d accepted", rb)
+		}
+	}
+	ok := DefaultConfig()
+	ok.RowBytes = memory.LineSize
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("one-line rows rejected: %v", err)
+	}
+	d := New(ok)
+	// Each row holds one line: consecutive lines of a bank open new rows.
+	d.Service(0, 0, false)
+	d.Service(100, memory.Addr(ok.Banks*memory.LineSize), false)
+	if s := d.Stats(); s.RowHits != 0 || s.RowMisses != 2 {
+		t.Errorf("one-line rows: %d row hits, %d misses, want 0 and 2", s.RowHits, s.RowMisses)
+	}
+}
+
 // Property: completions are monotone in request time for a fixed
 // address (a later request never completes earlier), and every
 // completion strictly exceeds its request time.

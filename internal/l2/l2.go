@@ -89,6 +89,7 @@ func (s Stats) HitRate() float64 {
 // L2 is the partitioned second-level cache plus DRAM.
 type L2 struct {
 	cfg      Config
+	parts    memory.Divisor // Partitions, for the slice index
 	slices   []*cache.Cache
 	busyTill []uint64 // per-slice service cursor
 	mem      *dram.DRAM
@@ -112,6 +113,7 @@ func New(cfg Config) *L2 {
 	}
 	return &L2{
 		cfg:      cfg,
+		parts:    memory.NewDivisor(uint64(cfg.Partitions)),
 		slices:   slices,
 		busyTill: make([]uint64, cfg.Partitions),
 		mem:      dram.New(cfg.DRAM),
@@ -124,8 +126,10 @@ func (l *L2) Config() Config { return l.cfg }
 // DRAM exposes the backing memory (for bandwidth probes by statPCAL).
 func (l *L2) DRAM() *dram.DRAM { return l.mem }
 
+// sliceIndex interleaves consecutive lines across the partitions.
 func (l *L2) sliceIndex(addr memory.Addr) int {
-	return int(addr.LineIndex()) % l.cfg.Partitions
+	_, si := l.parts.DivMod(addr.LineIndex())
+	return int(si)
 }
 
 func (l *L2) slice(addr memory.Addr) *cache.Cache {
@@ -150,14 +154,16 @@ func (l *L2) occupySlice(si int, arrive uint64) (serviceDone uint64) {
 // Access serves a read or write arriving from an SM at cycle now and
 // returns the completion cycle and where the data was found. An L2
 // miss fetches the line from DRAM (write-allocate) and installs it; a
-// dirty eviction performs a write-back.
+// dirty eviction performs a write-back. The slice looks the line's
+// set up once: a miss fills the Set its lookup returned.
 func (l *L2) Access(now uint64, addr memory.Addr, wid int, isWrite bool) (done uint64, level memory.HitLevel) {
 	arrive := now + uint64(l.cfg.Latency)
 	si := l.sliceIndex(addr)
 	s := l.slices[si]
 	served := l.occupySlice(si, arrive)
 	l.stats.Accesses++
-	if s.Access(addr, wid, served, isWrite) {
+	hit, set := s.AccessSet(addr, served, isWrite)
+	if hit {
 		l.stats.Hits++
 		return served, memory.HitL2
 	}
@@ -166,15 +172,15 @@ func (l *L2) Access(now uint64, addr memory.Addr, wid int, isWrite bool) (done u
 		// Fetch-on-write is skipped: a coalesced 128B store overwrites
 		// the whole line, so the slice installs it directly and marks
 		// it dirty. Only the eventual write-back consumes DRAM.
-		ev, evicted := s.Fill(addr, wid, served)
+		ev, evicted := s.FillMiss(&set, wid, served)
 		if evicted && ev.Dirty {
 			l.mem.Service(served, ev.Line, true)
 		}
-		s.Access(addr, wid, served, true)
+		s.WriteHit(set, served)
 		return served + 1, memory.HitL2
 	}
 	fillDone := l.mem.Service(served, addr, false)
-	ev, evicted := s.Fill(addr, wid, fillDone)
+	ev, evicted := s.FillMiss(&set, wid, fillDone)
 	if evicted && ev.Dirty {
 		// Write-back consumes DRAM bandwidth but is off the critical
 		// path of the fill.

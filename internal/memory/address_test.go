@@ -34,26 +34,3 @@ func TestLineIndexOffsetRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestAccessKindString(t *testing.T) {
-	if Load.String() != "load" || Store.String() != "store" {
-		t.Errorf("unexpected kind strings: %v %v", Load, Store)
-	}
-	if !Store.IsWrite() || Load.IsWrite() {
-		t.Error("IsWrite misclassifies")
-	}
-	if !SharedLoad.IsShared() || Load.IsShared() {
-		t.Error("IsShared misclassifies")
-	}
-}
-
-func TestResponseLatency(t *testing.T) {
-	r := Response{Req: Request{IssueCycle: 10}, DoneCycle: 110}
-	if r.Latency() != 100 {
-		t.Errorf("latency = %d, want 100", r.Latency())
-	}
-	r = Response{Req: Request{IssueCycle: 10}, DoneCycle: 5}
-	if r.Latency() != 0 {
-		t.Errorf("clamped latency = %d, want 0", r.Latency())
-	}
-}

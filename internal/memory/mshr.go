@@ -6,25 +6,17 @@ import (
 )
 
 // MSHREntry tracks one outstanding line miss and the requests merged
-// into it. CIAO augments each entry with the translated shared-memory
-// address so that a fill returning from L2 can be steered directly
-// into the shared-memory cache (Section IV-B, "Datapath connection").
+// into it. CIAO marks entries whose fill returns to the shared-memory
+// cache instead of L1D (Section IV-B, "Datapath connection"); the fill
+// path locates the shared-memory block from the line itself.
 type MSHREntry struct {
 	// Line is the missing global line address.
 	Line Addr
 	// Merged are the requests waiting on this line, in arrival order.
 	Merged []Request
-	// SharedAddr, when SharedValid, is the translated shared-memory
-	// address the fill should be written to instead of L1D.
-	SharedAddr uint32
-	// SharedValid reports whether SharedAddr is meaningful.
+	// SharedValid reports that the fill goes to the shared-memory
+	// cache rather than L1D.
 	SharedValid bool
-	// ResponsePtr, when ResponseValid, points at a response-queue slot
-	// holding the single data copy migrated out of L1D (the paper's
-	// L1D→shared-memory migration path).
-	ResponsePtr int
-	// ResponseValid reports whether ResponsePtr is meaningful.
-	ResponseValid bool
 }
 
 // MSHR is a miss status holding register file: a bounded table of
@@ -160,7 +152,7 @@ func (m *MSHR) Insert(slot int, req Request) *MSHREntry {
 	}
 	e := m.free[len(m.free)-1]
 	m.free = m.free[:len(m.free)-1]
-	*e = MSHREntry{Line: req.Addr.LineAddr(), Merged: append(e.Merged[:0], req)}
+	e.Line, e.Merged, e.SharedValid = req.Addr.LineAddr(), append(e.Merged[:0], req), false
 	m.slots[slot] = e
 	m.live++
 	m.allocations++

@@ -1,17 +1,20 @@
 package memory
 
-// Event is a timestamped item flowing through a latency queue: a
-// request or fill that becomes visible at ReadyCycle.
+// Event is a timestamped fill flowing through a latency queue: a line
+// whose data becomes visible at ReadyCycle. It is 24 bytes, and it is
+// filled and consumed in place (Add, Pop), so the per-line path never
+// copies one.
 type Event struct {
-	Req Request
 	// Line is the affected line address (fills are line-granular).
 	Line Addr
 	// ReadyCycle is the first cycle at which the event may be consumed.
 	ReadyCycle uint64
-	// HitLevel records where the data was found, for fills.
+	// WarpID is the warp whose request the fill answers.
+	WarpID int32
+	// HitLevel records where the data was found.
 	HitLevel HitLevel
-	// Payload carries model-specific data (e.g. an MSHR pointer).
-	Payload int
+	// Payload carries a model-specific marker (the SM's fill path).
+	Payload uint8
 }
 
 // LatencyQueue is a bounded queue whose entries become visible only
@@ -19,20 +22,23 @@ type Event struct {
 // L1↔L2 interconnect or the response queue in Figure 7a.
 //
 // Ordering guarantee: among events that are ready at a given cycle,
-// PopReady serves them strictly in insertion (FIFO) order; an unready
-// event never blocks a ready one behind it. This is the property the
-// SM fill path relies on for deterministic replay — two fills ready on
-// the same cycle always retire in issue order.
+// Pop serves them strictly in insertion (FIFO) order; an unready event
+// never blocks a ready one behind it. This is the property the SM fill
+// path relies on for deterministic replay — two fills ready on the
+// same cycle always retire in issue order.
 //
-// Events live in a slot pool with a free list. A sorted array of small
-// keys {ReadyCycle, insertion sequence, slot} orders them by
-// (ReadyCycle, sequence); a push inserts its key from the tail, where
-// new fills almost always belong. The ready events are therefore a
-// prefix of the keys, so NextReady is the head key (always exact) and
-// PopReady takes the lowest sequence number in that prefix, which is
-// the oldest ready event. Live keys start at a head index, so popping
-// near the front shifts only the keys before the popped one. Bounded
-// queues preallocate everything, so the steady state never allocates.
+// Events live in a slot pool with a free list. Add hands out a slot
+// for the caller to fill and Pop hands back the slot of the event it
+// dequeues, so an event is written once and read where it lies. A
+// sorted array of small keys {ReadyCycle, insertion sequence, slot}
+// orders them by (ReadyCycle, sequence); Add inserts its key from the
+// tail, where new fills almost always belong. The ready events are
+// therefore a prefix of the keys, so NextReady and Ready read the head
+// key (always exact) and Pop takes the lowest sequence number in that
+// prefix, which is the oldest ready event. Live keys start at a head
+// index, so popping near the front shifts only the keys before the
+// popped one. Bounded queues preallocate everything, so the steady
+// state never allocates.
 type LatencyQueue struct {
 	name     string
 	capacity int
@@ -75,20 +81,21 @@ func (q *LatencyQueue) Full() bool {
 	return q.capacity > 0 && q.Len() >= q.capacity
 }
 
-// Push enqueues ev; it reports false (and counts a structural stall)
-// when the queue is full.
-func (q *LatencyQueue) Push(ev Event) bool {
+// Add enqueues an event that becomes ready at cycle ready and returns
+// its slot, zeroed but for ReadyCycle, for the caller to fill in
+// place. It returns nil (and counts a structural stall) when the queue
+// is full. The slot is the caller's to write until the next Add.
+func (q *LatencyQueue) Add(ready uint64) *Event {
 	if q.Full() {
 		q.fullHits++
-		return false
+		return nil
 	}
 	var slot int32
 	if n := len(q.free); n > 0 {
 		slot, q.free = q.free[n-1], q.free[:n-1]
-		q.events[slot] = ev
 	} else {
 		slot = int32(len(q.events))
-		q.events = append(q.events, ev)
+		q.events = append(q.events, Event{})
 	}
 	// Out of room at the tail: slide the live keys down when the dead
 	// prefix is at least half the array, else let append grow it.
@@ -96,7 +103,7 @@ func (q *LatencyQueue) Push(ev Event) bool {
 		q.keys = q.keys[:copy(q.keys, q.keys[q.head:])]
 		q.head = 0
 	}
-	k := queueKey{ready: ev.ReadyCycle, seq: q.pushes, slot: slot}
+	k := queueKey{ready: ready, seq: q.pushes, slot: slot}
 	q.keys = append(q.keys, k)
 	i := len(q.keys) - 1
 	for ; i > q.head && q.keys[i-1].ready > k.ready; i-- {
@@ -104,6 +111,19 @@ func (q *LatencyQueue) Push(ev Event) bool {
 	}
 	q.keys[i] = k
 	q.pushes++
+	ev := &q.events[slot]
+	*ev = Event{ReadyCycle: ready}
+	return ev
+}
+
+// Push enqueues a copy of ev; it reports false (and counts a
+// structural stall) when the queue is full.
+func (q *LatencyQueue) Push(ev Event) bool {
+	slot := q.Add(ev.ReadyCycle)
+	if slot == nil {
+		return false
+	}
+	*slot = ev
 	return true
 }
 
@@ -117,14 +137,18 @@ func (q *LatencyQueue) NextReady() (cycle uint64, ok bool) {
 	return q.keys[q.head].ready, true
 }
 
-// PopReady dequeues and returns the oldest event whose ReadyCycle has
-// arrived, or ok=false when none is ready. FIFO order is preserved
-// among ready events. The nothing-ready case reads one key.
-func (q *LatencyQueue) PopReady(now uint64) (ev Event, ok bool) {
+// Ready reports whether an event is consumable at cycle now. It reads
+// one key.
+func (q *LatencyQueue) Ready(now uint64) bool {
+	return q.head < len(q.keys) && q.keys[q.head].ready <= now
+}
+
+// Pop dequeues the oldest event whose ReadyCycle has arrived and
+// returns its slot, which stays intact until the next Add. FIFO order
+// is preserved among ready events. Call it only after Ready(now)
+// reported true.
+func (q *LatencyQueue) Pop(now uint64) *Event {
 	h := q.head
-	if h == len(q.keys) || q.keys[h].ready > now {
-		return Event{}, false
-	}
 	best := h
 	for i := h + 1; i < len(q.keys) && q.keys[i].ready <= now; i++ {
 		if q.keys[i].seq < q.keys[best].seq {
@@ -137,7 +161,16 @@ func (q *LatencyQueue) PopReady(now uint64) (ev Event, ok bool) {
 		q.keys, q.head = q.keys[:0], 0
 	}
 	q.free = append(q.free, slot)
-	return q.events[slot], true
+	return &q.events[slot]
+}
+
+// PopReady dequeues and returns a copy of the oldest event whose
+// ReadyCycle has arrived, or ok=false when none is ready.
+func (q *LatencyQueue) PopReady(now uint64) (ev Event, ok bool) {
+	if !q.Ready(now) {
+		return Event{}, false
+	}
+	return *q.Pop(now), true
 }
 
 // Stats reports cumulative pushes and full-queue rejections.

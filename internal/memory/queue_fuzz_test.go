@@ -121,7 +121,9 @@ func (q *refQueue) Reset() {
 // unbounded. Each op byte's low three bits pick the op and its high
 // five bits parameterise it: pushes due soon (ties are common) or far
 // in the future (unready events at the head), single pops, drains,
-// clock skips, and resets.
+// clock skips, and resets. Pushes alternate between Push and an Add
+// whose zeroed slot is filled in place; pops go through PopReady or
+// through Ready and the in-place Pop.
 func FuzzLatencyQueue(f *testing.F) {
 	f.Add(uint8(0), []byte{0, 0, 8, 3, 3, 3, 3})
 	f.Add(uint8(2), []byte{2 | 31<<3, 0, 0, 5, 6 | 31<<3, 3, 3})
@@ -136,8 +138,14 @@ func FuzzLatencyQueue(f *testing.F) {
 		capN := int(capacity % 65)
 		q, ref := NewLatencyQueue("fuzz", capN), newRefQueue(capN)
 		now, line := uint64(0), Addr(0)
-		pop := func(i int) bool {
-			got, gotOK := q.PopReady(now)
+		pop := func(i int, inPlace bool) bool {
+			var got Event
+			var gotOK bool
+			if !inPlace {
+				got, gotOK = q.PopReady(now)
+			} else if gotOK = q.Ready(now); gotOK {
+				got = *q.Pop(now)
+			}
 			want, wantOK := ref.PopReady(now)
 			if got != want || gotOK != wantOK {
 				t.Fatalf("op %d: PopReady(%d) = %+v,%v, reference %+v,%v", i, now, got, gotOK, want, wantOK)
@@ -151,15 +159,25 @@ func FuzzLatencyQueue(f *testing.F) {
 				if op&7 == 2 {
 					arg *= 97
 				}
-				ev := Event{Line: line, ReadyCycle: now + arg, HitLevel: HitLevel(i % 4), Payload: i}
+				ev := Event{Line: line, ReadyCycle: now + arg, WarpID: int32(i % 48), HitLevel: HitLevel(i % 4), Payload: uint8(i)}
 				line += LineSize
-				if got, want := q.Push(ev), ref.Push(ev); got != want {
-					t.Fatalf("op %d: Push = %v, reference %v", i, got, want)
+				var got bool
+				if i&1 == 0 {
+					got = q.Push(ev)
+				} else if slot := q.Add(ev.ReadyCycle); slot != nil {
+					if *slot != (Event{ReadyCycle: ev.ReadyCycle}) {
+						t.Fatalf("op %d: Add(%d) slot = %+v, want zeroed but for ReadyCycle", i, ev.ReadyCycle, *slot)
+					}
+					slot.Line, slot.WarpID, slot.HitLevel, slot.Payload = ev.Line, ev.WarpID, ev.HitLevel, ev.Payload
+					got = true
+				}
+				if want := ref.Push(ev); got != want {
+					t.Fatalf("op %d: push = %v, reference %v", i, got, want)
 				}
 			case 3, 4:
-				pop(i)
+				pop(i, op&7 == 4)
 			case 5:
-				for pop(i) {
+				for pop(i, arg&1 == 1) {
 				}
 			case 6:
 				now += arg * arg
@@ -179,13 +197,16 @@ func FuzzLatencyQueue(f *testing.F) {
 			if ok != wantOK || (ok && rc != want) {
 				t.Fatalf("op %d: NextReady = %d,%v, true minimum %d,%v", i, rc, ok, want, wantOK)
 			}
+			if got := q.Ready(now); got != (wantOK && want <= now) {
+				t.Fatalf("op %d: Ready(%d) = %v, true minimum %d,%v", i, now, got, want, wantOK)
+			}
 			p, fh := q.Stats()
 			if p != ref.pushes || fh != ref.fullHits {
 				t.Fatalf("op %d: Stats = %d,%d, reference %d,%d", i, p, fh, ref.pushes, ref.fullHits)
 			}
 		}
 		now = ^uint64(0)
-		for pop(len(ops)) {
+		for n := 0; pop(len(ops), n&1 == 1); n++ {
 		}
 	})
 }

@@ -2,81 +2,18 @@ package memory
 
 import "fmt"
 
-// AccessKind discriminates the operations that traverse the hierarchy.
-type AccessKind uint8
-
-// Access kinds.
-const (
-	// Load is a global-memory read.
-	Load AccessKind = iota
-	// Store is a global-memory write.
-	Store
-	// SharedLoad is an explicit (programmer-managed) shared-memory read.
-	SharedLoad
-	// SharedStore is an explicit shared-memory write.
-	SharedStore
-)
-
-// String implements fmt.Stringer.
-func (k AccessKind) String() string {
-	switch k {
-	case Load:
-		return "load"
-	case Store:
-		return "store"
-	case SharedLoad:
-		return "shared-load"
-	case SharedStore:
-		return "shared-store"
-	default:
-		return fmt.Sprintf("AccessKind(%d)", uint8(k))
-	}
-}
-
-// IsWrite reports whether the kind modifies memory.
-func (k AccessKind) IsWrite() bool { return k == Store || k == SharedStore }
-
-// IsShared reports whether the kind targets the explicit shared-memory
-// address space rather than global memory.
-func (k AccessKind) IsShared() bool { return k == SharedLoad || k == SharedStore }
-
-// Request is a single coalesced memory request issued by a warp. In a
-// real GPU one warp instruction may coalesce into several line
-// requests; the workload generator models that by emitting multiple
-// Requests for one instruction where appropriate.
+// Request is one coalesced line request of a warp waiting in an MSHR
+// entry: the address it asked for and the warp its fill wakes. It
+// carries nothing else, because nothing else reads it: the SM's fill
+// path needs only the warp, and loads are the only requests that wait.
+// In a real GPU one warp instruction may coalesce into several line
+// requests; the workload generator models that by emitting up to
+// workload.MaxFanout line addresses per instruction.
 type Request struct {
-	// Addr is the (global or shared) byte address.
+	// Addr is the global byte address.
 	Addr Addr
-	// Kind is the operation.
-	Kind AccessKind
 	// WarpID identifies the issuing warp within its SM.
 	WarpID int
-	// SMID identifies the issuing SM.
-	SMID int
-	// IssueCycle is the cycle at which the request left the LD/ST unit.
-	IssueCycle uint64
-}
-
-// String implements fmt.Stringer.
-func (r Request) String() string {
-	return fmt.Sprintf("%s %s w%d@sm%d", r.Kind, r.Addr, r.WarpID, r.SMID)
-}
-
-// Response is the completion record for a Request.
-type Response struct {
-	Req Request
-	// DoneCycle is the cycle at which data became available to the warp.
-	DoneCycle uint64
-	// HitLevel records where the request was satisfied.
-	HitLevel HitLevel
-}
-
-// Latency returns the request's end-to-end latency in cycles.
-func (r Response) Latency() uint64 {
-	if r.DoneCycle < r.Req.IssueCycle {
-		return 0
-	}
-	return r.DoneCycle - r.Req.IssueCycle
 }
 
 // HitLevel identifies the hierarchy level that satisfied a request.

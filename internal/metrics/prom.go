@@ -140,37 +140,63 @@ func formatFloat(v float64) string {
 // route's request counter, then every route's error counter, …) so
 // each metric family appears exactly once. prefix is the metric
 // namespace ("ciao_http" → ciao_http_requests_total, …) and label the
-// series label name ("route", "sweep"). Names are sorted for stable
-// output.
+// series label name ("route"). Names are sorted for stable output.
 func (r *RED) WriteProm(p *PromWriter, prefix, label string) {
-	names := r.Names()
-	// Read each series once, not once per family.
-	type row struct {
-		name                        string
-		req, errs, shed, bytes, dur uint64
-		counts                      [RedBuckets]uint64
-	}
-	rows := make([]row, 0, len(names))
-	for _, n := range names {
-		if v, ok := r.series.Load(n); ok {
-			s := v.(*Series)
-			rw := row{name: n, counts: s.BucketCounts()}
-			rw.req, rw.errs, rw.shed, rw.bytes, rw.dur = s.Totals()
-			rows = append(rows, rw)
-		}
-	}
-	for _, rw := range rows {
-		p.Counter(prefix+"_requests_total", "Requests handled, by "+label+".", rw.req, label, rw.name)
-	}
-	for _, rw := range rows {
-		p.Counter(prefix+"_request_errors_total", "Requests that failed (5xx / failed cells), by "+label+".", rw.errs, label, rw.name)
-	}
+	rows := r.rows()
+	writeRequests(p, prefix, label, rows)
 	for _, rw := range rows {
 		p.Counter(prefix+"_requests_shed_total", "Requests rejected by overload admission control (429), by "+label+".", rw.shed, label, rw.name)
 	}
 	for _, rw := range rows {
 		p.Counter(prefix+"_response_bytes_total", "Response payload bytes written, by "+label+".", rw.bytes, label, rw.name)
 	}
+	writeSeconds(p, prefix, label, rows)
+}
+
+// WriteCellProm exports the families a series that only ever Observes
+// fills: requests, errors and the duration histogram. Sweep cells are
+// such series; nothing sheds a cell or counts its bytes, so the other
+// two families would always read zero.
+func (r *RED) WriteCellProm(p *PromWriter, prefix, label string) {
+	rows := r.rows()
+	writeRequests(p, prefix, label, rows)
+	writeSeconds(p, prefix, label, rows)
+}
+
+// redRow is one series read once for exposition.
+type redRow struct {
+	name                        string
+	req, errs, shed, bytes, dur uint64
+	counts                      [RedBuckets]uint64
+}
+
+// rows reads every series once, in name order.
+func (r *RED) rows() []redRow {
+	names := r.Names()
+	rows := make([]redRow, 0, len(names))
+	for _, n := range names {
+		if v, ok := r.series.Load(n); ok {
+			s := v.(*Series)
+			rw := redRow{name: n, counts: s.BucketCounts()}
+			rw.req, rw.errs, rw.shed, rw.bytes, rw.dur = s.Totals()
+			rows = append(rows, rw)
+		}
+	}
+	return rows
+}
+
+// writeRequests emits the request and error counter families.
+func writeRequests(p *PromWriter, prefix, label string, rows []redRow) {
+	for _, rw := range rows {
+		p.Counter(prefix+"_requests_total", "Requests handled, by "+label+".", rw.req, label, rw.name)
+	}
+	for _, rw := range rows {
+		p.Counter(prefix+"_request_errors_total", "Requests that failed (5xx / failed cells), by "+label+".", rw.errs, label, rw.name)
+	}
+}
+
+// writeSeconds emits the duration histogram family.
+func writeSeconds(p *PromWriter, prefix, label string, rows []redRow) {
 	bounds := RedBoundsSeconds()
 	for _, rw := range rows {
 		p.Histogram(prefix+"_request_seconds", "Request duration, by "+label+".",

@@ -47,7 +47,9 @@ type GPU struct {
 	smmt  *sharedmem.SMMT
 	shc   *sharedmem.Cache // nil when no unused space / disabled
 
-	warps    []Warp
+	warps []Warp
+	// batches holds each warp's instruction batch (Warp.buf).
+	batches  [][warpBatch]workload.Instruction
 	barriers []int // waiting count per CTA
 	// live holds the IDs of unfinished warps in ascending order, so
 	// per-cycle scans (scheduler pick, deadlock release) skip finished
@@ -137,6 +139,7 @@ func NewGPU(cfg Config, kernel *workload.Kernel, ctrl Controller, sharedL2 *l2.L
 	}
 
 	g.warps = make([]Warp, spec.NumWarps)
+	g.batches = make([][warpBatch]workload.Instruction, spec.NumWarps)
 	g.barriers = make([]int, spec.NumCTAs())
 	g.live = make([]int, spec.NumWarps)
 	g.ctaLive = make([]int, spec.NumCTAs())
@@ -148,6 +151,7 @@ func NewGPU(cfg Config, kernel *workload.Kernel, ctrl Controller, sharedL2 *l2.L
 			V:          true,
 			MaxPending: cfg.MaxOutstandingLines,
 			stream:     kernel.Stream(i),
+			buf:        &g.batches[i],
 		}
 		g.live[i] = i
 		g.ctaLive[i/spec.WarpsPerCTA]++
@@ -330,10 +334,10 @@ func (g *GPU) skipTo(c uint64) {
 func (g *GPU) Step() {
 	now := g.cycle
 
-	// 1. Retire ready fills. A response queue with nothing due yet
-	// costs one key read.
-	for ev, ok := g.respQ.PopReady(now); ok; ev, ok = g.respQ.PopReady(now) {
-		g.handleFill(ev, now)
+	// 1. Retire ready fills, each read in its queue slot. A response
+	// queue with nothing due yet costs one key read.
+	for g.respQ.Ready(now) {
+		g.handleFill(g.respQ.Pop(now), now)
 	}
 
 	// 2. Controller epoch work.
@@ -463,7 +467,7 @@ func (g *GPU) load(w *Warp, ins *workload.Instruction, now uint64) (issued, mshr
 	}
 	if path == PathBypass {
 		for _, a := range addrs {
-			g.bypass(w, memory.Request{Addr: a, Kind: memory.Load, WarpID: w.ID, IssueCycle: now}, now)
+			g.bypass(w, a, now)
 		}
 		return true, false
 	}
@@ -484,7 +488,7 @@ func (g *GPU) load(w *Warp, ins *workload.Instruction, now uint64) (issued, mshr
 func (g *GPU) loadL1(w *Warp, addrs []memory.Addr, now uint64) {
 	misses := 0
 	for _, a := range addrs {
-		req := memory.Request{Addr: a, Kind: memory.Load, WarpID: w.ID, IssueCycle: now}
+		req := memory.Request{Addr: a, WarpID: w.ID}
 		slot, e := g.mshr.Find(a)
 		// Secondary access to an in-flight line: merge silently. It is
 		// neither a hit nor a fresh miss, and it must not probe the
@@ -511,7 +515,7 @@ func (g *GPU) loadL1(w *Warp, addrs []memory.Addr, now uint64) {
 func (g *GPU) loadShared(w *Warp, addrs []memory.Addr, now uint64) {
 	misses, migrations := 0, 0
 	for _, a := range addrs {
-		req := memory.Request{Addr: a, Kind: memory.Load, WarpID: w.ID, IssueCycle: now}
+		req := memory.Request{Addr: a, WarpID: w.ID}
 		slot, e := g.mshr.Find(a)
 		// Secondary access to an in-flight shared fill: merge silently.
 		if e != nil && e.SharedValid && g.mshr.Merge(e, req) {
@@ -553,28 +557,32 @@ func (g *GPU) loadShared(w *Warp, addrs []memory.Addr, now uint64) {
 // with the given fill payload. It returns the entry, or nil when the
 // entry's merge list is full or no entry is free; the line is then
 // fetched with bypass, without an MSHR slot.
-func (g *GPU) fetch(w *Warp, req memory.Request, slot int, e *memory.MSHREntry, now uint64, payload int) *memory.MSHREntry {
+func (g *GPU) fetch(w *Warp, req memory.Request, slot int, e *memory.MSHREntry, now uint64, payload uint8) *memory.MSHREntry {
 	if e != nil {
 		if !g.mshr.Merge(e, req) {
 			e = nil
 		}
 	} else if e = g.mshr.Insert(slot, req); e != nil {
 		done, level := g.l2c.Access(now, req.Addr, w.ID, false)
-		g.respQ.Push(memory.Event{Req: req, Line: req.Addr.LineAddr(), ReadyCycle: done, HitLevel: level, Payload: payload})
+		if ev := g.respQ.Add(done); ev != nil {
+			ev.Line, ev.WarpID, ev.HitLevel, ev.Payload = req.Addr.LineAddr(), int32(w.ID), level, payload
+		}
 	}
 	if e == nil {
-		g.bypass(w, req, now)
+		g.bypass(w, req.Addr, now)
 		return nil
 	}
 	w.Outstanding++
 	return e
 }
 
-// bypass fetches req's line from L2 without an MSHR entry; its fill
+// bypass fetches addr's line from L2 without an MSHR entry; its fill
 // only wakes the warp and allocates no cache line.
-func (g *GPU) bypass(w *Warp, req memory.Request, now uint64) {
-	done := g.l2c.Bypass(now, req.Addr, false)
-	g.respQ.Push(memory.Event{Req: req, Line: req.Addr.LineAddr(), ReadyCycle: done, Payload: payloadBypass})
+func (g *GPU) bypass(w *Warp, addr memory.Addr, now uint64) {
+	done := g.l2c.Bypass(now, addr, false)
+	if ev := g.respQ.Add(done); ev != nil {
+		ev.Line, ev.WarpID, ev.Payload = addr.LineAddr(), int32(w.ID), payloadBypass
+	}
 	w.Outstanding++
 }
 
@@ -614,18 +622,19 @@ func (g *GPU) store(w *Warp, ins *workload.Instruction, now uint64) bool {
 	return true
 }
 
-// handleFill retires one response-queue event.
-func (g *GPU) handleFill(ev memory.Event, now uint64) {
+// handleFill retires one response-queue event, read in its slot.
+func (g *GPU) handleFill(ev *memory.Event, now uint64) {
+	wid := int(ev.WarpID)
 	switch ev.Payload {
 	case payloadBypass:
-		g.wake(ev.Req.WarpID, now)
+		g.wake(wid, now)
 		return
 	case payloadShared:
 		entry := g.mshr.Fill(ev.Line)
 		if entry == nil {
 			return
 		}
-		g.fillShared(ev.Line, ev.Req.WarpID)
+		g.fillShared(ev.Line, wid)
 		for _, r := range entry.Merged {
 			g.wake(r.WarpID, now)
 		}
@@ -634,9 +643,9 @@ func (g *GPU) handleFill(ev memory.Event, now uint64) {
 		if entry == nil {
 			return
 		}
-		evc, evicted := g.l1.Fill(ev.Line, ev.Req.WarpID, now)
-		if evicted && evc.OwnerWID != ev.Req.WarpID {
-			g.vta.Insert(evc.OwnerWID, evc.Line, ev.Req.WarpID)
+		evc, evicted := g.l1.Fill(ev.Line, wid, now)
+		if evicted && evc.OwnerWID != wid {
+			g.vta.Insert(evc.OwnerWID, evc.Line, wid)
 		}
 		for _, r := range entry.Merged {
 			g.wake(r.WarpID, now)

@@ -48,7 +48,9 @@ type Warp struct {
 	// so the per-issue path hands out a pointer into stable storage
 	// (no per-instruction copy, no heap escape) and the stream's RNG
 	// and phase bookkeeping amortise across warpBatch instructions.
-	buf  [warpBatch]workload.Instruction
+	// The GPU owns the batches in one array, which keeps a Warp small
+	// enough that a scheduler's scan over the warps stays dense.
+	buf  *[warpBatch]workload.Instruction
 	bufI uint8 // next instruction to hand out
 	bufN uint8 // instructions generated into buf
 }

@@ -497,8 +497,8 @@ func (m *Manager) MetricsSnapshot() map[string]any {
 }
 
 // WriteProm emits the sweep counters — and, when SetRED was called,
-// the per-sweep cell RED families labeled by sweep id — in Prometheus
-// text format.
+// the per-sweep cell request, error and duration families labeled by
+// sweep id — in Prometheus text format.
 func (m *Manager) WriteProm(p *metrics.PromWriter) {
 	snap := m.readMetrics()
 	p.Counter("ciao_sweeps_started_total", "Sweeps started.", snap.started)
@@ -507,7 +507,7 @@ func (m *Manager) WriteProm(p *metrics.PromWriter) {
 	p.Gauge("ciao_sweeps_active", "Sweeps currently running.", float64(snap.active))
 	p.Gauge("ciao_sweeps_tracked", "Sweep run records retained in memory.", float64(snap.tracked))
 	if m.red != nil {
-		m.red.WriteProm(p, "ciao_sweep_cell", "sweep")
+		m.red.WriteCellProm(p, "ciao_sweep_cell", "sweep")
 	}
 }
 

@@ -19,14 +19,6 @@ func (r *rng) next() uint64 {
 	return z ^ (z >> 31)
 }
 
-// intn returns a value in [0, n).
-func (r *rng) intn(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	return int(r.next() % uint64(n))
-}
-
 // pct rolls a percentage in [0,100).
 func (r *rng) pct() int { return int(r.next() % 100) }
 
@@ -48,6 +40,11 @@ type phaseRT struct {
 
 // WarpStream generates the instruction sequence of one warp, lazily
 // and deterministically.
+//
+// The per-instruction path divides by nothing but constants: every
+// position that wraps (barrier phase, window cursor and start, the
+// streaming cursor) is a counter reset at its bound, and the irregular
+// jump divides by a precomputed reciprocal.
 type WarpStream struct {
 	spec     Spec
 	warpID   int
@@ -58,16 +55,21 @@ type WarpStream struct {
 	cur      int       // index of the active phase in rt
 	conflict int       // shared-op bank conflict degree, >= 1
 
+	// barrierEvery is the barrier period (0: no barriers) and
+	// barrierPos is issued modulo it.
+	barrierEvery, barrierPos uint64
+
 	// Window-walk state.
-	windowStart  uint64 // line offset of the window within the region
-	windowPos    int    // cursor within the window
+	windowStart  uint64 // line offset of the window within the region, < regionLines
+	windowPos    uint64 // cursor within the window
 	windowTouch  int    // touches since the last slide
-	streamCursor uint64 // one-touch streaming cursor within the region
+	streamCursor uint64 // one-touch streaming touches so far
+	streamPos    uint64 // streamCursor modulo the active phase's span
 
 	// Region geometry.
 	regionLines uint64 // lines per region
 	regionBase  memory.Addr
-	inputLines  uint64
+	inputLines  memory.Divisor // lines of the whole input
 
 	// outCursor walks the warp's private output stream (stores write
 	// results sequentially, like the y[] of a matrix-vector kernel;
@@ -119,14 +121,17 @@ func NewWarpStream(spec Spec, warpID int) *WarpStream {
 		conflict:    conflict,
 		regionLines: regionLines,
 		regionBase:  base,
-		inputLines:  inputLines,
+		inputLines:  memory.NewDivisor(inputLines),
+	}
+	if spec.Barriers {
+		ws.barrierEvery = spec.BarrierEvery
 	}
 	for i, p := range phases {
 		ws.rt[i] = ws.compilePhase(p, bounds[i])
 	}
 	// Warps sharing a region start phase-shifted within the window so
 	// they chase each other's lines rather than marching in lockstep.
-	ws.windowPos = (warpID % spec.RegionSharing) * 2
+	ws.windowPos = uint64(warpID%spec.RegionSharing) * 2
 	return ws
 }
 
@@ -204,7 +209,9 @@ func (s *WarpStream) Next() (ins Instruction, ok bool) {
 // Fill generates up to len(dst) instructions into dst and returns how
 // many it produced (0 when exhausted). Batching lets the SM refill a
 // warp's instruction buffer in one call, amortising the phase lookup
-// and call overhead of Next across the batch.
+// and call overhead of Next across the batch. Fill writes each
+// instruction's Kind, NAddr, Conflict and live addresses; Addrs past
+// NAddr keep whatever dst held.
 func (s *WarpStream) Fill(dst []Instruction) int {
 	n := 0
 	for n < len(dst) && s.issued < s.spec.InstrPerWarp {
@@ -221,22 +228,29 @@ func (s *WarpStream) gen(ins *Instruction) {
 	s.issued = issued + 1
 
 	// Barriers fire at fixed indices so all warps of a CTA agree.
-	if s.spec.Barriers && s.spec.BarrierEvery > 0 &&
-		issued > 0 && issued%s.spec.BarrierEvery == 0 {
-		*ins = Instruction{Kind: BarrierOp}
-		return
+	if s.barrierEvery > 0 {
+		at := s.barrierPos == 0 && issued > 0
+		if s.barrierPos++; s.barrierPos == s.barrierEvery {
+			s.barrierPos = 0
+		}
+		if at {
+			ins.Kind, ins.NAddr, ins.Conflict = BarrierOp, 0, 0
+			return
+		}
 	}
 
 	// issued only grows, so the active phase advances monotonically: a
-	// cursor bump replaces the old per-instruction boundary scan.
+	// cursor bump replaces the old per-instruction boundary scan. The
+	// streaming cursor wraps at the new phase's span from here on.
 	for s.cur+1 < len(s.rt) && issued >= s.rt[s.cur].bound {
 		s.cur++
+		s.streamPos = s.streamCursor % s.rt[s.cur].span
 	}
 	ph := &s.rt[s.cur]
 
 	// Explicit shared-memory traffic.
 	if s.spec.SharedPct > 0 && s.rnd.pct() < s.spec.SharedPct {
-		*ins = Instruction{Kind: SharedOp, Conflict: s.conflict}
+		ins.Kind, ins.NAddr, ins.Conflict = SharedOp, 0, s.conflict
 		return
 	}
 
@@ -254,7 +268,7 @@ func (s *WarpStream) gen(ins *Instruction) {
 		if ph.divPct > 0 && s.rnd.pct() < ph.divPct {
 			fan = MaxFanout
 		}
-		*ins = Instruction{Kind: kind, NAddr: uint8(fan)}
+		ins.Kind, ins.NAddr, ins.Conflict = kind, uint8(fan), 0
 		if kind == GlobalStore {
 			// Results stream to a private output array; they never
 			// touch the reuse window.
@@ -270,7 +284,7 @@ func (s *WarpStream) gen(ins *Instruction) {
 		}
 		return
 	}
-	*ins = Instruction{Kind: Compute}
+	ins.Kind, ins.NAddr, ins.Conflict = Compute, 0, 0
 }
 
 // nextAddress picks one line: a window re-reference (locality), an
@@ -280,14 +294,23 @@ func (s *WarpStream) nextAddress(ph *phaseRT) memory.Addr {
 	switch {
 	case roll < ph.irrPct:
 		// Index-array style access anywhere in the input.
-		line := uint64(s.rnd.intn(int(s.inputLines)))
+		_, line := s.inputLines.DivMod(s.rnd.next())
 		return GlobalBase + memory.Addr(line*memory.LineSize)
 	case roll < ph.irrPct+ph.winPct:
 		return s.windowAddress(ph)
 	default:
 		// One-touch stream through the region, beyond the window area.
-		line := (ph.win + s.streamCursor%ph.span) % s.regionLines
+		// win+streamPos is at most regionLines (span = regionLines-win,
+		// or 1 when the window fills the region), so one subtraction
+		// wraps it.
+		line := ph.win + s.streamPos
+		if line >= s.regionLines {
+			line -= s.regionLines
+		}
 		s.streamCursor++
+		if s.streamPos++; s.streamPos == ph.span {
+			s.streamPos = 0
+		}
 		return s.regionBase + memory.Addr(line*memory.LineSize)
 	}
 }
@@ -296,15 +319,28 @@ func (s *WarpStream) nextAddress(ph *phaseRT) memory.Addr {
 // win×reuse touches so cold misses stay rare while the phase's
 // locality structure persists.
 func (s *WarpStream) windowAddress(ph *phaseRT) memory.Addr {
-	line := (s.windowStart + uint64(s.windowPos)%ph.win) % s.regionLines
-	s.windowPos++
-	if uint64(s.windowPos) >= ph.win {
+	pos := s.windowPos
+	if s.windowPos++; s.windowPos >= ph.win {
 		s.windowPos = 0
+		// A warp's start offset or a phase change to a smaller window
+		// can leave the cursor past the window's end: that one touch
+		// lands at its position modulo the window.
+		if pos >= ph.win {
+			pos %= ph.win
+		}
+	}
+	// windowStart < regionLines and pos < win <= regionLines, so one
+	// subtraction wraps the sum.
+	line := s.windowStart + pos
+	if line >= s.regionLines {
+		line -= s.regionLines
 	}
 	s.windowTouch++
 	if s.windowTouch >= ph.slideAt {
 		s.windowTouch = 0
-		s.windowStart = (s.windowStart + 1) % s.regionLines
+		if s.windowStart++; s.windowStart == s.regionLines {
+			s.windowStart = 0
+		}
 	}
 	return s.regionBase + memory.Addr(line*memory.LineSize)
 }
