@@ -199,11 +199,6 @@ func (c *CIAO) MemPath(g *sm.GPU, wid int) sm.MemPath {
 	return sm.PathL1
 }
 
-// Pick implements sm.Controller.
-func (c *CIAO) Pick(g *sm.GPU, now uint64) int {
-	return c.PickGTO(g, now, sm.EligibleOrBarrierBoosted(g))
-}
-
 // OnCycle runs the epoch machinery. Epochs are measured in executed
 // instructions (§IV-A): every LowEpoch instructions stalled/isolated
 // warps are re-examined for release; every HighEpoch instructions
@@ -248,7 +243,7 @@ func (c *CIAO) lowEpoch(g *sm.GPU) {
 		} else {
 			k := c.pairs.Staller(wid)
 			if k < 0 || g.Warp(k).Finished || c.lowIRS[k] <= c.params.LowCutoff {
-				w.V = true
+				g.SetActive(wid, true)
 				c.pairs.ClearStaller(wid)
 				c.stalled = c.stalled[:n-1]
 				c.Reactivations++
@@ -279,7 +274,7 @@ func (c *CIAO) lowEpoch(g *sm.GPU) {
 func (c *CIAO) highEpoch(g *sm.GPU) {
 	for i := 0; i < g.NumWarps(); i++ {
 		wi := g.Warp(i)
-		if wi.Finished || !wi.V {
+		if wi.Finished || !wi.Active() {
 			continue
 		}
 		if c.highIRS[i] <= c.params.HighCutoff {
@@ -316,7 +311,7 @@ func (c *CIAO) intervene(g *sm.GPU, i, j int) {
 			wj.I = true
 			c.pairs.SetRedirector(j, i)
 			c.Redirections++
-		} else if wj.V {
+		} else if wj.Active() {
 			// Stall an already-isolated interferer only when the
 			// interference pressure is well above the redirect
 			// threshold (§III-C: shared memory itself is thrashing).
@@ -334,14 +329,13 @@ func (c *CIAO) intervene(g *sm.GPU, i, j int) {
 // stall clears j's V flag on behalf of i, respecting the MinActive
 // floor.
 func (c *CIAO) stall(g *sm.GPU, i, j int) {
-	wj := g.Warp(j)
-	if !wj.V {
+	if !g.Warp(j).Active() {
 		return
 	}
 	if g.ActiveWarps() <= c.params.MinActive {
 		return
 	}
-	wj.V = false
+	g.SetActive(j, false)
 	c.pairs.SetStaller(j, i)
 	c.stalled = append(c.stalled, j)
 	c.Stalls++

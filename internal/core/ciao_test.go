@@ -204,7 +204,3 @@ type passthrough struct {
 }
 
 func (p *passthrough) Name() string { return "passthrough" }
-
-func (p *passthrough) Pick(g *sm.GPU, now uint64) int {
-	return p.PickGTO(g, now, func(*sm.Warp) bool { return true })
-}

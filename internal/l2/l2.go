@@ -152,11 +152,11 @@ func (l *L2) occupySlice(si int, arrive uint64) (serviceDone uint64) {
 }
 
 // Access serves a read or write arriving from an SM at cycle now and
-// returns the completion cycle and where the data was found. An L2
+// returns the completion cycle. An L2
 // miss fetches the line from DRAM (write-allocate) and installs it; a
 // dirty eviction performs a write-back. The slice looks the line's
 // set up once: a miss fills the Set its lookup returned.
-func (l *L2) Access(now uint64, addr memory.Addr, wid int, isWrite bool) (done uint64, level memory.HitLevel) {
+func (l *L2) Access(now uint64, addr memory.Addr, wid int, isWrite bool) (done uint64) {
 	arrive := now + uint64(l.cfg.Latency)
 	si := l.sliceIndex(addr)
 	s := l.slices[si]
@@ -165,7 +165,7 @@ func (l *L2) Access(now uint64, addr memory.Addr, wid int, isWrite bool) (done u
 	hit, set := s.AccessSet(addr, served, isWrite)
 	if hit {
 		l.stats.Hits++
-		return served, memory.HitL2
+		return served
 	}
 	l.stats.Misses++
 	if isWrite {
@@ -177,7 +177,7 @@ func (l *L2) Access(now uint64, addr memory.Addr, wid int, isWrite bool) (done u
 			l.mem.Service(served, ev.Line, true)
 		}
 		s.WriteHit(set, served)
-		return served + 1, memory.HitL2
+		return served + 1
 	}
 	fillDone := l.mem.Service(served, addr, false)
 	ev, evicted := s.FillMiss(&set, wid, fillDone)
@@ -186,7 +186,7 @@ func (l *L2) Access(now uint64, addr memory.Addr, wid int, isWrite bool) (done u
 		// path of the fill.
 		l.mem.Service(fillDone, ev.Line, true)
 	}
-	return fillDone + 1, memory.HitDRAM
+	return fillDone + 1
 }
 
 // Bypass services a request directly from DRAM without touching the L2

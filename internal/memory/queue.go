@@ -11,8 +11,6 @@ type Event struct {
 	ReadyCycle uint64
 	// WarpID is the warp whose request the fill answers.
 	WarpID int32
-	// HitLevel records where the data was found.
-	HitLevel HitLevel
 	// Payload carries a model-specific marker (the SM's fill path).
 	Payload uint8
 }

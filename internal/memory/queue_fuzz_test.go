@@ -159,7 +159,7 @@ func FuzzLatencyQueue(f *testing.F) {
 				if op&7 == 2 {
 					arg *= 97
 				}
-				ev := Event{Line: line, ReadyCycle: now + arg, WarpID: int32(i % 48), HitLevel: HitLevel(i % 4), Payload: uint8(i)}
+				ev := Event{Line: line, ReadyCycle: now + arg, WarpID: int32(i % 48), Payload: uint8(i)}
 				line += LineSize
 				var got bool
 				if i&1 == 0 {
@@ -168,7 +168,7 @@ func FuzzLatencyQueue(f *testing.F) {
 					if *slot != (Event{ReadyCycle: ev.ReadyCycle}) {
 						t.Fatalf("op %d: Add(%d) slot = %+v, want zeroed but for ReadyCycle", i, ev.ReadyCycle, *slot)
 					}
-					slot.Line, slot.WarpID, slot.HitLevel, slot.Payload = ev.Line, ev.WarpID, ev.HitLevel, ev.Payload
+					slot.Line, slot.WarpID, slot.Payload = ev.Line, ev.WarpID, ev.Payload
 					got = true
 				}
 				if want := ref.Push(ev); got != want {

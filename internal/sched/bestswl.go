@@ -36,13 +36,8 @@ func (s *BestSWL) Attach(g *sm.GPU) {
 	}
 	s.Limit = limit
 	for i := 0; i < g.NumWarps(); i++ {
-		g.Warp(i).V = i < limit
+		g.SetActive(i, i < limit)
 	}
-}
-
-// Pick implements sm.Controller.
-func (s *BestSWL) Pick(g *sm.GPU, now uint64) int {
-	return s.PickGTO(g, now, sm.EligibleOrBarrierBoosted(g))
 }
 
 // NextEvent implements sm.Controller: the limit is static, so only
@@ -53,9 +48,8 @@ func (s *BestSWL) NextEvent(*sm.GPU, uint64) uint64 { return sm.Never }
 // retires, keeping the concurrent warp count at the limit.
 func (s *BestSWL) OnWarpFinished(g *sm.GPU, wid int) {
 	for i := 0; i < g.NumWarps(); i++ {
-		w := g.Warp(i)
-		if !w.Finished && !w.V {
-			w.V = true
+		if w := g.Warp(i); !w.Finished && !w.Active() {
+			g.SetActive(i, true)
 			return
 		}
 	}

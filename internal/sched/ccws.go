@@ -78,7 +78,10 @@ func (s *CCWS) OnCycle(g *sm.GPU, now uint64) {
 	s.lastCheck = now
 
 	for i := range s.scores {
-		s.scores[i] = s.BaseScore + (s.scores[i]-s.BaseScore)*s.Decay
+		// The explicit conversion rounds the product before the add,
+		// so no platform fuses the two into one FMA and the scores
+		// are identical everywhere.
+		s.scores[i] = s.BaseScore + float64((s.scores[i]-s.BaseScore)*s.Decay)
 	}
 
 	s.order = s.order[:0]
@@ -105,7 +108,7 @@ func (s *CCWS) OnCycle(g *sm.GPU, now uint64) {
 		}
 		cum += sc
 		active := cum <= budget || activated == 0 // always keep one
-		g.Warp(wid).V = active
+		g.SetActive(wid, active)
 		if active {
 			activated++
 		}
@@ -115,11 +118,6 @@ func (s *CCWS) OnCycle(g *sm.GPU, now uint64) {
 // NextEvent implements sm.Controller: the next throttle-set refresh.
 func (s *CCWS) NextEvent(*sm.GPU, uint64) uint64 { return s.lastCheck + s.UpdateEpoch }
 
-// Pick implements sm.Controller.
-func (s *CCWS) Pick(g *sm.GPU, now uint64) int {
-	return s.PickGTO(g, now, sm.EligibleOrBarrierBoosted(g))
-}
-
 // Score exposes a warp's current lost-locality score, for tests.
 func (s *CCWS) Score(wid int) float64 { return s.scores[wid] }
 
@@ -128,7 +126,7 @@ func (s *CCWS) ThrottledWarps(g *sm.GPU) int {
 	n := 0
 	for i := 0; i < g.NumWarps(); i++ {
 		w := g.Warp(i)
-		if !w.Finished && !w.V {
+		if !w.Finished && !w.Active() {
 			n++
 		}
 	}

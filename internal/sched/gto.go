@@ -21,11 +21,6 @@ func NewGTO() *GTO { return &GTO{} }
 // Name implements sm.Controller.
 func (s *GTO) Name() string { return "GTO" }
 
-// Pick implements sm.Controller.
-func (s *GTO) Pick(g *sm.GPU, now uint64) int {
-	return s.PickGTO(g, now, func(*sm.Warp) bool { return true })
-}
-
 // NextEvent implements sm.Controller: GTO has no epochs, and its
 // greedy pick repeats a failed retry until warp state changes.
 func (s *GTO) NextEvent(*sm.GPU, uint64) uint64 { return sm.Never }

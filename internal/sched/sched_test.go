@@ -54,18 +54,18 @@ func TestGTOGreedyThenOldest(t *testing.T) {
 		t.Fatalf("first pick = %d, want oldest warp 0", got)
 	}
 	// Make warp 3 the current warp, keep it ready: greedy keeps it.
-	g.Warp(0).NextReady = 100 // oldest not ready
+	g.SetActive(0, false) // oldest not ready
 	if got := gto.Pick(g, 0); got != 1 {
 		t.Fatalf("pick = %d, want next-oldest 1", got)
 	}
 	// Warp 1 is now current; while it stays ready it is re-picked even
 	// though older warp 0 becomes ready again.
-	g.Warp(0).NextReady = 0
+	g.SetActive(0, true)
 	if got := gto.Pick(g, 0); got != 1 {
 		t.Fatalf("greedy pick = %d, want current warp 1", got)
 	}
 	// Current blocks: fall back to the oldest ready warp.
-	g.Warp(1).NextReady = 100
+	g.SetActive(1, false)
 	if got := gto.Pick(g, 0); got != 0 {
 		t.Fatalf("fallback pick = %d, want oldest 0", got)
 	}
@@ -147,7 +147,7 @@ func TestCCWSBudgetThrottling(t *testing.T) {
 	// locality), and saturated scorers consume the budget so deeply
 	// that most of the pool stalls — the over-throttling the paper
 	// criticises.
-	if !g.Warp(0).V {
+	if !g.Warp(0).Active() {
 		t.Fatal("top-locality warp stalled")
 	}
 	if throttled < g.NumWarps()/2 {
@@ -155,7 +155,7 @@ func TestCCWSBudgetThrottling(t *testing.T) {
 	}
 	// No base-score warp may run while a higher scorer is stalled.
 	for w := 3; w < g.NumWarps(); w++ {
-		if g.Warp(w).V && !g.Warp(1).V && ccws.Score(w) < ccws.Score(1) {
+		if g.Warp(w).Active() && !g.Warp(1).Active() && ccws.Score(w) < ccws.Score(1) {
 			t.Fatalf("low-score warp %d active while high-score warp 1 stalled", w)
 		}
 	}

@@ -26,8 +26,9 @@ type StatPCAL struct {
 	UpdateEpoch uint64
 
 	bypassOK  bool
-	nBypass   int // how many non-token warps may run this epoch
-	tokens    map[int]bool
+	nBypass   int    // how many non-token warps may run this epoch
+	tokens    []bool // tokens[wid]: warp wid holds an L1-allocation token
+	nTokens   int    // how many entries of tokens are set
 	lastCheck uint64
 	lastBusy  uint64
 }
@@ -51,7 +52,8 @@ func (s *StatPCAL) Attach(g *sm.GPU) {
 	if s.Tokens > g.NumWarps() {
 		s.Tokens = g.NumWarps()
 	}
-	s.tokens = make(map[int]bool, s.Tokens)
+	s.tokens = make([]bool, g.NumWarps())
+	s.nTokens = 0
 	s.refillTokens(g)
 	s.bypassOK = true
 	s.nBypass = 0
@@ -61,14 +63,16 @@ func (s *StatPCAL) Attach(g *sm.GPU) {
 // refillTokens keeps the token set at Tokens live warps (lowest IDs
 // first), handing a finished warp's token to the next live warp.
 func (s *StatPCAL) refillTokens(g *sm.GPU) {
-	for wid := range s.tokens {
-		if g.Warp(wid).Finished {
-			delete(s.tokens, wid)
+	for wid, held := range s.tokens {
+		if held && g.Warp(wid).Finished {
+			s.tokens[wid] = false
+			s.nTokens--
 		}
 	}
-	for wid := 0; wid < g.NumWarps() && len(s.tokens) < s.Tokens; wid++ {
+	for wid := 0; wid < g.NumWarps() && s.nTokens < s.Tokens; wid++ {
 		if !g.Warp(wid).Finished && !s.tokens[wid] {
 			s.tokens[wid] = true
+			s.nTokens++
 		}
 	}
 }
@@ -113,22 +117,16 @@ func (s *StatPCAL) OnCycle(g *sm.GPU, now uint64) {
 			continue
 		}
 		if s.isToken(i) {
-			w.V = true
+			g.SetActive(i, true)
 			continue
 		}
-		w.V = granted < s.nBypass
+		g.SetActive(i, granted < s.nBypass)
 		granted++
 	}
 }
 
 // NextEvent implements sm.Controller: the next bandwidth probe.
 func (s *StatPCAL) NextEvent(*sm.GPU, uint64) uint64 { return s.lastCheck + s.UpdateEpoch }
-
-// Pick schedules token warps always; non-token warps only while they
-// hold a bypass grant (or their CTA is stuck at a barrier).
-func (s *StatPCAL) Pick(g *sm.GPU, now uint64) int {
-	return s.PickGTO(g, now, sm.EligibleOrBarrierBoosted(g))
-}
 
 // MemPath sends non-token warps around L1D.
 func (s *StatPCAL) MemPath(g *sm.GPU, wid int) sm.MemPath {

@@ -1,6 +1,6 @@
 package sm
 
-import "repro/internal/workload"
+import "math/bits"
 
 // MemPath selects where a warp's global accesses are served.
 type MemPath uint8
@@ -25,6 +25,7 @@ type Controller interface {
 	// the controller size its tables.
 	Attach(g *GPU)
 	// Pick returns the warp to issue at cycle now, or -1 to idle.
+	// GTO-ordered controllers take it from GreedyThenOldest.
 	Pick(g *GPU, now uint64) int
 	// MemPath routes warp wid's next global access.
 	MemPath(g *GPU, wid int) MemPath
@@ -41,8 +42,6 @@ type Controller interface {
 	// answer on the cycles it skips. Return now+1 to never skip, or
 	// Never when only warp and memory state can change the answers.
 	NextEvent(g *GPU, now uint64) uint64
-	// OnIssue observes a successful issue.
-	OnIssue(g *GPU, now uint64, wid int, kind workload.InstrKind)
 	// OnVTAHit observes a lost-locality event: interfered warp's miss
 	// matched its victim tags; interferer is the recorded evictor.
 	// atShared reports whether the access was on the shared-cache path
@@ -72,9 +71,6 @@ const Never = ^uint64(0)
 // NextEvent implements Controller conservatively: no cycle is skipped.
 func (Base) NextEvent(_ *GPU, now uint64) uint64 { return now + 1 }
 
-// OnIssue implements Controller.
-func (Base) OnIssue(*GPU, uint64, int, workload.InstrKind) {}
-
 // OnVTAHit implements Controller.
 func (Base) OnVTAHit(*GPU, uint64, int, int, bool) {}
 
@@ -85,41 +81,29 @@ func (Base) OnWarpFinished(*GPU, int) {}
 // keep issuing the last warp while it stays ready, otherwise fall back
 // to the oldest (lowest-ID) ready warp. It is embedded by GTO, CCWS,
 // Best-SWL, statPCAL and CIAO, which all "leverage GTO to decide the
-// order of execution of warps" (§V-A).
+// order of execution of warps" (§V-A), and supplies their Pick.
 type GreedyThenOldest struct {
 	current int
 }
 
-// PickGTO returns the GTO choice among issueable warps for which
-// eligible(w) holds, or -1. The V flag is NOT consulted here — the
-// eligibility predicate owns the throttling decision, which lets
-// schedulers grant a barrier boost to stalled warps whose CTA is
-// blocked (see GPU.CTABarrierPending).
-func (g *GreedyThenOldest) PickGTO(gpu *GPU, now uint64, eligible func(*Warp) bool) int {
-	if g.current >= 0 && g.current < gpu.NumWarps() {
-		w := gpu.Warp(g.current)
-		if w.Issueable(now) && eligible(w) {
-			return g.current
-		}
+// Pick implements Controller from the GPU's issue gate alone: a warp
+// is ready when it is pickable and its NextReady has arrived (see
+// GPU.gate). Throttling acts through the V flag, which the gate folds
+// in: a stalled warp stays pickable only while its CTA has a warp
+// waiting at a barrier, which all threads must reach. The fallback
+// visits only the set bits of the pickable bitset, lowest ID first.
+func (s *GreedyThenOldest) Pick(g *GPU, now uint64) int {
+	if c := s.current; uint(c) < uint(len(g.gate)) && g.gate[c] <= now {
+		return c
 	}
-	// The live list is ascending, so this is the same oldest-first
-	// order as scanning 0..NumWarps — minus the finished warps, which
-	// are never issueable anyway.
-	for _, i := range gpu.LiveWarpIDs() {
-		w := gpu.Warp(i)
-		if w.Issueable(now) && eligible(w) {
-			g.current = i
-			return i
+	for wi, word := range g.pickable {
+		for ; word != 0; word &= word - 1 {
+			i := wi<<6 | bits.TrailingZeros64(word)
+			if g.gate[i] <= now {
+				s.current = i
+				return i
+			}
 		}
 	}
 	return -1
-}
-
-// EligibleOrBarrierBoosted is the standard eligibility for throttling
-// schedulers: active warps run; stalled warps run only when their CTA
-// has warps waiting at a barrier (which all threads must reach).
-func EligibleOrBarrierBoosted(gpu *GPU) func(*Warp) bool {
-	return func(w *Warp) bool {
-		return w.V || gpu.CTABarrierPending(w.CTA)
-	}
 }

@@ -93,16 +93,20 @@ func checkRunMatchesSteps(t *testing.T, spec workload.Spec, cfg sm.Config, mk fu
 	return r
 }
 
+// barrierSynthetics are two workloads with CTA barriers and explicit
+// shared-memory operations.
+var barrierSynthetics = []string{
+	"synthetic:class=SWS,warps=16,cta=4,instr=600,shared_pct=10,conflict=4,barrier=80,seed=3",
+	"synthetic:class=LWS,warps=24,cta=8,instr=500,shared_pct=5,barrier=120,fsmem=0.25,nwrp=4,seed=5",
+}
+
 // TestRunMatchesStepLoop pins the fast-forward as bit-exact: every
 // Fig 8 benchmark (and two barrier synthetics with explicit shared
 // memory operations) under every controller ends in exactly the state a
 // per-cycle Step loop reaches.
 func TestRunMatchesStepLoop(t *testing.T) {
 	specs := workload.Suite()
-	for _, name := range []string{
-		"synthetic:class=SWS,warps=16,cta=4,instr=600,shared_pct=10,conflict=4,barrier=80,seed=3",
-		"synthetic:class=LWS,warps=24,cta=8,instr=500,shared_pct=5,barrier=120,fsmem=0.25,nwrp=4,seed=5",
-	} {
+	for _, name := range barrierSynthetics {
 		s, err := workload.ByName(name)
 		if err != nil {
 			t.Fatal(err)

@@ -2,6 +2,7 @@ package sm
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cache"
 	"repro/internal/l2"
@@ -52,9 +53,20 @@ type GPU struct {
 	batches  [][warpBatch]workload.Instruction
 	barriers []int // waiting count per CTA
 	// live holds the IDs of unfinished warps in ascending order, so
-	// per-cycle scans (scheduler pick, deadlock release) skip finished
-	// warps instead of filtering the full warp array every cycle.
+	// per-cycle scans (next-event search, deadlock release) skip
+	// finished warps instead of filtering the full warp array.
 	live []int
+	// gate[i] is warp i's NextReady while the warp is pickable, else
+	// math.MaxUint64; pickable is the bitset of warps with a finite
+	// gate. A warp is pickable when it is unfinished, not at a barrier,
+	// under its MLP budget, and active or barrier-boosted (its CTA has
+	// a warp waiting at a barrier, which all threads must reach).
+	// refreshGate keeps both current wherever one of those inputs
+	// changes, so GreedyThenOldest.Pick reads nothing else.
+	gate     []uint64
+	pickable []uint64
+	// active counts unfinished warps whose V flag is set.
+	active int
 	// ctaLive tracks unfinished warps per CTA, replacing the all-warp
 	// scan the barrier-release check used to do.
 	ctaLive     []int
@@ -144,17 +156,22 @@ func NewGPU(cfg Config, kernel *workload.Kernel, ctrl Controller, sharedL2 *l2.L
 	g.live = make([]int, spec.NumWarps)
 	g.ctaLive = make([]int, spec.NumCTAs())
 	g.warpsPerCTA = spec.WarpsPerCTA
+	// The gate exists before Attach, which may stall warps.
+	g.gate = make([]uint64, spec.NumWarps)
+	g.pickable = make([]uint64, (spec.NumWarps+63)/64)
+	g.active = spec.NumWarps
 	for i := range g.warps {
 		g.warps[i] = Warp{
 			ID:         i,
 			CTA:        i / spec.WarpsPerCTA,
-			V:          true,
+			v:          true,
 			MaxPending: cfg.MaxOutstandingLines,
 			stream:     kernel.Stream(i),
 			buf:        &g.batches[i],
 		}
 		g.live[i] = i
 		g.ctaLive[i/spec.WarpsPerCTA]++
+		g.refreshGate(i)
 	}
 	g.nextSample = ^uint64(0)
 	if cfg.SampleInterval > 0 {
@@ -178,8 +195,28 @@ func MustGPU(cfg Config, kernel *workload.Kernel, ctrl Controller, sharedL2 *l2.
 // NumWarps returns the resident warp count.
 func (g *GPU) NumWarps() int { return len(g.warps) }
 
-// Warp returns warp i's state (mutable: controllers flip V/I).
+// Warp returns warp i's state (mutable: controllers flip I; V is set
+// with SetActive).
 func (g *GPU) Warp(i int) *Warp { return &g.warps[i] }
+
+// SetActive sets warp wid's V flag: false stalls the warp, true
+// reactivates it. It is the flag's only writer, so the issue gate and
+// the active-warp count follow every throttling decision.
+func (g *GPU) SetActive(wid int, v bool) {
+	w := &g.warps[wid]
+	if w.v == v {
+		return
+	}
+	w.v = v
+	if !w.Finished {
+		if v {
+			g.active++
+		} else {
+			g.active--
+		}
+	}
+	g.refreshGate(wid)
+}
 
 // Cycle returns the current cycle.
 func (g *GPU) Cycle() uint64 { return g.cycle }
@@ -188,31 +225,10 @@ func (g *GPU) Cycle() uint64 { return g.cycle }
 func (g *GPU) InstTotal() uint64 { return g.instTotal }
 
 // ActiveWarps counts warps that are neither finished nor stalled.
-func (g *GPU) ActiveWarps() int {
-	n := 0
-	for _, id := range g.live {
-		if g.warps[id].V {
-			n++
-		}
-	}
-	return n
-}
+func (g *GPU) ActiveWarps() int { return g.active }
 
 // LiveWarps counts unfinished warps.
 func (g *GPU) LiveWarps() int { return len(g.warps) - g.finished }
-
-// LiveWarpIDs returns the IDs of unfinished warps in ascending order.
-// Schedulers iterate this instead of 0..NumWarps so a mostly-drained
-// kernel does not pay for warps that already retired. Callers must not
-// mutate or retain the slice; it changes as warps finish.
-func (g *GPU) LiveWarpIDs() []int { return g.live }
-
-// CTABarrierPending reports whether any warp of the CTA is waiting at
-// a barrier, which entitles stalled CTA members to a scheduling boost
-// (all threads must reach the barrier for anyone to proceed).
-func (g *GPU) CTABarrierPending(cta int) bool {
-	return cta >= 0 && cta < len(g.barriers) && g.barriers[cta] > 0
-}
 
 // Kernel returns the running kernel.
 func (g *GPU) Kernel() *workload.Kernel { return g.kernel }
@@ -324,6 +340,7 @@ func (g *GPU) skipTo(c uint64) {
 			g.mshr.NoteStalls(n)
 		}
 		g.warps[g.retryWarp].NextReady = c
+		g.refreshGate(g.retryWarp)
 		g.lastIssue = c - 1
 	}
 	g.cycle = c
@@ -372,8 +389,8 @@ func (g *GPU) Step() {
 func (g *GPU) freeStalledWarps(now uint64) {
 	freed := false
 	for _, id := range g.live {
-		if !g.warps[id].V {
-			g.warps[id].V = true
+		if !g.warps[id].v {
+			g.SetActive(id, true)
 			freed = true
 		}
 	}
@@ -396,6 +413,9 @@ func (g *GPU) issue(wid int, now uint64) {
 	switch ins.Kind {
 	case workload.Compute:
 		w.NextReady = now + uint64(g.cfg.DependLatency)
+		// Only NextReady moved, and the warp was picked because it is
+		// pickable, so its gate is the new NextReady.
+		g.gate[wid] = w.NextReady
 	case workload.BarrierOp:
 		g.arriveBarrier(wid, now)
 	case workload.SharedOp:
@@ -405,29 +425,35 @@ func (g *GPU) issue(wid int, now uint64) {
 			lat = 1
 		}
 		w.NextReady = now + lat + uint64(g.cfg.DependLatency) - 1
+		g.gate[wid] = w.NextReady
 	case workload.GlobalLoad:
 		issued, mshrFull = g.load(w, ins, now)
 	case workload.GlobalStore:
 		issued = g.store(w, ins, now)
 	}
-	if issued && (ins.Kind == workload.GlobalLoad || ins.Kind == workload.GlobalStore) {
-		// The issue slot and address pipeline are occupied for a full
-		// dependency distance even when fills are still in flight.
-		if floor := now + uint64(g.cfg.DependLatency); w.NextReady < floor {
-			w.NextReady = floor
+	if ins.Kind == workload.GlobalLoad || ins.Kind == workload.GlobalStore {
+		if issued {
+			// The issue slot and address pipeline are occupied for a
+			// full dependency distance even when fills are still in
+			// flight.
+			if floor := now + uint64(g.cfg.DependLatency); w.NextReady < floor {
+				w.NextReady = floor
+			}
+		} else {
+			w.retry()
+			g.structStalls++
+			w.NextReady = now + 1
+			g.last, g.retryWarp, g.retryMSHR = stepRetry, wid, mshrFull
 		}
-	}
-	if !issued {
-		w.retry()
-		g.structStalls++
-		w.NextReady = now + 1
-		g.last, g.retryWarp, g.retryMSHR = stepRetry, wid, mshrFull
-		return
+		// The access's fills may have used up the MLP budget.
+		g.refreshGate(wid)
+		if !issued {
+			return
+		}
 	}
 	w.InstExecuted++
 	w.LastIssued = now
 	g.instTotal++
-	g.ctrl.OnIssue(g, now, wid, ins.Kind)
 	if w.drained() {
 		g.finishWarp(wid)
 	}
@@ -563,9 +589,9 @@ func (g *GPU) fetch(w *Warp, req memory.Request, slot int, e *memory.MSHREntry, 
 			e = nil
 		}
 	} else if e = g.mshr.Insert(slot, req); e != nil {
-		done, level := g.l2c.Access(now, req.Addr, w.ID, false)
+		done := g.l2c.Access(now, req.Addr, w.ID, false)
 		if ev := g.respQ.Add(done); ev != nil {
-			ev.Line, ev.WarpID, ev.HitLevel, ev.Payload = req.Addr.LineAddr(), int32(w.ID), level, payload
+			ev.Line, ev.WarpID, ev.Payload = req.Addr.LineAddr(), int32(w.ID), payload
 		}
 	}
 	if e == nil {
@@ -658,31 +684,59 @@ func (g *GPU) wake(wid int, now uint64) {
 	w := &g.warps[wid]
 	if w.Outstanding > 0 {
 		w.Outstanding--
+		// Only the fill that brings the warp back under its MLP budget
+		// can make it pickable.
+		if w.Outstanding == w.maxPending()-1 {
+			g.refreshGate(wid)
+		}
 	}
 }
 
-// arriveBarrier processes a BarrierOp.
-func (g *GPU) arriveBarrier(wid int, now uint64) {
+// refreshGate recomputes warp wid's issue gate and pickable bit from
+// its state (see GPU.gate).
+func (g *GPU) refreshGate(wid int) {
 	w := &g.warps[wid]
-	cta := w.CTA
-	w.AtBarrier = true
+	bit := uint64(1) << (wid & 63)
+	if !w.Finished && !w.AtBarrier && w.Outstanding < w.maxPending() && (w.v || g.barriers[w.CTA] > 0) {
+		g.gate[wid] = w.NextReady
+		g.pickable[wid>>6] |= bit
+	} else {
+		g.gate[wid] = math.MaxUint64
+		g.pickable[wid>>6] &^= bit
+	}
+}
+
+// ctaWarps returns the warp ID range [lo, hi) of a CTA: its warps
+// occupy contiguous IDs.
+func (g *GPU) ctaWarps(cta int) (lo, hi int) {
+	return cta * g.warpsPerCTA, min((cta+1)*g.warpsPerCTA, len(g.warps))
+}
+
+// arriveBarrier processes a BarrierOp. Every warp of the CTA changes
+// gate: the arriving one waits, and its stalled peers gain the barrier
+// boost.
+func (g *GPU) arriveBarrier(wid int, now uint64) {
+	cta := g.warps[wid].CTA
+	g.warps[wid].AtBarrier = true
 	g.barriers[cta]++
-	g.maybeReleaseBarrier(cta, now)
+	if !g.maybeReleaseBarrier(cta, now) {
+		lo, hi := g.ctaWarps(cta)
+		for i := lo; i < hi; i++ {
+			g.refreshGate(i)
+		}
+	}
 }
 
 // maybeReleaseBarrier opens the CTA barrier once all live warps
-// arrived. A CTA's warps occupy the contiguous ID range
-// [cta*warpsPerCTA, (cta+1)*warpsPerCTA), so the release touches only
-// that range; the live count comes from the ctaLive table.
-func (g *GPU) maybeReleaseBarrier(cta int, now uint64) {
+// arrived, touching only the CTA's warp range (the live count comes
+// from the ctaLive table), and reports whether it did. The release
+// ends the CTA's barrier boost, so every warp of the CTA changes gate.
+func (g *GPU) maybeReleaseBarrier(cta int, now uint64) bool {
 	if g.barriers[cta] < g.ctaLive[cta] {
-		return
+		return false
 	}
 	g.barriers[cta] = 0
-	lo, hi := cta*g.warpsPerCTA, (cta+1)*g.warpsPerCTA
-	if hi > len(g.warps) {
-		hi = len(g.warps)
-	}
+	lo, hi := g.ctaWarps(cta)
 	for i := lo; i < hi; i++ {
 		if g.warps[i].AtBarrier {
 			g.warps[i].AtBarrier = false
@@ -690,7 +744,9 @@ func (g *GPU) maybeReleaseBarrier(cta int, now uint64) {
 				g.warps[i].NextReady = now + 1
 			}
 		}
+		g.refreshGate(i)
 	}
+	return true
 }
 
 // finishWarp retires a warp and unblocks its CTA barrier if needed.
@@ -702,6 +758,10 @@ func (g *GPU) finishWarp(wid int) {
 	w.Finished = true
 	g.finished++
 	g.ctaLive[w.CTA]--
+	if w.v {
+		g.active--
+	}
+	g.refreshGate(wid)
 	for i, id := range g.live {
 		if id == wid {
 			g.live = append(g.live[:i], g.live[i+1:]...)
@@ -736,20 +796,19 @@ func (g *GPU) sample(now uint64) {
 
 // Result is the final report of one simulation.
 type Result struct {
-	Scheduler      string
-	Benchmark      string
-	Cycles         uint64
-	Instructions   uint64
-	IPC            float64
-	L1             cache.Stats
-	VTAHits        uint64
-	SharedUtil     float64
-	SharedStats    sharedmem.CacheStats
-	DeadlockFrees  uint64
-	StructStalls   uint64
-	FinishedWarps  int
-	TimedOut       bool
-	MaxActiveWarps int
+	Scheduler     string
+	Benchmark     string
+	Cycles        uint64
+	Instructions  uint64
+	IPC           float64
+	L1            cache.Stats
+	VTAHits       uint64
+	SharedUtil    float64
+	SharedStats   sharedmem.CacheStats
+	DeadlockFrees uint64
+	StructStalls  uint64
+	FinishedWarps int
+	TimedOut      bool
 }
 
 // Result snapshots the current statistics.

@@ -374,9 +374,9 @@ func TestDeadlockValve(t *testing.T) {
 	}
 }
 
-// stallEverything stalls all warps at attach and picks only active
-// warps, exercising the deadlock valve. It has no epochs, so Run jumps
-// straight from the first idle cycle to the valve's expiry.
+// stallEverything stalls all warps at attach, exercising the deadlock
+// valve. It has no epochs, so Run jumps straight from the first idle
+// cycle to the valve's expiry.
 type stallEverything struct {
 	sm.Base
 	sm.GreedyThenOldest
@@ -388,12 +388,8 @@ func (s *stallEverything) NextEvent(*sm.GPU, uint64) uint64 { return sm.Never }
 
 func (s *stallEverything) Attach(g *sm.GPU) {
 	for i := 0; i < g.NumWarps(); i++ {
-		g.Warp(i).V = false
+		g.SetActive(i, false)
 	}
-}
-
-func (s *stallEverything) Pick(g *sm.GPU, now uint64) int {
-	return s.PickGTO(g, now, func(w *sm.Warp) bool { return w.V })
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -413,7 +409,8 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestWarpStateStrings(t *testing.T) {
-	w := sm.Warp{V: true}
+	g := sm.MustGPU(testConfig(), workload.MustKernel(tinySpec()), sched.NewGTO(), nil)
+	w := g.Warp(0)
 	if w.State() != "active" {
 		t.Fatalf("state = %s", w.State())
 	}
@@ -421,7 +418,7 @@ func TestWarpStateStrings(t *testing.T) {
 	if w.State() != "isolated" {
 		t.Fatalf("state = %s", w.State())
 	}
-	w.V = false
+	g.SetActive(0, false)
 	if w.State() != "stalled" {
 		t.Fatalf("state = %s", w.State())
 	}

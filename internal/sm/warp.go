@@ -12,9 +12,10 @@ type Warp struct {
 	// CTA is the warp's cooperative thread array.
 	CTA int
 
-	// V is the active flag: cleared when the warp is stalled by a
-	// throttling scheduler.
-	V bool
+	// v is the active flag V: cleared when the warp is stalled by a
+	// throttling scheduler. GPU.SetActive is its only writer, so the
+	// GPU's issue gate always reflects it.
+	v bool
 	// I is the isolation flag: set when CIAO redirects the warp's
 	// global accesses to the shared-memory cache.
 	I bool
@@ -60,28 +61,16 @@ type Warp struct {
 // their own state — nothing in the simulation feeds back into them.
 const warpBatch = 16
 
+// Active reports the V flag: false while a throttling scheduler stalls
+// the warp.
+func (w *Warp) Active() bool { return w.v }
+
 // Ready reports whether the warp can be issued at cycle now. Stalled
 // (V=0), finished, barrier-blocked and memory-blocked warps are not
-// ready.
+// ready. A warp with in-flight fills may keep issuing (hit-under-miss)
+// until its MLP budget is exhausted.
 func (w *Warp) Ready(now uint64) bool {
-	return w.V && w.Issueable(now)
-}
-
-// Issueable reports whether the warp could issue at cycle now ignoring
-// the throttle flag V. Schedulers that stall warps use this together
-// with their own eligibility predicate (e.g. the barrier boost that
-// lets a stalled warp run when its CTA is blocked at a barrier).
-// A warp with in-flight fills may keep issuing (hit-under-miss) until
-// its MLP budget is exhausted. NextReady is tested first: it is the
-// check that most often fails in a scheduler's scan.
-func (w *Warp) Issueable(now uint64) bool {
-	return w.NextReady <= now && !w.Finished && !w.AtBarrier && w.Outstanding < w.maxPending()
-}
-
-// Runnable reports whether the warp could ever issue again regardless
-// of throttling — used for progress/deadlock accounting.
-func (w *Warp) Runnable() bool {
-	return !w.Finished && !w.AtBarrier && w.Outstanding < w.maxPending()
+	return w.v && w.NextReady <= now && !w.Finished && !w.AtBarrier && w.Outstanding < w.maxPending()
 }
 
 func (w *Warp) maxPending() int {
@@ -95,7 +84,7 @@ func (w *Warp) maxPending() int {
 // "isolated" or "stalled".
 func (w *Warp) State() string {
 	switch {
-	case !w.V:
+	case !w.v:
 		return "stalled"
 	case w.I:
 		return "isolated"
