@@ -3,12 +3,12 @@
 // cmd/benchgate gates, and the allocation-free BenchmarkCellCycle), the
 // Table I/II checks, the Fig 1a interference count, sweep expansion and
 // the design ablations (run with `go test -bench=. -benchmem`). The
-// figures are regenerated by tests instead: internal/harness's tests
-// run Fig 1b, Fig 4 and the Fig 9/10 time series,
-// TestGoldenFigurePayloads pins fig8, fig11a/b and fig12a/b, and bench/
-// times fig8. Simulation length
-// is shortened (benchInstr) to keep the suite tractable; use
-// cmd/ciaosim for full-length runs.
+// figures are regenerated by tests instead: cmd/ciaosim's
+// TestEveryExperimentBothForms builds every entry of the experiment
+// table as text and as JSON and pins both, TestGoldenFigurePayloads
+// pins fig8, fig11a/b and fig12a/b through service.Execute, and bench/
+// times fig8. Simulation length is shortened (benchInstr) to keep the
+// suite tractable; use cmd/ciaosim for full-length runs.
 package repro_test
 
 import (

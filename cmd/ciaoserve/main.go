@@ -17,9 +17,8 @@
 // Endpoints:
 //
 //	POST   /run                  one bench × sched cell, synchronous
-//	POST   /experiment           fig8, fig1b, fig4, fig9, fig10, fig11a,
-//	                             fig11b, fig12a, fig12b, timeseries,
-//	                             overhead, run — async
+//	POST   /experiment           any experiment ciaosim runs (GET
+//	                             /healthz lists them) — async
 //	GET    /jobs/{id}            poll an async job; result inlined once done
 //	POST   /sweeps               start (or resume) a declarative
 //	                             parameter sweep

@@ -237,12 +237,12 @@ func (c *CIAO) lowEpoch(g *sm.GPU) {
 	if n := len(c.stalled); n > 0 {
 		wid := c.stalled[n-1]
 		w := g.Warp(wid)
-		if w.Finished {
+		if w.Finished() {
 			c.stalled = c.stalled[:n-1]
 			c.pairs.ClearStaller(wid)
 		} else {
 			k := c.pairs.Staller(wid)
-			if k < 0 || g.Warp(k).Finished || c.lowIRS[k] <= c.params.LowCutoff {
+			if k < 0 || g.Warp(k).Finished() || c.lowIRS[k] <= c.params.LowCutoff {
 				g.SetActive(wid, true)
 				c.pairs.ClearStaller(wid)
 				c.stalled = c.stalled[:n-1]
@@ -254,11 +254,11 @@ func (c *CIAO) lowEpoch(g *sm.GPU) {
 	// warp calmed down or finished.
 	for wid := 0; wid < g.NumWarps(); wid++ {
 		w := g.Warp(wid)
-		if !w.I || w.Finished {
+		if !w.I || w.Finished() {
 			continue
 		}
 		k := c.pairs.Redirector(wid)
-		if k < 0 || g.Warp(k).Finished || c.lowIRS[k] <= c.params.LowCutoff {
+		if k < 0 || g.Warp(k).Finished() || c.lowIRS[k] <= c.params.LowCutoff {
 			w.I = false
 			c.pairs.ClearRedirector(wid)
 			c.Unredirections++
@@ -274,14 +274,14 @@ func (c *CIAO) lowEpoch(g *sm.GPU) {
 func (c *CIAO) highEpoch(g *sm.GPU) {
 	for i := 0; i < g.NumWarps(); i++ {
 		wi := g.Warp(i)
-		if wi.Finished || !wi.Active() {
+		if wi.Finished() || !wi.Active() {
 			continue
 		}
 		if c.highIRS[i] <= c.params.HighCutoff {
 			continue
 		}
 		j := c.ilist.Top(i)
-		if j < 0 || j == i || g.Warp(j).Finished {
+		if j < 0 || j == i || g.Warp(j).Finished() {
 			continue
 		}
 		c.intervene(g, i, j)

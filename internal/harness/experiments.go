@@ -3,7 +3,9 @@ package harness
 import (
 	"fmt"
 
+	"repro/internal/memory"
 	"repro/internal/metrics"
+	"repro/internal/sm"
 	"repro/internal/workload"
 )
 
@@ -155,6 +157,44 @@ func RunFig1b(opt Options) (*Fig1bResult, error) {
 	return out, nil
 }
 
+// Fig1aResult carries Figure 1a: how often each of the most-interfered
+// warps of a benchmark was interfered with by each other, under GTO.
+type Fig1aResult struct {
+	Bench string `json:"bench"`
+	// Warps are the most-interfered warps, most interfered first.
+	Warps []int `json:"warps"`
+	// Normalized[i][j] is how often Warps[j] interfered with Warps[i],
+	// over the largest count of the whole matrix.
+	Normalized [][]float64 `json:"normalized"`
+}
+
+// RunFig1a reproduces Figure 1a: Backprop's 12 most-interfered warps.
+func RunFig1a(opt Options) (*Fig1aResult, error) {
+	spec, err := workload.ByName("Backprop")
+	if err != nil {
+		return nil, err
+	}
+	gto, err := SchedulerByName("GTO")
+	if err != nil {
+		return nil, err
+	}
+	_, g, err := RunOne(spec, gto, opt)
+	if err != nil {
+		return nil, err
+	}
+	im := g.Interference()
+	out := &Fig1aResult{Bench: spec.Name, Warps: im.TopInterferedWarps(12)}
+	norm := im.Normalized()
+	for _, i := range out.Warps {
+		row := make([]float64, len(out.Warps))
+		for k, j := range out.Warps {
+			row[k] = norm[i][j]
+		}
+		out.Normalized = append(out.Normalized, row)
+	}
+	return out, nil
+}
+
 // Fig4Result carries Figure 4: per-warp interference frequency on one
 // benchmark plus min/max frequencies across workloads.
 type Fig4Result struct {
@@ -240,6 +280,27 @@ func RunTimeSeries(bench string, schedNames []string, opt Options) (*TimeSeriesS
 		}
 		ts := *g.TimeSeries()
 		out.Series[name] = &ts
+	}
+	return out, nil
+}
+
+// SeriesSets carries Figures 9 and 10: each benchmark's traces under
+// the same schedulers. Sets and Schedulers keep the figure's order; the
+// JSON form is a map keyed by benchmark.
+type SeriesSets struct {
+	Sets       []*TimeSeriesSet
+	Schedulers []string
+}
+
+// RunSeriesSets traces every benchmark under every scheduler.
+func RunSeriesSets(benches, scheds []string, opt Options) (*SeriesSets, error) {
+	out := &SeriesSets{Schedulers: scheds}
+	for _, b := range benches {
+		set, err := RunTimeSeries(b, scheds, opt)
+		if err != nil {
+			return nil, err
+		}
+		out.Sets = append(out.Sets, set)
 	}
 	return out, nil
 }
@@ -377,6 +438,124 @@ func runConfigStudy(run CellRunner, variants []configVariant) (*Fig12Result, err
 		}
 		out.Normalized[v.Name] = row
 		out.GeoMean[v.Name] = metrics.GeoMean(vals)
+	}
+	return out, nil
+}
+
+// Table1 carries Table I: the simulated machine's configuration.
+type Table1 struct {
+	L1KB               int  `json:"l1_kb"`
+	L1Ways             int  `json:"l1_ways"`
+	L1Sets             int  `json:"l1_sets"`
+	LineBytes          int  `json:"line_bytes"`
+	L1XORHash          bool `json:"l1_xor_hash"`
+	SharedMemKB        int  `json:"shared_mem_kb"`
+	SharedLatency      int  `json:"shared_latency"`
+	L2KB               int  `json:"l2_kb"`
+	L2Ways             int  `json:"l2_ways"`
+	L2Partitions       int  `json:"l2_partitions"`
+	L2Latency          int  `json:"l2_latency"`
+	DRAMBanks          int  `json:"dram_banks"`
+	TCL                int  `json:"dram_tcl"`
+	TRCD               int  `json:"dram_trcd"`
+	TRAS               int  `json:"dram_tras"`
+	DRAMTransferCycles int  `json:"dram_transfer_cycles"`
+	VTAEntriesPerWarp  int  `json:"vta_entries"`
+	Warps              int  `json:"warps"`
+	MSHREntries        int  `json:"mshr_entries"`
+	MSHRMergeMax       int  `json:"mshr_merge_max"`
+}
+
+// NewTable1 reads Table I off the default machine.
+func NewTable1() Table1 {
+	cfg := sm.DefaultConfig()
+	d := cfg.L2Config.DRAM
+	return Table1{
+		L1KB: cfg.L1.SizeBytes >> 10, L1Ways: cfg.L1.Ways, L1Sets: cfg.L1.Sets(),
+		LineBytes: memory.LineSize, L1XORHash: cfg.L1.UseXORHash,
+		SharedMemKB: cfg.SharedMemBytes >> 10, SharedLatency: cfg.SharedHitLatency,
+		L2KB: cfg.L2Config.TotalBytes >> 10, L2Ways: cfg.L2Config.Ways,
+		L2Partitions: cfg.L2Config.Partitions, L2Latency: cfg.L2Config.Latency,
+		DRAMBanks: d.Banks, TCL: d.TCL, TRCD: d.TRCD, TRAS: d.TRAS, DRAMTransferCycles: d.TransferCycles,
+		VTAEntriesPerWarp: cfg.VTAEntriesPerWarp,
+		Warps:             workload.DefaultWarps,
+		MSHREntries:       cfg.MSHREntries, MSHRMergeMax: cfg.MSHRMergeMax,
+	}
+}
+
+// Table2Row is one benchmark of Table II.
+type Table2Row struct {
+	Name       string  `json:"benchmark"`
+	APKI       int     `json:"apki"`
+	InputBytes int     `json:"input_bytes"`
+	Nwrp       int     `json:"nwrp"`
+	FsMem      float64 `json:"fsmem"`
+	Barriers   bool    `json:"barriers"`
+	Class      string  `json:"class"`
+}
+
+// NewTable2 reads Table II off the benchmark suite.
+func NewTable2() []Table2Row {
+	var rows []Table2Row
+	for _, s := range workload.Suite() {
+		rows = append(rows, Table2Row{Name: s.Name, APKI: s.APKI, InputBytes: s.InputBytes,
+			Nwrp: s.NwrpBest, FsMem: s.FsMem, Barriers: s.Barriers, Class: s.Class.String()})
+	}
+	return rows
+}
+
+// ChipResult carries the chip-level study: one benchmark on a cluster
+// of SMs sharing the L2 and DRAM, under GTO and CIAO-C.
+type ChipResult struct {
+	Bench      string    `json:"bench"`
+	SMs        int       `json:"sms"`
+	Schedulers []ChipRow `json:"schedulers"`
+}
+
+// ChipRow is one scheduler's chip-level outcome.
+type ChipRow struct {
+	Sched   string  `json:"sched"`
+	ChipIPC float64 `json:"chip_ipc"`
+	// L1HitRate pools every SM's L1D accesses.
+	L1HitRate float64 `json:"l1_hit_rate"`
+	// L2HitRate is the shared L2's.
+	L2HitRate float64 `json:"l2_hit_rate"`
+}
+
+// RunChip runs bench on a 4-SM cluster sharing one L2/DRAM under GTO
+// and CIAO-C, to check that the single-SM conclusions survive
+// chip-level sharing. Without an instruction budget in opt, each warp
+// runs 2500 instructions.
+func RunChip(bench string, opt Options) (*ChipResult, error) {
+	spec, err := workload.ByName(bench)
+	if err != nil {
+		return nil, err
+	}
+	if opt.InstrPerWarp == 0 {
+		opt.InstrPerWarp = 2500
+	}
+	spec = opt.applySpec(spec)
+	out := &ChipResult{Bench: bench, SMs: 4}
+	for _, name := range []string{"GTO", "CIAO-C"} {
+		f, err := SchedulerByName(name)
+		if err != nil {
+			return nil, err
+		}
+		cluster, err := sm.NewCluster(out.SMs, opt.buildConfig(f), spec, f.New)
+		if err != nil {
+			return nil, err
+		}
+		perSM, chipIPC := cluster.Run()
+		var hits, accs uint64
+		for _, r := range perSM {
+			hits += r.L1.Hits
+			accs += r.L1.Accesses
+		}
+		row := ChipRow{Sched: name, ChipIPC: chipIPC, L2HitRate: cluster.L2().Stats().HitRate()}
+		if accs > 0 {
+			row.L1HitRate = float64(hits) / float64(accs)
+		}
+		out.Schedulers = append(out.Schedulers, row)
 	}
 	return out, nil
 }

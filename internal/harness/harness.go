@@ -3,7 +3,9 @@
 // single-goroutine simulation) and aggregates the rows/series each
 // table and figure of the evaluation reports. Figures that are a grid
 // of cells hand them to a CellRunner, which the service engine
-// supplies.
+// supplies. The experiment table (Experiments) defines every
+// experiment once: the fields it reads, how it builds its payload and
+// how that payload prints as text.
 package harness
 
 import (

@@ -78,6 +78,16 @@ func (s *TimeSeriesSet) MarshalJSON() ([]byte, error) {
 	}{s.Bench, series})
 }
 
+// MarshalJSON implements json.Marshaler: one TimeSeriesSet per
+// benchmark, keyed by benchmark.
+func (f *SeriesSets) MarshalJSON() ([]byte, error) {
+	sets := make(map[string]*TimeSeriesSet, len(f.Sets))
+	for _, s := range f.Sets {
+		sets[s.Bench] = s
+	}
+	return json.Marshal(sets)
+}
+
 // MarshalJSON implements json.Marshaler. Values keeps the sweep order;
 // Normalized is keyed by FormatValue(value).
 func (r *SensitivityResult) MarshalJSON() ([]byte, error) {

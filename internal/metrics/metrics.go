@@ -40,18 +40,6 @@ func (ts *TimeSeries) Add(s Sample) { ts.Samples = append(ts.Samples, s) }
 // Len reports the number of samples.
 func (ts *TimeSeries) Len() int { return len(ts.Samples) }
 
-// MeanIPC returns the unweighted mean of interval IPCs.
-func (ts *TimeSeries) MeanIPC() float64 {
-	if len(ts.Samples) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, s := range ts.Samples {
-		sum += s.IPC
-	}
-	return sum / float64(len(ts.Samples))
-}
-
 // CSV renders the series with the given series name, one line per
 // sample: name,cycle,instructions,ipc,active,interference,l1hit.
 func (ts *TimeSeries) CSV(name string) string {
@@ -100,27 +88,6 @@ func (m *InterferenceMatrix) Total() uint64 {
 		t += c
 	}
 	return t
-}
-
-// RowTotal returns the total interference suffered by a warp.
-func (m *InterferenceMatrix) RowTotal(interfered int) uint64 {
-	var t uint64
-	for j := 0; j < m.n; j++ {
-		t += m.At(interfered, j)
-	}
-	return t
-}
-
-// MaxInterferer returns, for the interfered warp, the interferer with
-// the highest count and that count.
-func (m *InterferenceMatrix) MaxInterferer(interfered int) (warp int, count uint64) {
-	warp = -1
-	for j := 0; j < m.n; j++ {
-		if c := m.At(interfered, j); c > count {
-			warp, count = j, c
-		}
-	}
-	return warp, count
 }
 
 // MinMaxPerWarp returns, over warps with any interference, the minimum
@@ -177,11 +144,15 @@ func (m *InterferenceMatrix) Normalized() [][]float64 {
 // interference, most-interfered first.
 func (m *InterferenceMatrix) TopInterferedWarps(k int) []int {
 	idx := make([]int, m.n)
+	suffered := make([]uint64, m.n)
 	for i := range idx {
 		idx[i] = i
+		for _, c := range m.counts[i*m.n : (i+1)*m.n] {
+			suffered[i] += c
+		}
 	}
 	sort.Slice(idx, func(a, b int) bool {
-		return m.RowTotal(idx[a]) > m.RowTotal(idx[b])
+		return suffered[idx[a]] > suffered[idx[b]]
 	})
 	if k > len(idx) {
 		k = len(idx)

@@ -48,7 +48,7 @@ func (s *BestSWL) NextEvent(*sm.GPU, uint64) uint64 { return sm.Never }
 // retires, keeping the concurrent warp count at the limit.
 func (s *BestSWL) OnWarpFinished(g *sm.GPU, wid int) {
 	for i := 0; i < g.NumWarps(); i++ {
-		if w := g.Warp(i); !w.Finished && !w.Active() {
+		if w := g.Warp(i); !w.Finished() && !w.Active() {
 			g.SetActive(i, true)
 			return
 		}

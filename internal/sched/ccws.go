@@ -86,7 +86,7 @@ func (s *CCWS) OnCycle(g *sm.GPU, now uint64) {
 
 	s.order = s.order[:0]
 	for i := 0; i < g.NumWarps(); i++ {
-		if !g.Warp(i).Finished {
+		if !g.Warp(i).Finished() {
 			s.order = append(s.order, i)
 		}
 	}
@@ -126,7 +126,7 @@ func (s *CCWS) ThrottledWarps(g *sm.GPU) int {
 	n := 0
 	for i := 0; i < g.NumWarps(); i++ {
 		w := g.Warp(i)
-		if !w.Finished && !w.Active() {
+		if !w.Finished() && !w.Active() {
 			n++
 		}
 	}

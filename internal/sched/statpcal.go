@@ -64,13 +64,13 @@ func (s *StatPCAL) Attach(g *sm.GPU) {
 // first), handing a finished warp's token to the next live warp.
 func (s *StatPCAL) refillTokens(g *sm.GPU) {
 	for wid, held := range s.tokens {
-		if held && g.Warp(wid).Finished {
+		if held && g.Warp(wid).Finished() {
 			s.tokens[wid] = false
 			s.nTokens--
 		}
 	}
 	for wid := 0; wid < g.NumWarps() && s.nTokens < s.Tokens; wid++ {
-		if !g.Warp(wid).Finished && !s.tokens[wid] {
+		if !g.Warp(wid).Finished() && !s.tokens[wid] {
 			s.tokens[wid] = true
 			s.nTokens++
 		}
@@ -113,7 +113,7 @@ func (s *StatPCAL) OnCycle(g *sm.GPU, now uint64) {
 	granted := 0
 	for i := 0; i < g.NumWarps(); i++ {
 		w := g.Warp(i)
-		if w.Finished {
+		if w.Finished() {
 			continue
 		}
 		if s.isToken(i) {

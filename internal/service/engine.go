@@ -33,7 +33,7 @@ type RunFunc func(Spec) ([]byte, error)
 // avoidance: a content-addressed LRU result cache, single-flight
 // coalescing of identical in-flight specs, and a bounded worker pool
 // so a burst of distinct requests cannot oversubscribe the host. A
-// matrix figure (fig8, fig11a/b, fig12a/b) is not one simulation: its
+// grid figure (fig8, fig11a/b, fig12a/b) is not one simulation: its
 // cells run as ordinary "run" specs through the same cache, coalescing
 // and pool, so they share results with /run and sweeps, and the
 // figure itself holds no worker slot.
@@ -102,7 +102,7 @@ func NewEngine(cfg Config) *Engine {
 func (e *Engine) Cache() *ResultCache { return e.cache }
 
 // Simulations returns how many times the executor actually ran —
-// cache hits and coalesced waits do not count. A matrix figure counts
+// cache hits and coalesced waits do not count. A grid figure counts
 // each cell it simulated.
 func (e *Engine) Simulations() uint64 { return e.runs.Value() }
 
@@ -177,16 +177,12 @@ func (e *Engine) Run(spec Spec) ([]byte, Source, error) {
 }
 
 // execute computes a spec the cache and the in-flight table missed.
-// A matrix figure takes no worker slot: its cells take slots of their
+// A grid figure takes no worker slot: its cells take slots of their
 // own, and a figure holding one while they wait could deadlock a
 // one-worker engine.
 func (e *Engine) execute(spec Spec) ([]byte, error) {
-	if fig := matrixFigures[spec.Experiment]; fig != nil {
-		v, err := fig(e.CellRunner(spec.Options))
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(v)
+	if exp, _ := harness.LookupExperiment(spec.Experiment); exp.Grid {
+		return encode(exp.Build(spec.request(), e.CellRunner(spec.Options)))
 	}
 	e.waiting.Add(1)
 	e.slots <- struct{}{}

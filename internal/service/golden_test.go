@@ -50,10 +50,10 @@ func TestGoldenCellResults(t *testing.T) {
 func TestGoldenFigurePayloads(t *testing.T) {
 	golden := []struct{ experiment, sha string }{
 		{ExpFig8, "7544271714d75613599e16b0722a602daf3bbefec76bdf663fabcf11c661ac52"},
-		{ExpFig11a, "73bdd892d196eef969fcc6d66904a268c7fd12d8e773377d59e4ea9b05a8e452"},
-		{ExpFig11b, "2d657178749bd859efd5dafe243dc43ae68aab6bc6aa5f1adc7323a3ec6eb9e8"},
-		{ExpFig12a, "f396b7f9b7a76e8557e9eeb37a6bea63a8f210aaf16ed31e717a1db3f45aeb58"},
-		{ExpFig12b, "47a619dc51410b01a304069513e53defd9ef07da19ef68cfe898334faad1859d"},
+		{"fig11a", "73bdd892d196eef969fcc6d66904a268c7fd12d8e773377d59e4ea9b05a8e452"},
+		{"fig11b", "2d657178749bd859efd5dafe243dc43ae68aab6bc6aa5f1adc7323a3ec6eb9e8"},
+		{"fig12a", "f396b7f9b7a76e8557e9eeb37a6bea63a8f210aaf16ed31e717a1db3f45aeb58"},
+		{"fig12b", "47a619dc51410b01a304069513e53defd9ef07da19ef68cfe898334faad1859d"},
 	}
 	for _, g := range golden {
 		payload, err := Execute(Spec{Experiment: g.experiment, Options: OptionSpec{InstrPerWarp: 300, Seed: 7}})

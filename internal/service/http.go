@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"repro/internal/harness"
 	"repro/internal/httpx"
 	"repro/internal/metrics"
 )
@@ -66,7 +67,7 @@ func WithProm(hooks ...func(*metrics.PromWriter)) HandlerOption {
 //	POST /experiment   — any experiment by name, asynchronous (202 + job id)
 //	GET  /jobs/{id}    — job status; result inlined once done
 //	GET  /metrics      — engine/cache counters (plus extra subsystems)
-//	GET  /healthz      — liveness plus the same counters
+//	GET  /healthz      — liveness plus the same counters and the experiment names
 //
 // Responses are JSON; /run and finished jobs carry an X-Cache header
 // (computed, cache, or coalesced) so clients and tests can observe
@@ -171,7 +172,7 @@ func NewHandler(e *Engine, options ...HandlerOption) http.Handler {
 		}{
 			Status:      "ok",
 			Metrics:     snapshot(),
-			Experiments: Experiments(),
+			Experiments: harness.ExperimentNames(),
 		})
 	})
 	return mux

@@ -5,11 +5,14 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/harness"
 )
 
 func testServer(t *testing.T, cfg Config) *httptest.Server {
@@ -252,6 +255,57 @@ func TestHTTPHealthz(t *testing.T) {
 	}
 	if ms.Simulations != 1 || ms.CacheEntries != 1 {
 		t.Errorf("metrics = %s", mbody)
+	}
+}
+
+// TestHTTPExperimentTable: the HTTP surface reads the experiment
+// table. /healthz lists its names in table order, POST /experiment
+// serves an entry that only ciaosim's text used to print, and a figure
+// still refuses a machine override.
+func TestHTTPExperimentTable(t *testing.T) {
+	srv := testServer(t, Config{Workers: 1})
+
+	_, body := getJSON(t, srv.URL+"/healthz")
+	var h struct {
+		Experiments []string `json:"experiments"`
+	}
+	if err := json.Unmarshal(body, &h); err != nil {
+		t.Fatal(err)
+	}
+	if want := harness.ExperimentNames(); !slices.Equal(h.Experiments, want) {
+		t.Errorf("healthz experiments = %v, want %v", h.Experiments, want)
+	}
+
+	resp, body := postJSON(t, srv.URL+"/experiment", `{"experiment":"table1"}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST /experiment table1: %d %s", resp.StatusCode, body)
+	}
+	var job JobStatus
+	if err := json.Unmarshal(body, &job); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for job.State == JobRunning {
+		if time.Now().After(deadline) {
+			t.Fatal("table1 job never finished")
+		}
+		time.Sleep(time.Millisecond)
+		_, body = getJSON(t, srv.URL+"/jobs/"+job.ID)
+		if err := json.Unmarshal(body, &job); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := json.Marshal(harness.NewTable1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job.State != JobDone || !bytes.Equal(job.Result, want) {
+		t.Errorf("table1 job = %s %q, result %s, want %s", job.State, job.Error, job.Result, want)
+	}
+
+	resp, body = postJSON(t, srv.URL+"/experiment", `{"experiment":"fig8","config":{"l1_size_kb":32}}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("fig8 with a config: %d %s, want 400", resp.StatusCode, body)
 	}
 }
 

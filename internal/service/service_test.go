@@ -20,8 +20,8 @@ func TestSpecKeyCanonicalization(t *testing.T) {
 		t.Errorf("fig8 keys differ despite irrelevant cell fields")
 	}
 	// Scheduler order is irrelevant for a time-series trace.
-	ts1 := Spec{Experiment: ExpTimeSeries, Bench: "SYRK", Schedulers: []string{"GTO", "CCWS"}}
-	ts2 := Spec{Experiment: ExpTimeSeries, Bench: "SYRK", Schedulers: []string{"CCWS", "GTO"}}
+	ts1 := Spec{Experiment: "timeseries", Bench: "SYRK", Schedulers: []string{"GTO", "CCWS"}}
+	ts2 := Spec{Experiment: "timeseries", Bench: "SYRK", Schedulers: []string{"CCWS", "GTO"}}
 	if ts1.Key() != ts2.Key() {
 		t.Errorf("timeseries keys differ despite same scheduler set")
 	}
@@ -38,6 +38,47 @@ func TestSpecKeyCanonicalization(t *testing.T) {
 	}
 }
 
+// TestSpecKeyPinned pins Key for specs that exercise each of
+// canonical's rules, as computed before the experiment table drove
+// them. Sweep records are stored under these keys, so a drift would
+// make a restarted sweep re-simulate every cell.
+func TestSpecKeyPinned(t *testing.T) {
+	cases := []struct {
+		name string
+		spec Spec
+		key  string
+	}{
+		{"run cell with config", Spec{Experiment: ExpRun, Bench: "SYRK", Sched: "CIAO-C",
+			Options: OptionSpec{InstrPerWarp: 1500, Seed: 7},
+			Config:  &harness.Override{L1SizeKB: 32, CIAOHighEpoch: 1000}},
+			"22e274f3fa4046bc6a53ea4b88ea4631f817ac5976f7ce61916a68775e05ce4c"},
+		{"run cell with an empty config", Spec{Experiment: ExpRun, Bench: "SYRK", Sched: "GTO",
+			Config: &harness.Override{}},
+			"5793acff35c610b23b183840a527dbd9b98b95b71213309704925acb0b06f538"},
+		{"respelled synthetic bench", Spec{Experiment: ExpRun, Sched: "GTO",
+			Bench: "synthetic:seed=42,reuse=8,window=32,apki=120,class=SWS"},
+			"823595efeebc0d1beda12486918d91c84356da317ee26b6cb976c7d6a897fb66"},
+		{"timeseries with unsorted schedulers and a stray sched", Spec{Experiment: "timeseries",
+			Bench: "ATAX", Sched: "GTO", Schedulers: []string{"GTO", "CIAO-C", "CCWS"},
+			Options: OptionSpec{InstrPerWarp: 300, SampleInterval: 500}},
+			"b11634b398c20e2d36548210818222c2dbd07c41251cdd80eec30405fe328be0"},
+		{"fig8 with stray cell fields", Spec{Experiment: ExpFig8, Bench: "SYRK", Sched: "GTO",
+			Schedulers: []string{"CCWS"}, Options: OptionSpec{InstrPerWarp: 300, Seed: 7}},
+			"a026bb34a642407e6dc82a44d1ad1634963b9548af573b8149988851f0936760"},
+		{"fig11a with an empty config", Spec{Experiment: "fig11a", Options: OptionSpec{Seed: 3},
+			Config: &harness.Override{}},
+			"8977e2c373dd47e7f2d56f065c01c2128b961fad71febb8e3c1bcecf6c2800b8"},
+		{"overhead with options", Spec{Experiment: "overhead", Bench: "SYRK",
+			Options: OptionSpec{InstrPerWarp: 300, Seed: 7, SampleInterval: 9}},
+			"e117e1cf38ea160717e4ac6ce3e77a9b4897057a5ad60df641123582b061885a"},
+	}
+	for _, c := range cases {
+		if got := c.spec.Key(); got != c.key {
+			t.Errorf("%s: key %s, want %s", c.name, got, c.key)
+		}
+	}
+}
+
 func TestSpecValidate(t *testing.T) {
 	cases := []struct {
 		spec Spec
@@ -48,8 +89,8 @@ func TestSpecValidate(t *testing.T) {
 		{Spec{Experiment: ExpRun, Bench: "SYRK", Sched: "NOPE"}, false},
 		{Spec{Experiment: ExpFig8}, true},
 		{Spec{Experiment: "fig99"}, false},
-		{Spec{Experiment: ExpTimeSeries, Bench: "SYRK"}, false},
-		{Spec{Experiment: ExpTimeSeries, Bench: "SYRK", Schedulers: []string{"GTO"}}, true},
+		{Spec{Experiment: "timeseries", Bench: "SYRK"}, false},
+		{Spec{Experiment: "timeseries", Bench: "SYRK", Schedulers: []string{"GTO"}}, true},
 	}
 	for _, c := range cases {
 		if err := c.spec.Validate(); (err == nil) != c.ok {
@@ -280,14 +321,14 @@ func TestEngineFigureCells(t *testing.T) {
 		t.Errorf("/run of a fig8 cell: source = %q, want cache", src)
 	}
 	// Fig 12a's GTO and CIAO-C columns are fig8 cells.
-	runWithin(t, e, Spec{Experiment: ExpFig12a, Options: opts})
+	runWithin(t, e, Spec{Experiment: "fig12a", Options: opts})
 	if n := e.Simulations() - 147; n != 26 {
 		t.Errorf("fig12a after fig8 cost %d simulations, want 26", n)
 	}
 
 	// Fig 11a's default column is its 5000-instruction column.
 	e = NewEngine(Config{Workers: 1, Run: fakeCells(&calls)})
-	runWithin(t, e, Spec{Experiment: ExpFig11a, Options: opts})
+	runWithin(t, e, Spec{Experiment: "fig11a", Options: opts})
 	if n := e.Simulations(); n != 28 {
 		t.Errorf("fig11a simulations = %d, want 28", n)
 	}
@@ -300,12 +341,15 @@ func TestEngineFigureCells(t *testing.T) {
 // depend on how many of its cells run at once.
 func TestEngineFigureParallelDeterminism(t *testing.T) {
 	var calls atomic.Int64
-	for exp := range matrixFigures {
-		spec := Spec{Experiment: exp, Options: OptionSpec{InstrPerWarp: 300}}
+	for _, exp := range harness.Experiments() {
+		if !exp.Grid {
+			continue
+		}
+		spec := Spec{Experiment: exp.Name, Options: OptionSpec{InstrPerWarp: 300}}
 		serial, _ := runWithin(t, NewEngine(Config{Workers: 1, Run: fakeCells(&calls)}), spec)
 		parallel, _ := runWithin(t, NewEngine(Config{Workers: 4, Run: fakeCells(&calls)}), spec)
 		if !bytes.Equal(serial, parallel) {
-			t.Errorf("%s: Workers 4 payload differs from Workers 1:\n%s\n%s", exp, parallel, serial)
+			t.Errorf("%s: Workers 4 payload differs from Workers 1:\n%s\n%s", exp.Name, parallel, serial)
 		}
 	}
 }

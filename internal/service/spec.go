@@ -2,8 +2,9 @@
 // long-lived concurrent service: job specs name an experiment cell or
 // figure, a bounded worker-pool engine executes them, and a
 // content-addressed LRU cache makes repeated cells free. cmd/ciaoserve
-// exposes the engine over HTTP; cmd/ciaosim reuses the same runner for
-// its -json output so both frontends emit identical bytes.
+// exposes the engine over HTTP; cmd/ciaosim builds its payloads through
+// an engine too, so its -json output and ciaoserve's are identical
+// bytes.
 package service
 
 import (
@@ -40,36 +41,21 @@ func (o OptionSpec) Options() harness.Options {
 	}
 }
 
-// Experiment names accepted by Spec.Experiment.
+// ExpRun and ExpFig8 name the single cell and Figure 8;
+// harness.Experiments lists every experiment.
 const (
-	ExpRun        = "run"        // single bench × sched cell
-	ExpFig8       = "fig8"       // 7 schedulers × 21 benchmarks
-	ExpFig1b      = "fig1b"      // Backprop: Best-SWL vs CCWS
-	ExpFig4       = "fig4"       // interference skew
-	ExpFig9       = "fig9"       // ATAX/Backprop time series
-	ExpFig10      = "fig10"      // SYRK/KMN time series
-	ExpFig11a     = "fig11a"     // epoch sensitivity
-	ExpFig11b     = "fig11b"     // cutoff sensitivity
-	ExpFig12a     = "fig12a"     // L1D configuration study
-	ExpFig12b     = "fig12b"     // DRAM bandwidth study
-	ExpTimeSeries = "timeseries" // arbitrary bench × schedulers trace
-	ExpOverhead   = "overhead"   // §V-F hardware cost model
+	ExpRun  = harness.ExpRun
+	ExpFig8 = harness.ExpFig8
 )
-
-// Experiments lists the accepted experiment names in display order.
-func Experiments() []string {
-	return []string{
-		ExpRun, ExpFig8, ExpFig1b, ExpFig4, ExpFig9, ExpFig10,
-		ExpFig11a, ExpFig11b, ExpFig12a, ExpFig12b, ExpTimeSeries, ExpOverhead,
-	}
-}
 
 // Spec identifies one experiment request. Equal specs address equal
 // results, so Key() doubles as the result-cache key.
 type Spec struct {
-	// Experiment is one of the Exp* names.
+	// Experiment names an entry of the experiment table
+	// (harness.Experiments); the entry says which of the fields below
+	// it reads.
 	Experiment string `json:"experiment"`
-	// Bench names the benchmark for "run" and "timeseries".
+	// Bench names the benchmark, e.g. for "run" and "timeseries".
 	Bench string `json:"bench,omitempty"`
 	// Sched names the scheduler for "run".
 	Sched string `json:"sched,omitempty"`
@@ -77,60 +63,70 @@ type Spec struct {
 	Schedulers []string `json:"schedulers,omitempty"`
 	// Options tune the simulation.
 	Options OptionSpec `json:"options,omitempty"`
-	// Config reshapes the machine/controller for "run" cells (sweep
-	// cells use this to explore non-default configurations).
+	// Config reshapes the machine/controller for "run" and
+	// "timeseries" (sweep cells use this to explore non-default
+	// configurations).
 	Config *harness.Override `json:"config,omitempty"`
 }
 
-// Validate checks the spec against the known experiments, benchmarks
+// Validate checks the spec against the experiment table, benchmarks
 // and schedulers so bad requests fail before a worker slot is taken.
 func (s Spec) Validate() error {
-	switch s.Experiment {
-	case ExpRun:
+	_, err := s.experiment()
+	return err
+}
+
+// experiment validates the spec and returns its table entry.
+func (s Spec) experiment() (harness.Experiment, error) {
+	exp, ok := harness.LookupExperiment(s.Experiment)
+	if !ok {
+		return exp, fmt.Errorf("service: unknown experiment %q (want one of %s)",
+			s.Experiment, strings.Join(harness.ExperimentNames(), ", "))
+	}
+	if exp.Takes(harness.FieldBench) {
 		if _, err := workload.ByName(s.Bench); err != nil {
-			return err
+			return exp, err
 		}
+	}
+	if exp.Takes(harness.FieldSched) {
 		if _, err := harness.SchedulerByName(s.Sched); err != nil {
-			return err
+			return exp, err
 		}
-		if s.Config != nil {
-			if err := s.Config.Validate(); err != nil {
-				return err
-			}
-		}
-	case ExpTimeSeries:
-		if _, err := workload.ByName(s.Bench); err != nil {
-			return err
-		}
+	}
+	if exp.Takes(harness.FieldSchedulers) {
 		if len(s.Schedulers) == 0 {
-			return fmt.Errorf("service: timeseries needs at least one scheduler")
+			return exp, fmt.Errorf("service: %s needs at least one scheduler", s.Experiment)
 		}
 		for _, name := range s.Schedulers {
 			if _, err := harness.SchedulerByName(name); err != nil {
-				return err
+				return exp, err
 			}
 		}
-		if s.Config != nil {
-			if err := s.Config.Validate(); err != nil {
-				return err
-			}
-		}
-	case ExpFig8, ExpFig1b, ExpFig4, ExpFig9, ExpFig10,
-		ExpFig11a, ExpFig11b, ExpFig12a, ExpFig12b, ExpOverhead:
-		// No per-cell fields. Figures fix their own configurations, so
-		// an override would silently not apply — reject it instead.
-		if s.Config != nil && !s.Config.IsZero() {
-			return fmt.Errorf("service: config overrides only apply to %q cells", ExpRun)
-		}
-	default:
-		return fmt.Errorf("service: unknown experiment %q (want one of %s)",
-			s.Experiment, strings.Join(Experiments(), ", "))
 	}
-	return nil
+	if s.Config != nil {
+		if exp.Takes(harness.FieldConfig) {
+			return exp, s.Config.Validate()
+		}
+		// Figures fix their own configurations, so an override would
+		// silently not apply — reject it instead.
+		if !s.Config.IsZero() {
+			return exp, fmt.Errorf("service: %s takes no config override", s.Experiment)
+		}
+	}
+	return exp, nil
+}
+
+// request is the part of the spec its experiment reads.
+func (s Spec) request() harness.Request {
+	opt := s.Options.Options()
+	if s.Config != nil {
+		opt.Override = *s.Config
+	}
+	return harness.Request{Bench: s.Bench, Sched: s.Sched, Schedulers: s.Schedulers, Options: opt}
 }
 
 // Key returns the content address of the spec: a SHA-256 over its
-// canonical JSON. Fields irrelevant to the named experiment are zeroed
+// canonical JSON. Fields the named experiment does not read are zeroed
 // first so e.g. {"experiment":"fig8","bench":"SYRK"} and plain fig8
 // share a cache entry.
 func (s Spec) Key() string {
@@ -145,32 +141,34 @@ func (s Spec) Key() string {
 }
 
 func (s Spec) canonical() Spec {
+	exp, _ := harness.LookupExperiment(s.Experiment)
 	// Synthetic benchmarks canonicalise their descriptor (full key set,
 	// fixed order), so every spelling of the same generated workload
 	// shares one content address. Unparseable names pass through: they
 	// fail Validate anyway, and Key must stay total.
-	if workload.IsSynthetic(s.Bench) {
+	if !exp.Takes(harness.FieldBench) {
+		s.Bench = ""
+	} else if workload.IsSynthetic(s.Bench) {
 		if cn, err := workload.CanonicalSynthetic(s.Bench); err == nil {
 			s.Bench = cn
 		}
 	}
-	switch s.Experiment {
-	case ExpRun:
-		s.Schedulers = nil
-	case ExpTimeSeries:
+	if !exp.Takes(harness.FieldSched) {
 		s.Sched = ""
+	}
+	if exp.Takes(harness.FieldSchedulers) {
 		sorted := append([]string(nil), s.Schedulers...)
 		sort.Strings(sorted)
 		s.Schedulers = sorted
-	case ExpOverhead:
-		// The cost model takes no options at all.
-		s = Spec{Experiment: ExpOverhead}
-	default:
-		s.Bench, s.Sched, s.Schedulers, s.Config = "", "", nil, nil
+	} else {
+		s.Schedulers = nil
+	}
+	if !exp.Takes(harness.FieldOptions) {
+		s.Options = OptionSpec{}
 	}
 	// A present-but-empty override is the baseline machine; give both
 	// forms the same content address.
-	if s.Config != nil && s.Config.IsZero() {
+	if !exp.Takes(harness.FieldConfig) || (s.Config != nil && s.Config.IsZero()) {
 		s.Config = nil
 	}
 	return s

@@ -114,16 +114,6 @@ func (t *SMMT) Release(ctaID int) bool {
 	return false
 }
 
-// Lookup returns the entry for ctaID.
-func (t *SMMT) Lookup(ctaID int) (SMMTEntry, bool) {
-	for _, e := range t.entries {
-		if e.CTAID == ctaID {
-			return e, true
-		}
-	}
-	return SMMTEntry{}, false
-}
-
 // Used returns the total allocated bytes.
 func (t *SMMT) Used() int {
 	n := 0

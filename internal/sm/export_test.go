@@ -11,3 +11,8 @@ func (g *GPU) StepSkip() {
 	g.Step()
 	g.skipTo(g.nextStep())
 }
+
+// GateInputs returns the warp fields the issue gate reads.
+func (w *Warp) GateInputs() (nextReady uint64, outstanding, maxPending int, atBarrier bool) {
+	return w.nextReady, w.outstanding, w.maxPending, w.atBarrier
+}

@@ -24,19 +24,21 @@ func (c *gateChecker) check(g *sm.GPU) string {
 		for len(c.pending) <= w.CTA {
 			c.pending = append(c.pending, false)
 		}
-		c.pending[w.CTA] = c.pending[w.CTA] || w.AtBarrier
+		_, _, _, atBarrier := w.GateInputs()
+		c.pending[w.CTA] = c.pending[w.CTA] || atBarrier
 	}
 	active := 0
 	for i := 0; i < g.NumWarps(); i++ {
 		w := g.Warp(i)
-		if !w.Finished && w.Active() {
+		if !w.Finished() && w.Active() {
 			active++
 		}
-		pickable := !w.Finished && !w.AtBarrier && w.Outstanding < max(w.MaxPending, 1) &&
+		nextReady, outstanding, maxPending, atBarrier := w.GateInputs()
+		pickable := !w.Finished() && !atBarrier && outstanding < max(maxPending, 1) &&
 			(w.Active() || c.pending[w.CTA])
 		want := uint64(math.MaxUint64)
 		if pickable {
-			want = w.NextReady
+			want = nextReady
 		}
 		if gate, bit := g.Gate(i); gate != want || bit != pickable {
 			return fmt.Sprintf("cycle %d, warp %d: gate %d pickable %v, want %d %v (warp %+v)",

@@ -56,7 +56,7 @@ type GPU struct {
 	// per-cycle scans (next-event search, deadlock release) skip
 	// finished warps instead of filtering the full warp array.
 	live []int
-	// gate[i] is warp i's NextReady while the warp is pickable, else
+	// gate[i] is warp i's nextReady while the warp is pickable, else
 	// math.MaxUint64; pickable is the bitset of warps with a finite
 	// gate. A warp is pickable when it is unfinished, not at a barrier,
 	// under its MLP budget, and active or barrier-boosted (its CTA has
@@ -165,7 +165,7 @@ func NewGPU(cfg Config, kernel *workload.Kernel, ctrl Controller, sharedL2 *l2.L
 			ID:         i,
 			CTA:        i / spec.WarpsPerCTA,
 			v:          true,
-			MaxPending: cfg.MaxOutstandingLines,
+			maxPending: cfg.MaxOutstandingLines,
 			stream:     kernel.Stream(i),
 			buf:        &g.batches[i],
 		}
@@ -195,8 +195,8 @@ func MustGPU(cfg Config, kernel *workload.Kernel, ctrl Controller, sharedL2 *l2.
 // NumWarps returns the resident warp count.
 func (g *GPU) NumWarps() int { return len(g.warps) }
 
-// Warp returns warp i's state (mutable: controllers flip I; V is set
-// with SetActive).
+// Warp returns warp i's state. Controllers may flip I; V is set with
+// SetActive, and the fields the issue gate reads are the GPU's alone.
 func (g *GPU) Warp(i int) *Warp { return &g.warps[i] }
 
 // SetActive sets warp wid's V flag: false stalls the warp, true
@@ -208,7 +208,7 @@ func (g *GPU) SetActive(wid int, v bool) {
 		return
 	}
 	w.v = v
-	if !w.Finished {
+	if !w.finished {
 		if v {
 			g.active++
 		} else {
@@ -296,7 +296,7 @@ func (g *GPU) running() bool { return !g.Done() && g.cycle < g.cfg.MaxCycles }
 // full Step. After a busy step that is g.cycle itself. After a quiet
 // step at now = g.cycle-1, every cycle repeats it until the earliest
 // of: a fill becoming ready, the controller's next event, a sample,
-// the cycle cap and, after an idle step, a warp's NextReady arriving
+// the cycle cap and, after an idle step, a warp's nextReady arriving
 // or the deadlock valve expiring (only possible with nothing in
 // flight).
 func (g *GPU) nextStep() uint64 {
@@ -311,7 +311,7 @@ func (g *GPU) nextStep() uint64 {
 	}
 	if g.last == stepIdle {
 		for _, id := range g.live {
-			if r := g.warps[id].NextReady; r > now {
+			if r := g.warps[id].nextReady; r > now {
 				w = min(w, r)
 			}
 		}
@@ -339,7 +339,7 @@ func (g *GPU) skipTo(c uint64) {
 		if g.retryMSHR {
 			g.mshr.NoteStalls(n)
 		}
-		g.warps[g.retryWarp].NextReady = c
+		g.warps[g.retryWarp].nextReady = c
 		g.refreshGate(g.retryWarp)
 		g.lastIssue = c - 1
 	}
@@ -412,10 +412,10 @@ func (g *GPU) issue(wid int, now uint64) {
 	issued, mshrFull := true, false
 	switch ins.Kind {
 	case workload.Compute:
-		w.NextReady = now + uint64(g.cfg.DependLatency)
-		// Only NextReady moved, and the warp was picked because it is
-		// pickable, so its gate is the new NextReady.
-		g.gate[wid] = w.NextReady
+		w.nextReady = now + uint64(g.cfg.DependLatency)
+		// Only nextReady moved, and the warp was picked because it is
+		// pickable, so its gate is the new nextReady.
+		g.gate[wid] = w.nextReady
 	case workload.BarrierOp:
 		g.arriveBarrier(wid, now)
 	case workload.SharedOp:
@@ -424,8 +424,8 @@ func (g *GPU) issue(wid int, now uint64) {
 		if lat == 0 {
 			lat = 1
 		}
-		w.NextReady = now + lat + uint64(g.cfg.DependLatency) - 1
-		g.gate[wid] = w.NextReady
+		w.nextReady = now + lat + uint64(g.cfg.DependLatency) - 1
+		g.gate[wid] = w.nextReady
 	case workload.GlobalLoad:
 		issued, mshrFull = g.load(w, ins, now)
 	case workload.GlobalStore:
@@ -436,13 +436,13 @@ func (g *GPU) issue(wid int, now uint64) {
 			// The issue slot and address pipeline are occupied for a
 			// full dependency distance even when fills are still in
 			// flight.
-			if floor := now + uint64(g.cfg.DependLatency); w.NextReady < floor {
-				w.NextReady = floor
+			if floor := now + uint64(g.cfg.DependLatency); w.nextReady < floor {
+				w.nextReady = floor
 			}
 		} else {
 			w.retry()
 			g.structStalls++
-			w.NextReady = now + 1
+			w.nextReady = now + 1
 			g.last, g.retryWarp, g.retryMSHR = stepRetry, wid, mshrFull
 		}
 		// The access's fills may have used up the MLP budget.
@@ -483,7 +483,7 @@ func (g *GPU) load(w *Warp, ins *workload.Instruction, now uint64) (issued, mshr
 	addrs := ins.AddrSlice()
 	// MLP budget: block until in-flight fills drain enough for the
 	// whole burst.
-	if w.Outstanding+len(addrs) > g.cfg.MaxOutstandingLines {
+	if w.outstanding+len(addrs) > g.cfg.MaxOutstandingLines {
 		return false, false
 	}
 	// Conservative structural pre-checks so a burst either issues
@@ -520,7 +520,7 @@ func (g *GPU) loadL1(w *Warp, addrs []memory.Addr, now uint64) {
 		// neither a hit nor a fresh miss, and it must not probe the
 		// VTA (the line is coming; locality was not lost).
 		if e != nil && !e.SharedValid && g.mshr.Merge(e, req) {
-			w.Outstanding++
+			w.outstanding++
 			misses++
 			continue
 		}
@@ -532,7 +532,7 @@ func (g *GPU) loadL1(w *Warp, addrs []memory.Addr, now uint64) {
 		g.fetch(w, req, slot, e, now, payloadL1)
 	}
 	if misses == 0 {
-		w.NextReady = now + uint64(g.cfg.L1.HitLatency) + uint64(g.cfg.DependLatency) - 1
+		w.nextReady = now + uint64(g.cfg.L1.HitLatency) + uint64(g.cfg.DependLatency) - 1
 	}
 }
 
@@ -545,7 +545,7 @@ func (g *GPU) loadShared(w *Warp, addrs []memory.Addr, now uint64) {
 		slot, e := g.mshr.Find(a)
 		// Secondary access to an in-flight shared fill: merge silently.
 		if e != nil && e.SharedValid && g.mshr.Merge(e, req) {
-			w.Outstanding++
+			w.outstanding++
 			misses++
 			continue
 		}
@@ -569,11 +569,11 @@ func (g *GPU) loadShared(w *Warp, addrs []memory.Addr, now uint64) {
 	}
 	switch {
 	case misses > 0:
-		// Blocked on fills; NextReady handled by wake.
+		// Blocked on fills; nextReady handled by wake.
 	case migrations > 0:
-		w.NextReady = now + uint64(g.cfg.MigrationPenalty) + uint64(g.cfg.DependLatency)
+		w.nextReady = now + uint64(g.cfg.MigrationPenalty) + uint64(g.cfg.DependLatency)
 	default:
-		w.NextReady = now + uint64(g.cfg.SharedHitLatency) + uint64(g.cfg.DependLatency) - 1
+		w.nextReady = now + uint64(g.cfg.SharedHitLatency) + uint64(g.cfg.DependLatency) - 1
 	}
 }
 
@@ -598,7 +598,7 @@ func (g *GPU) fetch(w *Warp, req memory.Request, slot int, e *memory.MSHREntry, 
 		g.bypass(w, req.Addr, now)
 		return nil
 	}
-	w.Outstanding++
+	w.outstanding++
 	return e
 }
 
@@ -609,7 +609,7 @@ func (g *GPU) bypass(w *Warp, addr memory.Addr, now uint64) {
 	if ev := g.respQ.Add(done); ev != nil {
 		ev.Line, ev.WarpID, ev.Payload = addr.LineAddr(), int32(w.ID), payloadBypass
 	}
-	w.Outstanding++
+	w.outstanding++
 }
 
 // fillShared installs a line into the shared cache, feeding evictions
@@ -644,7 +644,7 @@ func (g *GPU) store(w *Warp, ins *workload.Instruction, now uint64) bool {
 		// Write-through to L2 consumes bandwidth off the critical path.
 		g.l2c.Access(now, a, w.ID, true)
 	}
-	w.NextReady = now + uint64(g.cfg.DependLatency)
+	w.nextReady = now + uint64(g.cfg.DependLatency)
 	return true
 }
 
@@ -682,11 +682,11 @@ func (g *GPU) handleFill(ev *memory.Event, now uint64) {
 // wake releases one in-flight line of a warp.
 func (g *GPU) wake(wid int, now uint64) {
 	w := &g.warps[wid]
-	if w.Outstanding > 0 {
-		w.Outstanding--
+	if w.outstanding > 0 {
+		w.outstanding--
 		// Only the fill that brings the warp back under its MLP budget
 		// can make it pickable.
-		if w.Outstanding == w.maxPending()-1 {
+		if w.outstanding == w.maxPending-1 {
 			g.refreshGate(wid)
 		}
 	}
@@ -697,8 +697,8 @@ func (g *GPU) wake(wid int, now uint64) {
 func (g *GPU) refreshGate(wid int) {
 	w := &g.warps[wid]
 	bit := uint64(1) << (wid & 63)
-	if !w.Finished && !w.AtBarrier && w.Outstanding < w.maxPending() && (w.v || g.barriers[w.CTA] > 0) {
-		g.gate[wid] = w.NextReady
+	if !w.finished && !w.atBarrier && w.outstanding < w.maxPending && (w.v || g.barriers[w.CTA] > 0) {
+		g.gate[wid] = w.nextReady
 		g.pickable[wid>>6] |= bit
 	} else {
 		g.gate[wid] = math.MaxUint64
@@ -717,7 +717,7 @@ func (g *GPU) ctaWarps(cta int) (lo, hi int) {
 // boost.
 func (g *GPU) arriveBarrier(wid int, now uint64) {
 	cta := g.warps[wid].CTA
-	g.warps[wid].AtBarrier = true
+	g.warps[wid].atBarrier = true
 	g.barriers[cta]++
 	if !g.maybeReleaseBarrier(cta, now) {
 		lo, hi := g.ctaWarps(cta)
@@ -738,10 +738,10 @@ func (g *GPU) maybeReleaseBarrier(cta int, now uint64) bool {
 	g.barriers[cta] = 0
 	lo, hi := g.ctaWarps(cta)
 	for i := lo; i < hi; i++ {
-		if g.warps[i].AtBarrier {
-			g.warps[i].AtBarrier = false
-			if g.warps[i].NextReady <= now {
-				g.warps[i].NextReady = now + 1
+		if g.warps[i].atBarrier {
+			g.warps[i].atBarrier = false
+			if g.warps[i].nextReady <= now {
+				g.warps[i].nextReady = now + 1
 			}
 		}
 		g.refreshGate(i)
@@ -752,10 +752,10 @@ func (g *GPU) maybeReleaseBarrier(cta int, now uint64) bool {
 // finishWarp retires a warp and unblocks its CTA barrier if needed.
 func (g *GPU) finishWarp(wid int) {
 	w := &g.warps[wid]
-	if w.Finished {
+	if w.finished {
 		return
 	}
-	w.Finished = true
+	w.finished = true
 	g.finished++
 	g.ctaLive[w.CTA]--
 	if w.v {

@@ -119,7 +119,7 @@ func TestBarrierForcesSlowestWarpToCatchUp(t *testing.T) {
 		g.Step()
 		var lo, hi uint64 = 1 << 62, 0
 		for w := 0; w < g.NumWarps(); w++ {
-			if g.Warp(w).CTA != 0 || g.Warp(w).Finished {
+			if g.Warp(w).CTA != 0 || g.Warp(w).Finished() {
 				continue
 			}
 			n := g.Warp(w).InstExecuted

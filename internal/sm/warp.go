@@ -20,17 +20,22 @@ type Warp struct {
 	// global accesses to the shared-memory cache.
 	I bool
 
-	// Finished reports stream exhaustion.
-	Finished bool
-	// AtBarrier reports the warp is waiting at its CTA barrier.
-	AtBarrier bool
-	// Outstanding is the number of in-flight line fills.
-	Outstanding int
-	// MaxPending is the warp's memory-level parallelism: it may keep
-	// issuing while Outstanding < MaxPending (set from the SM config).
-	MaxPending int
-	// NextReady is the earliest cycle the warp may issue again.
-	NextReady uint64
+	// The issue gate (GPU.refreshGate) reads the next five fields, so
+	// only the GPU writes them.
+
+	// finished reports stream exhaustion.
+	finished bool
+	// atBarrier reports the warp is waiting at its CTA barrier.
+	atBarrier bool
+	// outstanding is the number of in-flight line fills.
+	outstanding int
+	// maxPending is the warp's memory-level parallelism: it may keep
+	// issuing while outstanding < maxPending (the SM config's
+	// MaxOutstandingLines, which Config.Validate keeps at least one
+	// burst).
+	maxPending int
+	// nextReady is the earliest cycle the warp may issue again.
+	nextReady uint64
 	// InstExecuted counts issued instructions.
 	InstExecuted uint64
 	// VTAHits counts this warp's cumulative lost-locality detections
@@ -65,19 +70,15 @@ const warpBatch = 16
 // the warp.
 func (w *Warp) Active() bool { return w.v }
 
+// Finished reports that the warp has run its whole stream.
+func (w *Warp) Finished() bool { return w.finished }
+
 // Ready reports whether the warp can be issued at cycle now. Stalled
 // (V=0), finished, barrier-blocked and memory-blocked warps are not
 // ready. A warp with in-flight fills may keep issuing (hit-under-miss)
 // until its MLP budget is exhausted.
 func (w *Warp) Ready(now uint64) bool {
-	return w.v && w.NextReady <= now && !w.Finished && !w.AtBarrier && w.Outstanding < w.maxPending()
-}
-
-func (w *Warp) maxPending() int {
-	if w.MaxPending <= 0 {
-		return 1
-	}
-	return w.MaxPending
+	return w.v && w.nextReady <= now && !w.finished && !w.atBarrier && w.outstanding < w.maxPending
 }
 
 // State renders the CIAO three-state for diagnostics: "active",
