@@ -75,7 +75,6 @@ func DefaultParams() Params {
 // one GPU for one run.
 type CIAO struct {
 	sm.Base
-	sm.GreedyThenOldest
 
 	mode   Mode
 	params Params
@@ -217,14 +216,11 @@ func (c *CIAO) OnCycle(g *sm.GPU, now uint64) {
 	}
 }
 
-// NextEvent implements sm.Controller. Epochs count instructions, so no
-// epoch falls due while nothing issues; zero-length epochs would run
-// on every cycle and so disable skipping.
-func (c *CIAO) NextEvent(_ *sm.GPU, now uint64) uint64 {
-	if c.params.LowEpoch == 0 || c.params.HighEpoch == 0 {
-		return now + 1
-	}
-	return sm.Never
+// Due implements sm.Controller. Epochs count instructions, so the next
+// one falls due at an instruction count, never at a cycle; a
+// zero-length epoch is due at once, so OnCycle runs every cycle.
+func (c *CIAO) Due(*sm.GPU) (cycle, inst uint64) {
+	return sm.Never, min(c.lastLow+c.params.LowEpoch, c.lastHigh+c.params.HighEpoch)
 }
 
 // lowEpoch implements Algorithm 1 lines 4–19: release decisions.

@@ -196,11 +196,8 @@ func TestCIAOImprovesOverUncontrolledBaseline(t *testing.T) {
 	}
 }
 
-// passthrough is a minimal GTO-ordered controller without any CIAO
-// machinery, used as the neutral baseline.
-type passthrough struct {
-	sm.Base
-	sm.GreedyThenOldest
-}
+// passthrough is a minimal controller without any CIAO machinery, used
+// as the neutral baseline: the GPU's own GTO order.
+type passthrough struct{ sm.Base }
 
 func (p *passthrough) Name() string { return "passthrough" }

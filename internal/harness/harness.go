@@ -137,7 +137,9 @@ type Cell struct {
 // how the cells are scheduled and whether results are reused.
 type CellRunner func([]Cell) ([]CellResult, error)
 
-// runGrid runs cells and indexes their results by cell.
+// runGrid runs cells and indexes their results by cell. A cell that
+// hit MaxCycles reports the IPC of a cut-short run, which no figure
+// may average, so it fails the grid.
 func runGrid(run CellRunner, cells []Cell) (map[Cell]CellResult, error) {
 	res, err := run(cells)
 	if err != nil {
@@ -145,6 +147,14 @@ func runGrid(run CellRunner, cells []Cell) (map[Cell]CellResult, error) {
 	}
 	out := make(map[Cell]CellResult, len(cells))
 	for i, c := range cells {
+		if r := res[i]; r.TimedOut {
+			cfg := ""
+			if !c.Config.IsZero() {
+				cfg = fmt.Sprintf(" (config %+v)", c.Config)
+			}
+			return nil, fmt.Errorf("harness: cell %s/%s%s timed out at %d cycles with %d warps finished",
+				c.Bench, c.Sched, cfg, r.Cycles, r.FinishedWarps)
+		}
 		out[c] = res[i]
 	}
 	return out, nil

@@ -227,3 +227,36 @@ func TestRunFig12bDoublesBandwidth(t *testing.T) {
 		t.Fatalf("2X geomeans = %+v", res.GeoMean)
 	}
 }
+
+// timedOutRunner answers every cell with IPC 1 except the n-th, which
+// hit MaxCycles.
+func timedOutRunner(n int) CellRunner {
+	return func(cells []Cell) ([]CellResult, error) {
+		out := make([]CellResult, len(cells))
+		for i, c := range cells {
+			out[i] = CellResult{Bench: c.Bench, Sched: c.Sched, IPC: 1, Cycles: 1000, FinishedWarps: 48}
+		}
+		out[n].TimedOut, out[n].Cycles, out[n].FinishedWarps = true, 123456, 40
+		return out, nil
+	}
+}
+
+func TestGridRefusesTimedOutCell(t *testing.T) {
+	// Fig 8's cells run benchmark by benchmark, GTO first: cell 8 is
+	// the second benchmark under the second scheduler.
+	bench, sched := workload.Suite()[1].Name, Schedulers()[1].Name
+	_, err := RunFig8(timedOutRunner(8))
+	if err == nil {
+		t.Fatal("fig8 averaged a timed-out cell")
+	}
+	for _, want := range []string{bench + "/" + sched, "123456 cycles"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	// A configuration study names the timed-out cell's machine too.
+	_, err = RunFig12b(timedOutRunner(len(workload.MemoryIntensive())))
+	if err == nil || !strings.Contains(err.Error(), "DRAMBandwidthX:2") {
+		t.Fatalf("fig12b error = %v, want the 2X cell named", err)
+	}
+}

@@ -9,7 +9,6 @@ import "repro/internal/sm"
 // over-throttling.
 type BestSWL struct {
 	sm.Base
-	sm.GreedyThenOldest
 	// Limit is the active warp count; 0 means use the benchmark's
 	// published Nwrp.
 	Limit int
@@ -40,9 +39,9 @@ func (s *BestSWL) Attach(g *sm.GPU) {
 	}
 }
 
-// NextEvent implements sm.Controller: the limit is static, so only
-// warp state changes the pick.
-func (s *BestSWL) NextEvent(*sm.GPU, uint64) uint64 { return sm.Never }
+// Due implements sm.Controller: the limit is static, so Best-SWL has
+// no epochs.
+func (s *BestSWL) Due(*sm.GPU) (cycle, inst uint64) { return sm.Never, sm.Never }
 
 // OnWarpFinished activates the next stalled warp when an active one
 // retires, keeping the concurrent warp count at the limit.

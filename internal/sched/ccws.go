@@ -19,7 +19,6 @@ import (
 // on compute-intensive workloads that the CIAO paper criticises.
 type CCWS struct {
 	sm.Base
-	sm.GreedyThenOldest
 
 	// BaseScore is each warp's resting score (one budget share).
 	BaseScore float64
@@ -115,8 +114,8 @@ func (s *CCWS) OnCycle(g *sm.GPU, now uint64) {
 	}
 }
 
-// NextEvent implements sm.Controller: the next throttle-set refresh.
-func (s *CCWS) NextEvent(*sm.GPU, uint64) uint64 { return s.lastCheck + s.UpdateEpoch }
+// Due implements sm.Controller: the next throttle-set refresh.
+func (s *CCWS) Due(*sm.GPU) (cycle, inst uint64) { return s.lastCheck + s.UpdateEpoch, sm.Never }
 
 // Score exposes a warp's current lost-locality score, for tests.
 func (s *CCWS) Score(wid int) float64 { return s.scores[wid] }

@@ -45,40 +45,6 @@ func TestGTORunsAllWarps(t *testing.T) {
 	}
 }
 
-func TestGTOGreedyThenOldest(t *testing.T) {
-	gto := sched.NewGTO()
-	g := newGPU(t, gto)
-
-	// First pick with everyone ready: the oldest (lowest ID) warp.
-	if got := gto.Pick(g, 0); got != 0 {
-		t.Fatalf("first pick = %d, want oldest warp 0", got)
-	}
-	// Make warp 3 the current warp, keep it ready: greedy keeps it.
-	g.SetActive(0, false) // oldest not ready
-	if got := gto.Pick(g, 0); got != 1 {
-		t.Fatalf("pick = %d, want next-oldest 1", got)
-	}
-	// Warp 1 is now current; while it stays ready it is re-picked even
-	// though older warp 0 becomes ready again.
-	g.SetActive(0, true)
-	if got := gto.Pick(g, 0); got != 1 {
-		t.Fatalf("greedy pick = %d, want current warp 1", got)
-	}
-	// Current blocks: fall back to the oldest ready warp.
-	g.SetActive(1, false)
-	if got := gto.Pick(g, 0); got != 0 {
-		t.Fatalf("fallback pick = %d, want oldest 0", got)
-	}
-}
-
-func TestLRRRotates(t *testing.T) {
-	g := newGPU(t, sched.NewLRR())
-	r := g.Run()
-	if r.FinishedWarps != 16 {
-		t.Fatal("LRR did not finish")
-	}
-}
-
 func TestBestSWLDefaultsFromSpec(t *testing.T) {
 	s := sched.NewBestSWL(0)
 	g := newGPU(t, s)

@@ -12,7 +12,6 @@ import "repro/internal/sm"
 // latency — the weakness CIAO exploits (§V-B).
 type StatPCAL struct {
 	sm.Base
-	sm.GreedyThenOldest
 
 	// Tokens is the number of L1-allocating warps (0 = kernel's Nwrp).
 	Tokens int
@@ -125,8 +124,8 @@ func (s *StatPCAL) OnCycle(g *sm.GPU, now uint64) {
 	}
 }
 
-// NextEvent implements sm.Controller: the next bandwidth probe.
-func (s *StatPCAL) NextEvent(*sm.GPU, uint64) uint64 { return s.lastCheck + s.UpdateEpoch }
+// Due implements sm.Controller: the next bandwidth probe.
+func (s *StatPCAL) Due(*sm.GPU) (cycle, inst uint64) { return s.lastCheck + s.UpdateEpoch, sm.Never }
 
 // MemPath sends non-token warps around L1D.
 func (s *StatPCAL) MemPath(g *sm.GPU, wid int) sm.MemPath {

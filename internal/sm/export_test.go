@@ -12,7 +12,32 @@ func (g *GPU) StepSkip() {
 	g.skipTo(g.nextStep())
 }
 
+// Pick returns the warp pick chooses at the current cycle, or -1,
+// moving the greedy warp as the pick inside Step does.
+func (g *GPU) Pick() int { return g.pick(g.cycle) }
+
+// PeekPick returns what Pick would, leaving the greedy warp alone.
+func (g *GPU) PeekPick() int {
+	defer func(greedy int) { g.greedy = greedy }(g.greedy)
+	return g.Pick()
+}
+
+// Greedy returns the warp pick keeps while its gate has arrived.
+func (g *GPU) Greedy() int { return g.greedy }
+
+// SetController replaces the GPU's controller and re-reads its Due.
+func (g *GPU) SetController(c Controller) {
+	g.ctrl = c
+	g.dueCycle, g.dueInst = c.Due(g)
+}
+
 // GateInputs returns the warp fields the issue gate reads.
 func (w *Warp) GateInputs() (nextReady uint64, outstanding, maxPending int, atBarrier bool) {
 	return w.nextReady, w.outstanding, w.maxPending, w.atBarrier
+}
+
+// MSHRStalls returns how many issue attempts the MSHR refused.
+func (g *GPU) MSHRStalls() uint64 {
+	_, _, stalls := g.mshr.Stats()
+	return stalls
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/harness"
-	"repro/internal/sched"
 	"repro/internal/sm"
 	"repro/internal/workload"
 )
@@ -20,22 +19,28 @@ type controllerCase struct {
 	shared bool
 }
 
-// fastForwardControllers is every Fig 8 scheduler plus LRR, which never
-// skips, and adaptive CIAO-C, whose epochs resize themselves.
+// baseOnly is the GPU's own GTO order under sm.Base's Due: its OnCycle
+// runs every cycle, so Run never skips.
+type baseOnly struct{ sm.Base }
+
+func (baseOnly) Name() string { return "Base" }
+
+// fastForwardControllers is every Fig 8 scheduler plus baseOnly, which
+// never skips, and adaptive CIAO-C, whose epochs resize themselves.
 func fastForwardControllers() []controllerCase {
 	var cs []controllerCase
 	for _, f := range harness.Schedulers() {
 		cs = append(cs, controllerCase{f.Name, f.New, f.NeedsSharedCache})
 	}
 	return append(cs,
-		controllerCase{"LRR", func() sm.Controller { return sched.NewLRR() }, false},
+		controllerCase{"Base", func() sm.Controller { return baseOnly{} }, false},
 		controllerCase{"CIAO-C-adaptive", func() sm.Controller { return core.NewAdaptive(core.ModeC) }, true},
 	)
 }
 
 // fastForwardConfig is the SM configuration of the differential tests.
 // Its prime sample interval keeps sample wake-ups off the 1000-cycle
-// CCWS and statPCAL epochs, so a NextEvent that misses an epoch shows.
+// CCWS and statPCAL epochs, so a Due that misses an epoch shows.
 func fastForwardConfig(shared bool) sm.Config {
 	cfg := sm.DefaultConfig()
 	cfg.SampleInterval = 997
@@ -65,12 +70,12 @@ func diffGPUs(a, b *sm.GPU) string {
 		{"DRAM stats", a.L2().DRAM().Stats(), b.L2().DRAM().Stats()},
 	} {
 		if !reflect.DeepEqual(c.a, c.b) {
-			return fmt.Sprintf("%s differs:\n  Run  %+v\n  Step %+v", c.what, c.a, c.b)
+			return fmt.Sprintf("%s differs:\n  %+v\n  %+v", c.what, c.a, c.b)
 		}
 	}
 	for i := 0; i < a.NumWarps(); i++ {
 		if !reflect.DeepEqual(*a.Warp(i), *b.Warp(i)) {
-			return fmt.Sprintf("warp %d differs:\n  Run  %+v\n  Step %+v", i, *a.Warp(i), *b.Warp(i))
+			return fmt.Sprintf("warp %d differs:\n  %+v\n  %+v", i, *a.Warp(i), *b.Warp(i))
 		}
 	}
 	if !reflect.DeepEqual(a, b) {
@@ -80,7 +85,7 @@ func diffGPUs(a, b *sm.GPU) string {
 }
 
 // checkRunMatchesSteps simulates one cell through Run and through a
-// per-cycle Step loop and fails on any difference.
+// per-cycle Step loop and fails on any difference (Run's side first).
 func checkRunMatchesSteps(t *testing.T, spec workload.Spec, cfg sm.Config, mk func() sm.Controller) sm.Result {
 	t.Helper()
 	run := sm.MustGPU(cfg, workload.MustKernel(spec), mk(), nil)
@@ -195,6 +200,105 @@ func TestClusterRunMatchesStepLoop(t *testing.T) {
 			if !reflect.DeepEqual(run, ref) {
 				t.Fatalf("%d SMs, %s: cluster state differs", n, c.name)
 			}
+		}
+	}
+}
+
+// dueEveryCycle wraps a controller so that it is due every cycle: the
+// GPU calls OnCycle on every step, and Run never skips.
+type dueEveryCycle struct{ sm.Controller }
+
+func (dueEveryCycle) Due(*sm.GPU) (cycle, inst uint64) { return 0, 0 }
+
+// TestDueIsExact pins each controller's Due: a run that calls OnCycle
+// only when Due says so, and skips to the due cycle, ends in exactly
+// the state of a run that calls OnCycle on every cycle and never skips,
+// the controller's own state included. Every Fig 8 scheduler, adaptive
+// CIAO-C (whose OnCycle resizes its epoch) and CIAO-T with a
+// zero-length epoch run on the two barrier synthetics and three Table
+// II benchmarks, one per class. TestRunMatchesStepLoop cannot show
+// this, because both of its sides read Due.
+func TestDueIsExact(t *testing.T) {
+	var specs []workload.Spec
+	for _, name := range append([]string{"ATAX", "SYRK", "Backprop"}, barrierSynthetics...) {
+		s, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !workload.IsSynthetic(name) {
+			s.InstrPerWarp = 1000
+		}
+		s.Seed = 7
+		specs = append(specs, s)
+	}
+	cs := append(fastForwardControllers(), controllerCase{"CIAO-T-zero-epoch", func() sm.Controller {
+		p := core.DefaultParams()
+		p.LowEpoch = 0
+		return core.New(core.ModeT, p)
+	}, false})
+	for _, c := range cs {
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			cfg := fastForwardConfig(c.shared)
+			for _, spec := range specs {
+				plain := sm.MustGPU(cfg, workload.MustKernel(spec), c.mk(), nil)
+				plain.Run()
+				inner := c.mk()
+				every := sm.MustGPU(cfg, workload.MustKernel(spec), dueEveryCycle{inner}, nil)
+				every.Run()
+				// Unwrapped, the two GPUs compare field by field.
+				every.SetController(inner)
+				if d := diffGPUs(plain, every); d != "" {
+					t.Fatalf("%s: due-gated run (first) and every-cycle run differ: %s", spec.Name, d)
+				}
+			}
+		})
+	}
+}
+
+// TestRetryStallCounts pins the structural-stall and MSHR-stall counts
+// of every Fig 8 scheduler on an LWS and an SWS benchmark (statPCAL's
+// bypass path included). A picked warp whose load failed re-checks it
+// in place, and Run repeats failed retries in bulk; both must record
+// exactly what a failed first issue records. The golden CellResults
+// carry neither count, so nothing else pins them.
+func TestRetryStallCounts(t *testing.T) {
+	want := []struct {
+		bench, sched               string
+		cycles, structStalls, mshr uint64
+	}{
+		{"KMN", "GTO", 366791, 316017, 240280},
+		{"KMN", "CCWS", 466652, 342839, 167859},
+		{"KMN", "Best-SWL", 393786, 320504, 170250},
+		{"KMN", "statPCAL", 295730, 244582, 94136},
+		{"KMN", "CIAO-T", 366256, 314583, 235060},
+		{"KMN", "CIAO-P", 358335, 307620, 232880},
+		{"KMN", "CIAO-C", 363107, 312355, 232688},
+		{"SYRK", "GTO", 388784, 337885, 315111},
+		{"SYRK", "CCWS", 331486, 116690, 42330},
+		{"SYRK", "Best-SWL", 389672, 338809, 315174},
+		{"SYRK", "statPCAL", 387162, 336273, 315297},
+		{"SYRK", "CIAO-T", 394410, 337935, 309944},
+		{"SYRK", "CIAO-P", 324381, 273576, 255121},
+		{"SYRK", "CIAO-C", 340568, 289618, 267850},
+	}
+	for _, w := range want {
+		spec, err := workload.ByName(w.bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.InstrPerWarp, spec.Seed = 1000, 7
+		f, err := harness.SchedulerByName(w.sched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := sm.DefaultConfig()
+		cfg.EnableSharedCache = f.NeedsSharedCache
+		g := sm.MustGPU(cfg, workload.MustKernel(spec), f.New(), nil)
+		r := g.Run()
+		if r.Cycles != w.cycles || r.StructStalls != w.structStalls || g.MSHRStalls() != w.mshr {
+			t.Errorf("%s/%s: %d cycles, %d structural stalls, %d MSHR stalls; want %d, %d, %d",
+				w.bench, w.sched, r.Cycles, r.StructStalls, g.MSHRStalls(), w.cycles, w.structStalls, w.mshr)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package sm
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/cache"
 	"repro/internal/l2"
@@ -28,8 +29,8 @@ const (
 	stepBusy stepKind = iota
 	// stepIdle picked no warp.
 	stepIdle
-	// stepRetry picked a warp whose instruction failed a structural
-	// check; until the next event it fails the same way every cycle.
+	// stepRetry picked a warp whose load failed a structural check;
+	// until the next event it fails the same way every cycle.
 	stepRetry
 )
 
@@ -53,8 +54,8 @@ type GPU struct {
 	batches  [][warpBatch]workload.Instruction
 	barriers []int // waiting count per CTA
 	// live holds the IDs of unfinished warps in ascending order, so
-	// per-cycle scans (next-event search, deadlock release) skip
-	// finished warps instead of filtering the full warp array.
+	// the deadlock release skips finished warps instead of filtering
+	// the full warp array.
 	live []int
 	// gate[i] is warp i's nextReady while the warp is pickable, else
 	// math.MaxUint64; pickable is the bitset of warps with a finite
@@ -62,9 +63,11 @@ type GPU struct {
 	// under its MLP budget, and active or barrier-boosted (its CTA has
 	// a warp waiting at a barrier, which all threads must reach).
 	// refreshGate keeps both current wherever one of those inputs
-	// changes, so GreedyThenOldest.Pick reads nothing else.
+	// changes, so pick reads nothing else.
 	gate     []uint64
 	pickable []uint64
+	// greedy is the warp pick keeps issuing while its gate allows.
+	greedy int
 	// active counts unfinished warps whose V flag is set.
 	active int
 	// ctaLive tracks unfinished warps per CTA, replacing the all-warp
@@ -82,6 +85,9 @@ type GPU struct {
 	// nextSample is the cycle of the next time-series sample
 	// (maxUint64 when sampling is off), replacing a per-cycle modulo.
 	nextSample uint64
+	// dueCycle and dueInst are the controller's Due answer, read after
+	// Attach and after every OnCycle call.
+	dueCycle, dueInst uint64
 
 	// last is what the latest Step did. After a quiet step (idle, or a
 	// retry that failed a structural check) Run skips ahead to the next
@@ -178,6 +184,7 @@ func NewGPU(cfg Config, kernel *workload.Kernel, ctrl Controller, sharedL2 *l2.L
 		g.nextSample = cfg.SampleInterval
 	}
 	ctrl.Attach(g)
+	g.dueCycle, g.dueInst = ctrl.Due(g)
 	return g, nil
 }
 
@@ -260,19 +267,6 @@ func (g *GPU) TimeSeries() *metrics.TimeSeries { return &g.ts }
 // VTAHitsTotal returns the cumulative lost-locality events.
 func (g *GPU) VTAHitsTotal() uint64 { return g.vtaHitsTotal }
 
-// IRS computes warp i's Individual Re-reference Score per Eq. (1):
-// VTA hits of i divided by instructions-per-active-warp.
-func (g *GPU) IRS(i int) float64 {
-	if g.instTotal == 0 {
-		return 0
-	}
-	active := g.ActiveWarps()
-	if active == 0 {
-		active = 1
-	}
-	return float64(g.warps[i].VTAHits) * float64(active) / float64(g.instTotal)
-}
-
 // Done reports whether every warp finished.
 func (g *GPU) Done() bool { return g.finished == len(g.warps) }
 
@@ -283,8 +277,9 @@ func (g *GPU) Done() bool { return g.finished == len(g.warps) }
 // Step once per cycle.
 func (g *GPU) Run() Result {
 	for g.running() {
-		g.Step()
-		g.skipTo(g.nextStep())
+		if g.Step(); g.last != stepBusy {
+			g.skipTo(g.nextStep())
+		}
 	}
 	return g.Result()
 }
@@ -293,27 +288,28 @@ func (g *GPU) Run() Result {
 func (g *GPU) running() bool { return !g.Done() && g.cycle < g.cfg.MaxCycles }
 
 // nextStep returns the first cycle, from g.cycle on, that needs a
-// full Step. After a busy step that is g.cycle itself. After a quiet
-// step at now = g.cycle-1, every cycle repeats it until the earliest
-// of: a fill becoming ready, the controller's next event, a sample,
-// the cycle cap and, after an idle step, a warp's nextReady arriving
-// or the deadlock valve expiring (only possible with nothing in
-// flight).
+// full Step. After a busy step, or while the controller's due
+// instruction count has been reached, that is g.cycle itself. After a
+// quiet step at now = g.cycle-1, every cycle repeats it until the
+// earliest of: a fill becoming ready, the controller's due cycle, a
+// sample, the cycle cap and, after an idle step, a warp's gate
+// arriving or the deadlock valve expiring (only possible with nothing
+// in flight).
 func (g *GPU) nextStep() uint64 {
 	next := g.cycle
-	if g.last == stepBusy {
+	if g.last == stepBusy || g.instTotal >= g.dueInst {
 		return next
 	}
 	now := next - 1
-	w := min(g.cfg.MaxCycles, g.nextSample, g.ctrl.NextEvent(g, now))
+	w := min(g.cfg.MaxCycles, g.nextSample, g.dueCycle)
 	if rc, ok := g.respQ.NextReady(); ok {
 		w = min(w, rc)
 	}
 	if g.last == stepIdle {
-		for _, id := range g.live {
-			if r := g.warps[id].nextReady; r > now {
-				w = min(w, r)
-			}
+		// Only a pickable warp's gate arriving ends an idle stretch, and
+		// every gate lies past now, or pick would have issued.
+		for _, r := range g.gate {
+			w = min(w, r)
 		}
 		// A valve that fired at now without freeing anyone has nothing
 		// left to free until a controller event; only a future expiry
@@ -357,14 +353,20 @@ func (g *GPU) Step() {
 		g.handleFill(g.respQ.Pop(now), now)
 	}
 
-	// 2. Controller epoch work.
-	g.ctrl.OnCycle(g, now)
+	// 2. Controller epoch work, when due.
+	if now >= g.dueCycle || g.instTotal >= g.dueInst {
+		g.ctrl.OnCycle(g, now)
+		g.dueCycle, g.dueInst = g.ctrl.Due(g)
+	}
 
-	// 3. Issue.
-	wid := g.ctrl.Pick(g, now)
-	if wid >= 0 {
-		g.last = stepBusy // issue downgrades it on a structural stall
-		g.issue(wid, now)
+	// 3. Issue. A warp whose last load failed a structural check
+	// re-checks it in place; only a load that now fits enters issue.
+	if wid := g.pick(now); wid >= 0 {
+		g.last = stepBusy // a structural stall downgrades it
+		w := &g.warps[wid]
+		if !w.retryPending || g.admit(w, int(w.pending().NAddr), g.memPath(wid), now) {
+			g.issue(wid, now)
+		}
 		g.lastIssue = now
 	} else {
 		g.last = stepIdle // unless the valve below frees warps
@@ -382,6 +384,30 @@ func (g *GPU) Step() {
 		g.nextSample = now + g.cfg.SampleInterval
 	}
 	g.cycle++
+}
+
+// pick returns the warp to issue at cycle now, or -1 to idle, in the
+// greedy-then-oldest order every scheduler of the paper uses (§V-A):
+// the greedy warp while its gate has arrived, else the oldest
+// (lowest-ID) warp whose gate has, which becomes the greedy warp. It
+// reads only the issue gate, so throttling acts through the V flag,
+// which the gate folds in: a stalled warp stays pickable only while its
+// CTA has a warp waiting at a barrier, which all threads must reach.
+// The fallback visits only the set bits of the pickable bitset.
+func (g *GPU) pick(now uint64) int {
+	if c := g.greedy; g.gate[c] <= now {
+		return c
+	}
+	for wi, word := range g.pickable {
+		for ; word != 0; word &= word - 1 {
+			i := wi<<6 | bits.TrailingZeros64(word)
+			if g.gate[i] <= now {
+				g.greedy = i
+				return i
+			}
+		}
+	}
+	return -1
 }
 
 // freeStalledWarps force-activates stalled warps after a deadlock
@@ -409,7 +435,6 @@ func (g *GPU) issue(wid int, now uint64) {
 		g.finishWarp(wid)
 		return
 	}
-	issued, mshrFull := true, false
 	switch ins.Kind {
 	case workload.Compute:
 		w.nextReady = now + uint64(g.cfg.DependLatency)
@@ -427,32 +452,25 @@ func (g *GPU) issue(wid int, now uint64) {
 		w.nextReady = now + lat + uint64(g.cfg.DependLatency) - 1
 		g.gate[wid] = w.nextReady
 	case workload.GlobalLoad:
-		issued, mshrFull = g.load(w, ins, now)
-	case workload.GlobalStore:
-		issued = g.store(w, ins, now)
-	}
-	if ins.Kind == workload.GlobalLoad || ins.Kind == workload.GlobalStore {
-		if issued {
-			// The issue slot and address pipeline are occupied for a
-			// full dependency distance even when fills are still in
-			// flight.
-			if floor := now + uint64(g.cfg.DependLatency); w.nextReady < floor {
-				w.nextReady = floor
-			}
-		} else {
-			w.retry()
-			g.structStalls++
-			w.nextReady = now + 1
-			g.last, g.retryWarp, g.retryMSHR = stepRetry, wid, mshrFull
-		}
-		// The access's fills may have used up the MLP budget.
-		g.refreshGate(wid)
-		if !issued {
+		path := g.memPath(wid)
+		if !g.admit(w, int(ins.NAddr), path, now) {
+			w.retryPending = true
 			return
 		}
+		g.load(w, ins.AddrSlice(), path, now)
+		// The issue slot and address pipeline are occupied for a full
+		// dependency distance even when fills are still in flight.
+		if floor := now + uint64(g.cfg.DependLatency); w.nextReady < floor {
+			w.nextReady = floor
+		}
+		// The load's fills may have used up the MLP budget.
+		g.refreshGate(wid)
+	case workload.GlobalStore:
+		// A store holds no fill, so only nextReady moves.
+		g.store(w, ins, g.memPath(wid), now)
+		g.gate[wid] = w.nextReady
 	}
 	w.InstExecuted++
-	w.LastIssued = now
 	g.instTotal++
 	if w.drained() {
 		g.finishWarp(wid)
@@ -472,41 +490,58 @@ func (g *GPU) probeVTA(w *Warp, addr memory.Addr, now uint64, atShared bool) {
 	g.ctrl.OnVTAHit(g, now, w.ID, evictor, atShared)
 }
 
-// load serves a global load of up to MaxFanout coalesced lines. On a
-// structural stall nothing issues (the warp retries later) and
-// mshrFull reports whether the MSHR check was the one that failed.
-func (g *GPU) load(w *Warp, ins *workload.Instruction, now uint64) (issued, mshrFull bool) {
-	path := g.ctrl.MemPath(g, w.ID)
+// memPath routes warp wid's next global access: the controller's
+// answer, with the L1D path standing in for a missing shared-memory
+// cache.
+func (g *GPU) memPath(wid int) MemPath {
+	path := g.ctrl.MemPath(g, wid)
 	if path == PathSharedCache && g.shc == nil {
-		path = PathL1
+		return PathL1
 	}
-	addrs := ins.AddrSlice()
-	// MLP budget: block until in-flight fills drain enough for the
-	// whole burst.
-	if w.outstanding+len(addrs) > g.cfg.MaxOutstandingLines {
-		return false, false
+	return path
+}
+
+// admit reports whether the picked warp w can issue a load burst of n
+// lines on path at now, so that a burst issues completely or not at
+// all. It checks the MLP budget (the whole burst must fit beside the
+// warp's in-flight fills), then the response queue, then, unless the
+// path bypasses L1D, the MSHR. A burst that does not fit is a
+// structural stall: the warp retries it next cycle, and until then Run
+// may repeat the failure (see skipTo). A first issue and Step's
+// in-place retry both decide here, so they cannot disagree.
+func (g *GPU) admit(w *Warp, n int, path MemPath, now uint64) bool {
+	mshrFull := false
+	switch {
+	case w.outstanding+n > g.cfg.MaxOutstandingLines,
+		g.respQ.Len()+n > g.cfg.ResponseQueueCap:
+	case path != PathBypass && g.mshr.Outstanding()+n > g.mshr.Capacity():
+		mshrFull = true
+		g.mshr.NoteStalls(1)
+	default:
+		return true
 	}
-	// Conservative structural pre-checks so a burst either issues
-	// completely or not at all.
-	if g.respQ.Len()+len(addrs) > g.cfg.ResponseQueueCap {
-		return false, false
-	}
-	if path == PathBypass {
+	g.structStalls++
+	w.nextReady = now + 1
+	// Only nextReady moved, and the warp was picked because it is
+	// pickable, so its gate is the new nextReady.
+	g.gate[w.ID] = w.nextReady
+	g.last, g.retryWarp, g.retryMSHR = stepRetry, w.ID, mshrFull
+	return false
+}
+
+// load serves a global load of up to MaxFanout coalesced lines, once
+// admit has let the burst issue.
+func (g *GPU) load(w *Warp, addrs []memory.Addr, path MemPath, now uint64) {
+	switch path {
+	case PathBypass:
 		for _, a := range addrs {
 			g.bypass(w, a, now)
 		}
-		return true, false
-	}
-	if g.mshr.Outstanding()+len(addrs) > g.mshr.Capacity() {
-		g.mshr.NoteStalls(1)
-		return false, true
-	}
-	if path == PathSharedCache {
+	case PathSharedCache:
 		g.loadShared(w, addrs, now)
-	} else {
+	default:
 		g.loadL1(w, addrs, now)
 	}
-	return true, false
 }
 
 // loadL1 serves a load through L1D. Each line probes the MSHR once;
@@ -622,11 +657,7 @@ func (g *GPU) fillShared(addr memory.Addr, wid int) {
 }
 
 // store serves a global store (write-through, non-blocking).
-func (g *GPU) store(w *Warp, ins *workload.Instruction, now uint64) bool {
-	path := g.ctrl.MemPath(g, w.ID)
-	if path == PathSharedCache && g.shc == nil {
-		path = PathL1
-	}
+func (g *GPU) store(w *Warp, ins *workload.Instruction, path MemPath, now uint64) {
 	for _, a := range ins.AddrSlice() {
 		switch path {
 		case PathSharedCache:
@@ -645,7 +676,6 @@ func (g *GPU) store(w *Warp, ins *workload.Instruction, now uint64) bool {
 		g.l2c.Access(now, a, w.ID, true)
 	}
 	w.nextReady = now + uint64(g.cfg.DependLatency)
-	return true
 }
 
 // handleFill retires one response-queue event, read in its slot.

@@ -340,25 +340,9 @@ func TestInterferenceMatrixPopulated(t *testing.T) {
 	}
 }
 
-func TestIRSDefinition(t *testing.T) {
-	spec := tinySpec()
-	k := workload.MustKernel(spec)
-	g := sm.MustGPU(testConfig(), k, sched.NewGTO(), nil)
-	for i := 0; i < 5000 && !g.Done(); i++ {
-		g.Step()
-	}
-	// IRS_i = VTAHits_i * ActiveWarps / InstTotal (Eq. 1).
-	for i := 0; i < g.NumWarps(); i++ {
-		want := float64(g.Warp(i).VTAHits) * float64(g.ActiveWarps()) / float64(g.InstTotal())
-		if got := g.IRS(i); got != want {
-			t.Fatalf("IRS(%d) = %g, want %g", i, got, want)
-		}
-	}
-}
-
 func TestDeadlockValve(t *testing.T) {
-	// A pathological controller stalls everyone and never picks: the
-	// valve must free the warps so the run completes.
+	// A pathological controller stalls everyone, so no warp is ever
+	// pickable: the valve must free the warps so the run completes.
 	spec := tinySpec()
 	spec.InstrPerWarp = 50
 	cfg := testConfig()
@@ -377,14 +361,11 @@ func TestDeadlockValve(t *testing.T) {
 // stallEverything stalls all warps at attach, exercising the deadlock
 // valve. It has no epochs, so Run jumps straight from the first idle
 // cycle to the valve's expiry.
-type stallEverything struct {
-	sm.Base
-	sm.GreedyThenOldest
-}
+type stallEverything struct{ sm.Base }
 
 func (s *stallEverything) Name() string { return "stall-everything" }
 
-func (s *stallEverything) NextEvent(*sm.GPU, uint64) uint64 { return sm.Never }
+func (s *stallEverything) Due(*sm.GPU) (cycle, inst uint64) { return sm.Never, sm.Never }
 
 func (s *stallEverything) Attach(g *sm.GPU) {
 	for i := 0; i < g.NumWarps(); i++ {

@@ -41,13 +41,12 @@ type Warp struct {
 	// VTAHits counts this warp's cumulative lost-locality detections
 	// (the per-warp VTACount register of Figure 6).
 	VTAHits uint64
-	// LastIssued is the cycle of the warp's last issue, used by GTO.
-	LastIssued uint64
 
 	stream *workload.WarpStream
-	// retryPending marks that the last instruction handed out by next
-	// failed a structural hazard (MSHR full, response queue full) and
-	// must be handed out again; the instruction stays in buf.
+	// retryPending marks that the last instruction handed out by next,
+	// a global load, failed a structural check (MLP budget, response
+	// queue or MSHR full) and must be handed out again; the instruction
+	// stays in buf, where pending reads it.
 	retryPending bool
 
 	// buf holds instructions pre-generated from the stream in batches,
@@ -73,14 +72,6 @@ func (w *Warp) Active() bool { return w.v }
 // Finished reports that the warp has run its whole stream.
 func (w *Warp) Finished() bool { return w.finished }
 
-// Ready reports whether the warp can be issued at cycle now. Stalled
-// (V=0), finished, barrier-blocked and memory-blocked warps are not
-// ready. A warp with in-flight fills may keep issuing (hit-under-miss)
-// until its MLP budget is exhausted.
-func (w *Warp) Ready(now uint64) bool {
-	return w.v && w.nextReady <= now && !w.finished && !w.atBarrier && w.outstanding < w.maxPending
-}
-
 // State renders the CIAO three-state for diagnostics: "active",
 // "isolated" or "stalled".
 func (w *Warp) State() string {
@@ -101,7 +92,7 @@ func (w *Warp) State() string {
 func (w *Warp) next() (*workload.Instruction, bool) {
 	if w.retryPending {
 		w.retryPending = false
-		return &w.buf[w.bufI-1], true
+		return w.pending(), true
 	}
 	if w.bufI == w.bufN {
 		n := w.stream.Fill(w.buf[:])
@@ -115,9 +106,8 @@ func (w *Warp) next() (*workload.Instruction, bool) {
 	return ins, true
 }
 
-// retry re-queues the instruction most recently handed out by next,
-// after a structural hazard.
-func (w *Warp) retry() { w.retryPending = true }
+// pending returns the instruction a failed issue left for retry.
+func (w *Warp) pending() *workload.Instruction { return &w.buf[w.bufI-1] }
 
 // drained reports that the warp has no instruction left anywhere:
 // stream exhausted, batch buffer consumed, no retry pending.

@@ -138,12 +138,6 @@ func NewWarpStream(spec Spec, warpID int) *WarpStream {
 // WarpID returns the stream's warp.
 func (s *WarpStream) WarpID() int { return s.warpID }
 
-// Issued returns how many instructions have been generated.
-func (s *WarpStream) Issued() uint64 { return s.issued }
-
-// Remaining returns how many instructions are left.
-func (s *WarpStream) Remaining() uint64 { return s.spec.InstrPerWarp - s.issued }
-
 // Done reports stream exhaustion.
 func (s *WarpStream) Done() bool { return s.issued >= s.spec.InstrPerWarp }
 
@@ -199,64 +193,57 @@ func (s *WarpStream) compilePhase(ph Phase, bound uint64) phaseRT {
 
 // Next produces the next instruction; ok=false when exhausted.
 func (s *WarpStream) Next() (ins Instruction, ok bool) {
-	if s.issued >= s.spec.InstrPerWarp {
-		return Instruction{}, false
-	}
-	s.gen(&ins)
-	return ins, true
+	var b [1]Instruction
+	ok = s.Fill(b[:]) == 1
+	return b[0], ok
 }
 
-// Fill generates up to len(dst) instructions into dst and returns how
-// many it produced (0 when exhausted). Batching lets the SM refill a
-// warp's instruction buffer in one call, amortising the phase lookup
-// and call overhead of Next across the batch. Fill writes each
-// instruction's Kind, NAddr, Conflict and live addresses; Addrs past
-// NAddr keep whatever dst held.
+// Fill generates up to len(dst) instructions into dst, advancing the
+// stream, and returns how many it produced (0 when exhausted). It is
+// the stream's one generator loop: the SM refills a warp's instruction
+// buffer in one call, so the phase lookup and call overhead amortise
+// across the batch. Fill writes each instruction's Kind, NAddr,
+// Conflict and live addresses; Addrs past NAddr keep whatever dst held.
 func (s *WarpStream) Fill(dst []Instruction) int {
 	n := 0
-	for n < len(dst) && s.issued < s.spec.InstrPerWarp {
-		s.gen(&dst[n])
-		n++
-	}
-	return n
-}
+	for ; n < len(dst) && s.issued < s.spec.InstrPerWarp; n++ {
+		ins := &dst[n]
+		issued := s.issued
+		s.issued = issued + 1
 
-// gen writes the next instruction into *ins and advances the stream.
-// The caller has checked the stream is not exhausted.
-func (s *WarpStream) gen(ins *Instruction) {
-	issued := s.issued
-	s.issued = issued + 1
-
-	// Barriers fire at fixed indices so all warps of a CTA agree.
-	if s.barrierEvery > 0 {
-		at := s.barrierPos == 0 && issued > 0
-		if s.barrierPos++; s.barrierPos == s.barrierEvery {
-			s.barrierPos = 0
+		// Barriers fire at fixed indices so all warps of a CTA agree.
+		if s.barrierEvery > 0 {
+			at := s.barrierPos == 0 && issued > 0
+			if s.barrierPos++; s.barrierPos == s.barrierEvery {
+				s.barrierPos = 0
+			}
+			if at {
+				ins.Kind, ins.NAddr, ins.Conflict = BarrierOp, 0, 0
+				continue
+			}
 		}
-		if at {
-			ins.Kind, ins.NAddr, ins.Conflict = BarrierOp, 0, 0
-			return
+
+		// issued only grows, so the active phase advances monotonically
+		// and a cursor bump finds it. The streaming cursor wraps at the
+		// new phase's span from here on.
+		for s.cur+1 < len(s.rt) && issued >= s.rt[s.cur].bound {
+			s.cur++
+			s.streamPos = s.streamCursor % s.rt[s.cur].span
 		}
-	}
+		ph := &s.rt[s.cur]
 
-	// issued only grows, so the active phase advances monotonically: a
-	// cursor bump replaces the old per-instruction boundary scan. The
-	// streaming cursor wraps at the new phase's span from here on.
-	for s.cur+1 < len(s.rt) && issued >= s.rt[s.cur].bound {
-		s.cur++
-		s.streamPos = s.streamCursor % s.rt[s.cur].span
-	}
-	ph := &s.rt[s.cur]
+		// Explicit shared-memory traffic.
+		if s.spec.SharedPct > 0 && s.rnd.pct() < s.spec.SharedPct {
+			ins.Kind, ins.NAddr, ins.Conflict = SharedOp, 0, s.conflict
+			continue
+		}
 
-	// Explicit shared-memory traffic.
-	if s.spec.SharedPct > 0 && s.rnd.pct() < s.spec.SharedPct {
-		ins.Kind, ins.NAddr, ins.Conflict = SharedOp, 0, s.conflict
-		return
-	}
-
-	// Global memory access with probability derived from the phase's
-	// thread-level APKI and coalescing fan-out.
-	if int(s.rnd.next()%1000) < ph.memProb {
+		// Global memory access with probability derived from the phase's
+		// thread-level APKI and coalescing fan-out.
+		if int(s.rnd.next()%1000) >= ph.memProb {
+			ins.Kind, ins.NAddr, ins.Conflict = Compute, 0, 0
+			continue
+		}
 		kind := GlobalLoad
 		if s.spec.StorePct > 0 && s.rnd.pct() < s.spec.StorePct {
 			kind = GlobalStore
@@ -277,14 +264,13 @@ func (s *WarpStream) gen(ins *Instruction) {
 				s.outCursor++
 				ins.Addrs[k] = OutputBase + memory.Addr(line*memory.LineSize)
 			}
-			return
+			continue
 		}
 		for k := 0; k < fan; k++ {
 			ins.Addrs[k] = s.nextAddress(ph)
 		}
-		return
 	}
-	ins.Kind, ins.NAddr, ins.Conflict = Compute, 0, 0
+	return n
 }
 
 // nextAddress picks one line: a window re-reference (locality), an

@@ -98,11 +98,14 @@ func TestStreamExhaustion(t *testing.T) {
 	if n != 100 {
 		t.Fatalf("stream yielded %d instructions, want 100", n)
 	}
-	if !s.Done() || s.Remaining() != 0 {
+	if !s.Done() {
 		t.Fatal("exhausted stream not Done")
 	}
 	if _, ok := s.Next(); ok {
 		t.Fatal("Next after exhaustion succeeded")
+	}
+	if n := s.Fill(make([]Instruction, 4)); n != 0 {
+		t.Fatalf("Fill after exhaustion produced %d instructions", n)
 	}
 }
 
