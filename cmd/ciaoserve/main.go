@@ -1,7 +1,9 @@
 // Command ciaoserve runs the CIAO reproduction as a long-lived HTTP
 // service. Experiment results are cached (content-addressed LRU) and
-// identical in-flight requests are coalesced, so a cell is simulated
-// at most once no matter how many clients ask for it.
+// identical in-flight requests are coalesced, so each distinct
+// simulation runs at most once no matter how many clients ask for it;
+// a Best-SWL or statPCAL cell whose limit covers every resident warp
+// is answered from the GTO cell's run.
 //
 // Sweeps run in-process and survive kill -9: on startup every sweep
 // under -sweepdir with unsettled cells that no client cancelled

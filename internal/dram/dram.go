@@ -73,15 +73,6 @@ type Stats struct {
 	LastFinish uint64 // completion cycle of the latest transfer
 }
 
-// RowHitRate returns the fraction of accesses that hit an open row.
-func (s Stats) RowHitRate() float64 {
-	total := s.RowHits + s.RowMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.RowHits) / float64(total)
-}
-
 type bank struct {
 	openRow   int64 // -1 = closed
 	readyAt   uint64
@@ -190,17 +181,3 @@ func (d *DRAM) Stats() Stats { return d.stats }
 
 // ResetStats zeroes statistics without closing rows.
 func (d *DRAM) ResetStats() { d.stats = Stats{} }
-
-// BusUtilization returns BusBusy / horizon, the achieved fraction of
-// peak bandwidth over the given number of cycles. statPCAL uses this
-// to decide whether bypassing warps may proceed.
-func (d *DRAM) BusUtilization(horizonCycles uint64) float64 {
-	if horizonCycles == 0 {
-		return 0
-	}
-	u := float64(d.stats.BusBusy) / float64(horizonCycles)
-	if u > 1 {
-		u = 1
-	}
-	return u
-}

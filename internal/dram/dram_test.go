@@ -97,23 +97,6 @@ func TestWriteCounted(t *testing.T) {
 	}
 }
 
-func TestBusUtilization(t *testing.T) {
-	d := New(DefaultConfig())
-	if d.BusUtilization(100) != 0 {
-		t.Fatal("idle DRAM should report 0 utilization")
-	}
-	for i := 0; i < 10; i++ {
-		d.Service(0, memory.Addr(i)*memory.LineSize, false)
-	}
-	u := d.BusUtilization(d.Stats().LastFinish)
-	if u <= 0 || u > 1 {
-		t.Fatalf("utilization = %f out of range", u)
-	}
-	if d.BusUtilization(0) != 0 {
-		t.Fatal("zero horizon must not divide by zero")
-	}
-}
-
 func TestValidate(t *testing.T) {
 	bad := DefaultConfig()
 	bad.Banks = 0

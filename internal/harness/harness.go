@@ -10,6 +10,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/sched"
@@ -27,30 +28,61 @@ type SchedulerFactory struct {
 	// NeedsSharedCache enables the CIAO shared-memory cache in the SM
 	// configuration.
 	NeedsSharedCache bool
+	// WarpLimited marks a controller that acts only on the warps past
+	// a static limit, which New leaves at the kernel's Nwrp as
+	// sched.WarpLimit clips it. Where that limit covers every resident
+	// warp, the controller clears no V flag, sets no I flag and keeps
+	// every load on the L1D path, so its run is GTO's (SimulatedAs).
+	WarpLimited bool
+}
+
+// schedulers is the scheduler table: the seven controllers of Figure 8
+// in paper order.
+var schedulers = []SchedulerFactory{
+	{Name: "GTO", New: func() sm.Controller { return sched.NewGTO() }},
+	{Name: "CCWS", New: func() sm.Controller { return sched.NewCCWS() }},
+	{Name: "Best-SWL", New: func() sm.Controller { return sched.NewBestSWL(0) }, WarpLimited: true},
+	{Name: "statPCAL", New: func() sm.Controller { return sched.NewStatPCAL() }, WarpLimited: true},
+	{Name: "CIAO-T", New: func() sm.Controller { return core.NewT() }},
+	{Name: "CIAO-P", New: func() sm.Controller { return core.NewP() }, NeedsSharedCache: true},
+	{Name: "CIAO-C", New: func() sm.Controller { return core.NewC() }, NeedsSharedCache: true},
 }
 
 // Schedulers returns the seven controllers of Figure 8 in paper order:
-// GTO, CCWS, Best-SWL, statPCAL, CIAO-T, CIAO-P, CIAO-C.
-func Schedulers() []SchedulerFactory {
-	return []SchedulerFactory{
-		{Name: "GTO", New: func() sm.Controller { return sched.NewGTO() }},
-		{Name: "CCWS", New: func() sm.Controller { return sched.NewCCWS() }},
-		{Name: "Best-SWL", New: func() sm.Controller { return sched.NewBestSWL(0) }},
-		{Name: "statPCAL", New: func() sm.Controller { return sched.NewStatPCAL() }},
-		{Name: "CIAO-T", New: func() sm.Controller { return core.NewT() }},
-		{Name: "CIAO-P", New: func() sm.Controller { return core.NewP() }, NeedsSharedCache: true},
-		{Name: "CIAO-C", New: func() sm.Controller { return core.NewC() }, NeedsSharedCache: true},
-	}
-}
+// GTO, CCWS, Best-SWL, statPCAL, CIAO-T, CIAO-P, CIAO-C. Callers own
+// the returned slice.
+func Schedulers() []SchedulerFactory { return slices.Clone(schedulers) }
 
 // SchedulerByName returns the factory with the given name.
 func SchedulerByName(name string) (SchedulerFactory, error) {
-	for _, f := range Schedulers() {
+	for _, f := range schedulers {
 		if f.Name == name {
 			return f, nil
 		}
 	}
 	return SchedulerFactory{}, fmt.Errorf("harness: unknown scheduler %q", name)
+}
+
+// SimulatedAs returns the scheduler whose simulation a cell of the
+// named scheduler on bench under opt is: GTO for a WarpLimited
+// scheduler whose clipped limit covers every warp the kernel keeps
+// resident, and the named scheduler for every other cell. Both cells
+// build the same machine, so they produce the same result under
+// different names (RelabelCell). An unknown bench or scheduler is its
+// own simulation, and fails there.
+func SimulatedAs(bench, name string, opt Options) string {
+	if f, err := SchedulerByName(name); err != nil || !f.WarpLimited {
+		return name
+	}
+	spec, err := workload.ByName(bench)
+	if err != nil {
+		return name
+	}
+	spec = opt.applySpec(spec)
+	if sched.WarpLimit(0, spec.NwrpBest, spec.NumWarps) < spec.NumWarps {
+		return name
+	}
+	return "GTO"
 }
 
 // Options control a run.

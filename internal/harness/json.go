@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"encoding/json"
 	"strconv"
 
@@ -126,6 +127,28 @@ type CellResult struct {
 	Interference   uint64  `json:"interference_events"`
 	FinishedWarps  int     `json:"finished_warps"`
 	TimedOut       bool    `json:"timed_out"`
+}
+
+// RelabelCell returns the encoded CellResult payload of a cell run
+// under scheduler from as the cell of scheduler to: the bytes
+// json.Marshal gives for the same result with Sched set to to.
+// Scheduler names are letters, digits and dashes, which JSON writes
+// unescaped, and an encoded bench name holds no bare quote, so the
+// first ,"sched":" opens the field. A payload whose field does not
+// name from is returned as it is.
+func RelabelCell(payload []byte, from, to string) []byte {
+	const field = `,"sched":"`
+	i := bytes.Index(payload, []byte(field))
+	if i < 0 {
+		return payload
+	}
+	i += len(field)
+	end := i + len(from)
+	if end >= len(payload) || string(payload[i:end]) != from || payload[end] != '"' {
+		return payload
+	}
+	out := make([]byte, 0, len(payload)-len(from)+len(to))
+	return append(append(append(out, payload[:i]...), to...), payload[end:]...)
 }
 
 // NewCellResult flattens an sm.Result (plus the GPU's interference

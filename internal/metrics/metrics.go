@@ -178,18 +178,6 @@ func GeoMean(vals []float64) float64 {
 	return math.Exp(sum / float64(n))
 }
 
-// Normalize divides each value by base, guarding zero.
-func Normalize(vals []float64, base float64) []float64 {
-	out := make([]float64, len(vals))
-	if base == 0 {
-		return out
-	}
-	for i, v := range vals {
-		out[i] = v / base
-	}
-	return out
-}
-
 // Table is a minimal fixed-width text table used by the CLI and the
 // benchmark harness to print paper-style rows.
 type Table struct {

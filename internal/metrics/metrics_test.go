@@ -121,17 +121,6 @@ func TestGeoMeanBoundsInvariant(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	got := Normalize([]float64{2, 4}, 2)
-	if got[0] != 1 || got[1] != 2 {
-		t.Fatalf("normalize = %v", got)
-	}
-	zero := Normalize([]float64{2}, 0)
-	if zero[0] != 0 {
-		t.Fatal("zero base should yield zeros")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := Table{Header: []string{"bench", "ipc"}}
 	tb.AddRow("atax", "1.50")

@@ -14,6 +14,17 @@ type BestSWL struct {
 	Limit int
 }
 
+// WarpLimit is the static warp limit Best-SWL keeps active and statPCAL
+// hands L1D tokens to: limit, or the kernel's profiled nwrp when limit
+// is not positive, clipped to at least one warp and at most the warps
+// resident. Where it equals warps, neither controller ever acts.
+func WarpLimit(limit, nwrp, warps int) int {
+	if limit <= 0 {
+		limit = nwrp
+	}
+	return min(max(limit, 1), warps)
+}
+
 // NewBestSWL returns a Best-SWL controller with the given limit
 // (0 = take the kernel's profiled Nwrp at Attach).
 func NewBestSWL(limit int) *BestSWL { return &BestSWL{Limit: limit} }
@@ -23,19 +34,9 @@ func (s *BestSWL) Name() string { return "Best-SWL" }
 
 // Attach stalls every warp beyond the limit.
 func (s *BestSWL) Attach(g *sm.GPU) {
-	limit := s.Limit
-	if limit <= 0 {
-		limit = g.Kernel().Spec().NwrpBest
-	}
-	if limit <= 0 {
-		limit = 1
-	}
-	if limit > g.NumWarps() {
-		limit = g.NumWarps()
-	}
-	s.Limit = limit
+	s.Limit = WarpLimit(s.Limit, g.Kernel().Spec().NwrpBest, g.NumWarps())
 	for i := 0; i < g.NumWarps(); i++ {
-		g.SetActive(i, i < limit)
+		g.SetActive(i, i < s.Limit)
 	}
 }
 

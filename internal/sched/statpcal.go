@@ -42,15 +42,7 @@ func (s *StatPCAL) Name() string { return "statPCAL" }
 
 // Attach sizes the token set.
 func (s *StatPCAL) Attach(g *sm.GPU) {
-	if s.Tokens <= 0 {
-		s.Tokens = g.Kernel().Spec().NwrpBest
-	}
-	if s.Tokens <= 0 {
-		s.Tokens = 1
-	}
-	if s.Tokens > g.NumWarps() {
-		s.Tokens = g.NumWarps()
-	}
+	s.Tokens = WarpLimit(s.Tokens, g.Kernel().Spec().NwrpBest, g.NumWarps())
 	s.tokens = make([]bool, g.NumWarps())
 	s.nTokens = 0
 	s.refillTokens(g)

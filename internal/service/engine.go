@@ -29,14 +29,18 @@ const (
 // RunFunc executes a spec and returns its encoded result.
 type RunFunc func(Spec) ([]byte, error)
 
-// Engine executes experiment specs with three layers of work
-// avoidance: a content-addressed LRU result cache, single-flight
+// Engine executes experiment specs and runs each distinct simulation
+// once. A "run" cell whose scheduler cannot act on its kernel
+// (harness.SimulatedAs) is the GTO cell with the same options and
+// machine under another name, so it is looked up, coalesced and
+// executed as that cell and its payload relabelled. Every spec then
+// passes a content-addressed LRU result cache, single-flight
 // coalescing of identical in-flight specs, and a bounded worker pool
 // so a burst of distinct requests cannot oversubscribe the host. A
 // grid figure (fig8, fig11a/b, fig12a/b) is not one simulation: its
-// cells run as ordinary "run" specs through the same cache, coalescing
-// and pool, so they share results with /run and sweeps, and the
-// figure itself holds no worker slot.
+// cells run as ordinary "run" specs through the same engine, so they
+// share results with /run and sweeps, and the figure itself holds no
+// worker slot.
 type Engine struct {
 	run   RunFunc
 	cache *ResultCache
@@ -102,8 +106,8 @@ func NewEngine(cfg Config) *Engine {
 func (e *Engine) Cache() *ResultCache { return e.cache }
 
 // Simulations returns how many times the executor actually ran —
-// cache hits and coalesced waits do not count. A grid figure counts
-// each cell it simulated.
+// cache hits, coalesced waits and cells answered from GTO's run do not
+// count. A grid figure counts each cell it simulated.
 func (e *Engine) Simulations() uint64 { return e.runs.Value() }
 
 // JobsSubmitted returns how many async jobs Submit accepted.
@@ -136,18 +140,36 @@ func (e *Engine) WriteProm(p *metrics.PromWriter) {
 }
 
 // Run executes the spec synchronously, deduplicating against the
-// cache and any identical in-flight request. The returned payload is
-// shared and must not be mutated.
+// cache and any identical in-flight request. A "run" cell that
+// harness.SimulatedAs answers from GTO's run goes through both as the
+// GTO cell, and the returned Source says how that cell's result was
+// obtained. The returned payload is shared and must not be mutated.
 func (e *Engine) Run(spec Spec) ([]byte, Source, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, "", err
 	}
+	sim := spec
+	if spec.Experiment == ExpRun {
+		sim.Sched = harness.SimulatedAs(spec.Bench, spec.Sched, spec.request().Options)
+	}
+	payload, source, err := e.once(sim)
+	if err != nil || sim.Sched == spec.Sched {
+		return payload, source, err
+	}
+	return harness.RelabelCell(payload, sim.Sched, spec.Sched), source, nil
+}
+
+// once answers spec from the cache or from an identical in-flight run,
+// or else executes it and caches the payload. The one cache lookup
+// happens under e.mu: a run stores its payload before it leaves the
+// in-flight table, so a request that misses the cache finds the run.
+func (e *Engine) once(spec Spec) ([]byte, Source, error) {
 	key := spec.Key()
+	e.mu.Lock()
 	if payload, ok := e.cache.Get(key); ok {
+		e.mu.Unlock()
 		return payload, SourceCache, nil
 	}
-
-	e.mu.Lock()
 	if f, ok := e.inflight[key]; ok {
 		e.mu.Unlock()
 		<-f.done

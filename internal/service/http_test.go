@@ -172,8 +172,8 @@ func TestHTTPExperimentJobLifecycle(t *testing.T) {
 	if st2.Source != SourceCache {
 		t.Errorf("resubmit source = %q, want cache", st2.Source)
 	}
-	if calls.Load() != 147 {
-		t.Errorf("simulations = %d, want 147 (one per fig8 cell)", calls.Load())
+	if calls.Load() != 129 {
+		t.Errorf("simulations = %d, want 129 (one per distinct fig8 simulation)", calls.Load())
 	}
 }
 

@@ -296,8 +296,10 @@ func runWithin(t *testing.T, e *Engine, spec Spec) ([]byte, Source) {
 
 // TestEngineFigureCells: a matrix figure's cells are ordinary "run"
 // specs. On a one-worker engine the figure finishes (it holds no slot
-// while its cells wait for one), each cell costs one simulation, a
-// repeat costs none, and the cells serve /run and other figures.
+// while its cells wait for one), each distinct simulation costs one
+// run, a repeat costs none, and the cells serve /run and other
+// figures. Fig 8's Best-SWL and statPCAL cells on the nine benchmarks
+// whose Nwrp is all 48 warps are answered from GTO's run.
 func TestEngineFigureCells(t *testing.T) {
 	var calls atomic.Int64
 	e := NewEngine(Config{Workers: 1, Run: fakeCells(&calls)})
@@ -307,14 +309,14 @@ func TestEngineFigureCells(t *testing.T) {
 	if _, src := runWithin(t, e, fig8); src != SourceComputed {
 		t.Errorf("fig8 source = %q, want computed", src)
 	}
-	if n := e.Simulations(); n != 147 {
-		t.Errorf("fig8 simulations = %d, want 147 (7 schedulers x 21 benchmarks)", n)
+	if n := e.Simulations(); n != 129 {
+		t.Errorf("fig8 simulations = %d, want 129 (7 schedulers x 21 benchmarks, less 2 x 9 answered from GTO)", n)
 	}
 	if _, src := runWithin(t, e, fig8); src != SourceCache {
 		t.Errorf("repeated fig8 source = %q, want cache", src)
 	}
-	if n := e.Simulations(); n != 147 {
-		t.Errorf("repeated fig8 cost %d simulations, want 0", n-147)
+	if n := e.Simulations(); n != 129 {
+		t.Errorf("repeated fig8 cost %d simulations, want 0", n-129)
 	}
 	cell := Spec{Experiment: ExpRun, Bench: "SYRK", Sched: "CIAO-C", Options: opts}
 	if _, src := runWithin(t, e, cell); src != SourceCache {
@@ -322,7 +324,7 @@ func TestEngineFigureCells(t *testing.T) {
 	}
 	// Fig 12a's GTO and CIAO-C columns are fig8 cells.
 	runWithin(t, e, Spec{Experiment: "fig12a", Options: opts})
-	if n := e.Simulations() - 147; n != 26 {
+	if n := e.Simulations() - 129; n != 26 {
 		t.Errorf("fig12a after fig8 cost %d simulations, want 26", n)
 	}
 
@@ -332,8 +334,8 @@ func TestEngineFigureCells(t *testing.T) {
 	if n := e.Simulations(); n != 28 {
 		t.Errorf("fig11a simulations = %d, want 28", n)
 	}
-	if calls.Load() != int64(147+26+28) {
-		t.Errorf("executor calls = %d, want %d", calls.Load(), 147+26+28)
+	if calls.Load() != int64(129+26+28) {
+		t.Errorf("executor calls = %d, want %d", calls.Load(), 129+26+28)
 	}
 }
 

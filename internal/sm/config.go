@@ -3,10 +3,12 @@
 // the CIAO shared-memory cache path, and the fill/response machinery,
 // driven by a pluggable warp-scheduling Controller.
 //
-// One GPU value simulates one SM plus its view of the shared L2/DRAM.
-// The paper's results are relative IPCs across warp schedulers, which
-// are per-SM dynamics; the harness runs independent SMs in parallel
-// goroutines when aggregating.
+// One GPU value simulates one SM plus its view of the shared L2/DRAM,
+// on one goroutine. The paper's results are relative IPCs across warp
+// schedulers, which are per-SM dynamics, so a figure is a grid of
+// independent single-SM cells; the service engine runs those cells in
+// parallel on its worker pool. A Cluster steps several SMs over one
+// shared L2 in lock-step on one goroutine.
 package sm
 
 import (

@@ -59,6 +59,19 @@ func stepLoop(g *sm.GPU) {
 // same cell, or "" when they agree on everything, internal state
 // included.
 func diffGPUs(a, b *sm.GPU) string {
+	if d := diffReports(a, b); d != "" {
+		return d
+	}
+	if !reflect.DeepEqual(a, b) {
+		return "internal GPU state differs (MSHR, caches, queues or controller)"
+	}
+	return ""
+}
+
+// diffReports reports the first difference in what two GPUs report
+// (result, time series, interference matrix, L2 and DRAM stats, every
+// warp), or "" when they agree.
+func diffReports(a, b *sm.GPU) string {
 	for _, c := range []struct {
 		what string
 		a, b any
@@ -77,9 +90,6 @@ func diffGPUs(a, b *sm.GPU) string {
 		if !reflect.DeepEqual(*a.Warp(i), *b.Warp(i)) {
 			return fmt.Sprintf("warp %d differs:\n  %+v\n  %+v", i, *a.Warp(i), *b.Warp(i))
 		}
-	}
-	if !reflect.DeepEqual(a, b) {
-		return "internal GPU state differs (MSHR, caches, queues or controller)"
 	}
 	return ""
 }
