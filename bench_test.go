@@ -40,10 +40,10 @@ func BenchmarkTable1Config(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := sm.DefaultConfig()
 		cfg.EnableSharedCache = true
-		g := sm.MustGPU(cfg, workload.MustKernel(spec), core.NewC(), nil)
-		if g.L1().Config().Sets() != 32 {
+		if cfg.L1.Sets() != 32 {
 			b.Fatal("Table I L1D geometry wrong")
 		}
+		sm.MustGPU(cfg, workload.MustKernel(spec), core.NewC(), nil)
 	}
 }
 
@@ -55,15 +55,14 @@ func BenchmarkTable2Characteristics(b *testing.B) {
 		for _, spec := range workload.Suite() {
 			spec.InstrPerWarp = 2000
 			s := workload.NewWarpStream(spec, 0)
+			var batch [64]workload.Instruction
 			lines, total := 0, 0
-			for {
-				ins, ok := s.Next()
-				if !ok {
-					break
-				}
-				total++
-				if ins.Kind == workload.GlobalLoad || ins.Kind == workload.GlobalStore {
-					lines += int(ins.NAddr)
+			for n := s.Fill(batch[:]); n > 0; n = s.Fill(batch[:]) {
+				total += n
+				for _, ins := range batch[:n] {
+					if ins.Kind == workload.GlobalLoad || ins.Kind == workload.GlobalStore {
+						lines += int(ins.NAddr)
+					}
 				}
 			}
 			if total == 0 || lines == 0 {
@@ -147,15 +146,19 @@ func BenchmarkCellCycle(b *testing.B) {
 	newGPU := func() *sm.GPU {
 		return sm.MustGPU(cfg, workload.MustKernel(spec), sched.NewGTO(), nil)
 	}
-	g := newGPU()
+	// Each Step simulates one cycle; a GPU is replaced once it finishes
+	// or reaches NewGPU's default cycle cap.
+	maxCycles := workload.MustKernel(spec).TotalInstructions() * 64
+	g, cycles := newGPU(), uint64(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if g.Done() || g.Cycle() >= g.Config().MaxCycles {
+		if g.Done() || cycles >= maxCycles {
 			b.StopTimer()
-			g = newGPU()
+			g, cycles = newGPU(), 0
 			b.StartTimer()
 		}
 		g.Step()
+		cycles++
 	}
 }
 

@@ -148,9 +148,6 @@ func New(cfg Config) *Cache {
 	}
 }
 
-// Config returns the cache's configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
 // setIndex maps an address to its set. Modulo indexing takes the low
 // bits of the line number. XOR indexing, the baseline enhancement the
 // paper adds to L1D and L2 ("we enhance the baseline L1D and L2 caches
@@ -311,38 +308,5 @@ func (c *Cache) Invalidate(addr memory.Addr) (present, dirty bool) {
 	return true, dirty
 }
 
-// Owner returns the WID that filled the line, if present.
-func (c *Cache) Owner(addr memory.Addr) (wid int, ok bool) {
-	if i := c.find(c.locate(addr)); i >= 0 {
-		return int(c.owner[i]), true
-	}
-	return 0, false
-}
-
 // Stats returns a snapshot of the cache statistics.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// ResetStats zeroes the statistics without disturbing contents.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
-
-// Flush invalidates every line and returns how many were dirty.
-func (c *Cache) Flush() (dirtyLines int) {
-	for i, t := range c.tags {
-		if t != 0 && c.dirty[i] {
-			dirtyLines++
-		}
-		c.clear(i)
-	}
-	return dirtyLines
-}
-
-// OccupiedLines reports how many lines are currently valid.
-func (c *Cache) OccupiedLines() int {
-	n := 0
-	for _, t := range c.tags {
-		if t != 0 {
-			n++
-		}
-	}
-	return n
-}

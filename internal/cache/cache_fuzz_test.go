@@ -287,7 +287,7 @@ func FuzzCache(f *testing.F) {
 					t.Fatalf("op %d: Invalidate(%s) = %v,%v, reference %v,%v", i/2, addr, p, d, wp, wd)
 				}
 			case 7:
-				w, ok := c.Owner(addr)
+				w, ok := owner(c, addr)
 				ww, wok := ref.Owner(addr)
 				if w != ww || ok != wok {
 					t.Fatalf("op %d: Owner(%s) = %d,%v, reference %d,%v", i/2, addr, w, ok, ww, wok)
@@ -298,10 +298,10 @@ func FuzzCache(f *testing.F) {
 			}
 		}
 		occupied, dirty := ref.occupancy()
-		if got := c.OccupiedLines(); got != occupied {
+		if got := occupiedLines(c); got != occupied {
 			t.Fatalf("OccupiedLines = %d, reference %d", got, occupied)
 		}
-		if got := c.Flush(); got != dirty {
+		if got := flush(c); got != dirty {
 			t.Fatalf("Flush = %d dirty lines, reference %d", got, dirty)
 		}
 	})

@@ -12,8 +12,7 @@ type VTA struct {
 	tagsPerSet int
 	sets       [][]vtaEntry
 	// next is the FIFO insertion cursor per set.
-	next                  []int
-	hits, probes, inserts uint64
+	next []int
 }
 
 // vtaEntry is one victim tag: the evicted line stored as line|1, 0
@@ -50,7 +49,6 @@ func (v *VTA) Insert(ownerWID int, line memory.Addr, evictorWID int) {
 		cur = 0
 	}
 	v.next[ownerWID] = cur
-	v.inserts++
 }
 
 // Probe checks whether a miss by warp wid on line was previously
@@ -60,12 +58,10 @@ func (v *VTA) Probe(wid int, line memory.Addr) (hit bool, evictorWID int) {
 	if wid < 0 || wid >= len(v.sets) {
 		return false, 0
 	}
-	v.probes++
 	tag := uint64(line.LineAddr()) | 1
 	set := v.sets[wid]
 	for i := range set {
 		if set[i].tag == tag {
-			v.hits++
 			ev := set[i].evictor
 			set[i] = vtaEntry{}
 			return true, ev
@@ -73,25 +69,3 @@ func (v *VTA) Probe(wid int, line memory.Addr) (hit bool, evictorWID int) {
 	}
 	return false, 0
 }
-
-// Stats reports cumulative probes, hits and inserts.
-func (v *VTA) Stats() (probes, hits, inserts uint64) {
-	return v.probes, v.hits, v.inserts
-}
-
-// Reset clears the array and statistics.
-func (v *VTA) Reset() {
-	for i := range v.sets {
-		for j := range v.sets[i] {
-			v.sets[i][j] = vtaEntry{}
-		}
-		v.next[i] = 0
-	}
-	v.hits, v.probes, v.inserts = 0, 0, 0
-}
-
-// NumSets reports the number of warp slots tracked.
-func (v *VTA) NumSets() int { return len(v.sets) }
-
-// TagsPerSet reports the per-warp FIFO depth.
-func (v *VTA) TagsPerSet() int { return v.tagsPerSet }

@@ -60,29 +60,10 @@ func TestVTAOutOfRangeWarpIsIgnored(t *testing.T) {
 	}
 }
 
-func TestVTAStatsAndReset(t *testing.T) {
-	v := newTestVTA()
-	v.Insert(0, 0x0, 1)
-	v.Probe(0, 0x0)
-	v.Probe(0, 0x80)
-	probes, hits, inserts := v.Stats()
-	if probes != 2 || hits != 1 || inserts != 1 {
-		t.Fatalf("stats = (%d,%d,%d), want (2,1,1)", probes, hits, inserts)
-	}
-	v.Reset()
-	probes, hits, inserts = v.Stats()
-	if probes != 0 || hits != 0 || inserts != 0 {
-		t.Fatal("reset did not clear stats")
-	}
-	if hit, _ := v.Probe(0, 0x0); hit {
-		t.Fatal("reset did not clear entries")
-	}
-}
-
 func TestVTAGeometryAccessors(t *testing.T) {
 	v := newTestVTA()
-	if v.NumSets() != 48 || v.TagsPerSet() != 8 {
-		t.Fatalf("geometry = (%d,%d), want (48,8)", v.NumSets(), v.TagsPerSet())
+	if len(v.sets) != 48 || v.tagsPerSet != 8 {
+		t.Fatalf("geometry = (%d,%d), want (48,8)", len(v.sets), v.tagsPerSet)
 	}
 }
 

@@ -57,7 +57,7 @@ func waitDone(t *testing.T, run *sweep.Run) sweep.Progress {
 	select {
 	case <-run.Done():
 	case <-time.After(60 * time.Second):
-		t.Fatalf("sweep %s did not finish: %+v", run.ID(), run.Progress())
+		t.Fatalf("sweep %s did not finish: %+v", run.Status().ID, run.Progress())
 	}
 	return run.Progress()
 }
@@ -122,14 +122,14 @@ func crashedSweep(t *testing.T, spec sweep.Spec, settle int, cancel bool) (base,
 		time.Sleep(2 * time.Millisecond)
 	}
 	if cancel {
-		if _, ok, err := m.Cancel(run.ID()); !ok || err != nil {
+		if _, ok, err := m.Cancel(run.Status().ID); !ok || err != nil {
 			t.Fatalf("Cancel = (%v, %v)", ok, err)
 		}
 	}
 	src := run.Status().Dir
 	base, name = t.TempDir(), filepath.Base(src)
 	copyDir(t, src, filepath.Join(base, name))
-	return base, name, run.ID()
+	return base, name, run.Status().ID
 }
 
 // copyDir copies the regular files under src into dst.

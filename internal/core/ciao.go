@@ -176,12 +176,6 @@ func updateIRS(g *sm.GPU, snapHits []uint64, snapInst *uint64, irs []float64, ew
 	*snapInst = g.InstTotal()
 }
 
-// InterferenceListRef exposes the detector state for inspection.
-func (c *CIAO) InterferenceListRef() *InterferenceList { return c.ilist }
-
-// PairListRef exposes the pair list for inspection.
-func (c *CIAO) PairListRef() *PairList { return c.pairs }
-
 // OnVTAHit feeds the interference list: the VTA names the evictor
 // (interferer) whose fill displaced data the interfered warp
 // re-referenced. L1D and shared-memory interference share one

@@ -154,7 +154,13 @@ func TestMinActiveFloor(t *testing.T) {
 	g := buildGPU(t, ctrl, false)
 	for i := 0; i < 100000 && !g.Done(); i++ {
 		g.Step()
-		if g.ActiveWarps() < p.MinActive && g.LiveWarps() >= p.MinActive {
+		live := 0
+		for w := 0; w < g.NumWarps(); w++ {
+			if !g.Warp(w).Finished() {
+				live++
+			}
+		}
+		if g.ActiveWarps() < p.MinActive && live >= p.MinActive {
 			t.Fatalf("active warps %d fell below floor %d", g.ActiveWarps(), p.MinActive)
 		}
 	}
@@ -201,3 +207,5 @@ func TestCIAOImprovesOverUncontrolledBaseline(t *testing.T) {
 type passthrough struct{ sm.Base }
 
 func (p *passthrough) Name() string { return "passthrough" }
+
+func (p *passthrough) Due(*sm.GPU) (cycle, inst uint64) { return sm.Never, sm.Never }

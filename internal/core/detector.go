@@ -65,19 +65,6 @@ func (l *InterferenceList) Top(interfered int) int {
 	return l.entries[interfered].WID
 }
 
-// Entry returns the raw record, for inspection.
-func (l *InterferenceList) Entry(i int) InterferenceEntry { return l.entries[i] }
-
-// Len returns the tracked warp count.
-func (l *InterferenceList) Len() int { return len(l.entries) }
-
-// Reset clears all entries.
-func (l *InterferenceList) Reset() {
-	for i := range l.entries {
-		l.entries[i] = InterferenceEntry{WID: -1}
-	}
-}
-
 // PairList records, per warp, which interfered warp triggered the
 // warp's redirection (field 0) and which triggered its stall
 // (field 1) — the two-field pair list of §IV-A. -1 means empty.
@@ -113,6 +100,3 @@ func (p *PairList) ClearRedirector(wid int) { p.pairs[wid][0] = -1 }
 
 // ClearStaller empties field 1.
 func (p *PairList) ClearStaller(wid int) { p.pairs[wid][1] = -1 }
-
-// Len returns the tracked warp count.
-func (p *PairList) Len() int { return len(p.pairs) }

@@ -14,7 +14,7 @@ func TestInterferenceListFirstObservation(t *testing.T) {
 	if l.Top(3) != 5 {
 		t.Fatalf("top = %d, want 5", l.Top(3))
 	}
-	if e := l.Entry(3); e.Counter != 0 {
+	if e := l.entries[3]; e.Counter != 0 {
 		t.Fatalf("fresh counter = %d, want 0", e.Counter)
 	}
 }
@@ -24,7 +24,7 @@ func TestInterferenceListSaturation(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		l.Observe(3, 5)
 	}
-	if e := l.Entry(3); e.Counter != 3 {
+	if e := l.entries[3]; e.Counter != 3 {
 		t.Fatalf("counter = %d, want saturation at 3", e.Counter)
 	}
 }
@@ -44,12 +44,12 @@ func TestInterferenceListReplacementProtocol(t *testing.T) {
 	if l.Top(34) != 32 {
 		t.Fatal("single foreign observation must not replace a confident entry")
 	}
-	if e := l.Entry(34); e.Counter != 2 {
+	if e := l.entries[34]; e.Counter != 2 {
 		t.Fatalf("counter = %d, want 2 after one decrement", e.Counter)
 	}
 	// Step 3: W32 again — increments back.
 	l.Observe(34, 32)
-	if e := l.Entry(34); e.Counter != 3 {
+	if e := l.entries[34]; e.Counter != 3 {
 		t.Fatalf("counter = %d, want 3", e.Counter)
 	}
 	// Now W42 interferes four times: 3→2→1→0, then replacement.
@@ -74,24 +74,15 @@ func TestInterferenceListIgnoresSelfAndOutOfRange(t *testing.T) {
 	}
 }
 
-func TestInterferenceListReset(t *testing.T) {
-	l := NewInterferenceList(4)
-	l.Observe(1, 2)
-	l.Reset()
-	if l.Top(1) != -1 {
-		t.Fatal("reset did not clear")
-	}
-}
-
 // Property: counter stays in [0,3] and WID only changes on a zero
 // counter (or first fill).
 func TestInterferenceListCounterInvariant(t *testing.T) {
 	f := func(events []uint8) bool {
 		l := NewInterferenceList(8)
-		prev := l.Entry(0)
+		prev := l.entries[0]
 		for _, e := range events {
 			l.Observe(0, int(e%7)+1)
-			cur := l.Entry(0)
+			cur := l.entries[0]
 			if cur.Counter > 3 {
 				return false
 			}
@@ -125,7 +116,7 @@ func TestPairList(t *testing.T) {
 	if p.Staller(2) != -1 {
 		t.Fatal("clear staller failed")
 	}
-	if p.Len() != 4 {
+	if len(p.pairs) != 4 {
 		t.Fatal("len wrong")
 	}
 }

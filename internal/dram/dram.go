@@ -114,9 +114,6 @@ func New(cfg Config) *DRAM {
 	}
 }
 
-// Config returns the device configuration.
-func (d *DRAM) Config() Config { return d.cfg }
-
 // bankAndRow decomposes a line address: lines interleave across banks,
 // and each bank's row holds RowBytes/LineSize consecutive lines of it.
 func (d *DRAM) bankAndRow(addr memory.Addr) (bankIdx int, row int64) {
@@ -178,6 +175,3 @@ func (d *DRAM) Service(now uint64, addr memory.Addr, isWrite bool) (done uint64)
 
 // Stats returns a snapshot of the statistics.
 func (d *DRAM) Stats() Stats { return d.stats }
-
-// ResetStats zeroes statistics without closing rows.
-func (d *DRAM) ResetStats() { d.stats = Stats{} }

@@ -9,7 +9,7 @@ import (
 
 func TestRowHitVsMissLatency(t *testing.T) {
 	d := New(DefaultConfig())
-	cfg := d.Config()
+	cfg := d.cfg
 
 	// Cold access: row miss → tRCD + tCL + transfer.
 	done1 := d.Service(0, 0x0, false)
@@ -50,7 +50,7 @@ func TestBusSerialization(t *testing.T) {
 	// completions must be at least TransferCycles apart.
 	d1 := d.Service(0, 0x0, false)
 	d2 := d.Service(0, 0x80, false) // next line → different bank
-	if d2 < d1+uint64(d.Config().TransferCycles) {
+	if d2 < d1+uint64(d.cfg.TransferCycles) {
 		t.Fatalf("bus not serialized: %d then %d", d1, d2)
 	}
 }
@@ -153,14 +153,5 @@ func TestServiceMonotoneInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestResetStats(t *testing.T) {
-	d := New(DefaultConfig())
-	d.Service(0, 0x0, false)
-	d.ResetStats()
-	if d.Stats().Reads != 0 || d.Stats().RowMisses != 0 {
-		t.Fatal("reset did not clear stats")
 	}
 }

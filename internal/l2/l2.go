@@ -59,6 +59,12 @@ func (c Config) Validate() error {
 	if c.TotalBytes%c.Partitions != 0 {
 		return fmt.Errorf("l2: %dB not divisible into %d partitions", c.TotalBytes, c.Partitions)
 	}
+	if c.Latency < 0 {
+		return fmt.Errorf("l2: negative latency %d", c.Latency)
+	}
+	if c.ServiceCycles < 1 {
+		return fmt.Errorf("l2: slice service time %d cycles, want at least 1", c.ServiceCycles)
+	}
 	per := cache.Config{
 		Name:      "L2-slice",
 		SizeBytes: c.TotalBytes / c.Partitions,
@@ -120,9 +126,6 @@ func New(cfg Config) *L2 {
 	}
 }
 
-// Config returns the configuration.
-func (l *L2) Config() Config { return l.cfg }
-
 // DRAM exposes the backing memory (for bandwidth probes by statPCAL).
 func (l *L2) DRAM() *dram.DRAM { return l.mem }
 
@@ -143,12 +146,9 @@ func (l *L2) occupySlice(si int, arrive uint64) (serviceDone uint64) {
 	if l.busyTill[si] > start {
 		start = l.busyTill[si]
 	}
-	sc := uint64(l.cfg.ServiceCycles)
-	if sc == 0 {
-		sc = 1
-	}
-	l.busyTill[si] = start + sc
-	return start + sc
+	done := start + uint64(l.cfg.ServiceCycles)
+	l.busyTill[si] = done
+	return done
 }
 
 // Access serves a read or write arriving from an SM at cycle now and
@@ -199,12 +199,3 @@ func (l *L2) Bypass(now uint64, addr memory.Addr, isWrite bool) (done uint64) {
 
 // Stats returns a snapshot of the L2 statistics.
 func (l *L2) Stats() Stats { return l.stats }
-
-// ResetStats clears counters on the L2 and DRAM.
-func (l *L2) ResetStats() {
-	l.stats = Stats{}
-	l.mem.ResetStats()
-	for _, s := range l.slices {
-		s.ResetStats()
-	}
-}

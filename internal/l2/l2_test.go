@@ -32,14 +32,14 @@ func TestMissThenHit(t *testing.T) {
 	if hit1 {
 		t.Fatal("cold access counted as an L2 hit, want a miss")
 	}
-	if done1 <= uint64(l.Config().Latency) {
+	if done1 <= uint64(l.cfg.Latency) {
 		t.Fatalf("miss done = %d, too fast", done1)
 	}
 	done2, hit2 := access(l, done1, 0x10000, 0, false)
 	if !hit2 {
 		t.Fatal("second access counted as a miss, want an L2 hit")
 	}
-	wantDone := done1 + uint64(l.Config().Latency) + uint64(l.Config().ServiceCycles)
+	wantDone := done1 + uint64(l.cfg.Latency) + uint64(l.cfg.ServiceCycles)
 	if done2 != wantDone {
 		t.Fatalf("hit done = %d, want %d", done2, wantDone)
 	}
@@ -82,9 +82,10 @@ func TestWriteAllocateNoFetch(t *testing.T) {
 	if _, hit = access(l, done, 0x4000, 1, false); !hit {
 		t.Fatal("read after write-allocate missed, want an L2 hit")
 	}
-	// The dirty line's eventual eviction performs the write-back.
-	if dirty := l.slice(0x4000).Flush(); dirty != 1 {
-		t.Fatalf("dirty lines after store = %d, want 1", dirty)
+	// The line is dirty, so its eventual eviction performs the
+	// write-back.
+	if _, dirty := l.slice(0x4000).Invalidate(0x4000); !dirty {
+		t.Fatal("line written by the store is clean")
 	}
 }
 
@@ -103,7 +104,7 @@ func TestBypassSkipsL2Tags(t *testing.T) {
 	}
 }
 
-func TestStatsAndReset(t *testing.T) {
+func TestStatsAndHitRate(t *testing.T) {
 	l := New(DefaultConfig())
 	l.Access(0, 0x0, 0, false)
 	l.Access(1000, 0x0, 0, false)
@@ -114,22 +115,24 @@ func TestStatsAndReset(t *testing.T) {
 	if hr := s.HitRate(); hr != 0.5 {
 		t.Fatalf("hit rate = %f, want 0.5", hr)
 	}
-	l.ResetStats()
-	if l.Stats().Accesses != 0 || l.DRAM().Stats().Reads != 0 {
-		t.Fatal("reset incomplete")
-	}
 }
 
 func TestValidateRejectsBadPartitioning(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Partitions = 7 // 768KB/7 is not an integer
-	if cfg.Validate() == nil {
-		t.Fatal("indivisible partitioning accepted")
-	}
-	cfg = DefaultConfig()
-	cfg.Partitions = 0
-	if cfg.Validate() == nil {
-		t.Fatal("zero partitions accepted")
+	for _, c := range []struct {
+		what string
+		edit func(*Config)
+	}{
+		{"indivisible partitioning", func(c *Config) { c.Partitions = 7 }}, // 768KB/7 is not an integer
+		{"zero partitions", func(c *Config) { c.Partitions = 0 }},
+		{"zero service cycles", func(c *Config) { c.ServiceCycles = 0 }},
+		{"negative service cycles", func(c *Config) { c.ServiceCycles = -1 }},
+		{"negative latency", func(c *Config) { c.Latency = -1 }},
+	} {
+		cfg := DefaultConfig()
+		c.edit(&cfg)
+		if cfg.Validate() == nil {
+			t.Errorf("%s accepted", c.what)
+		}
 	}
 }
 

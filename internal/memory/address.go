@@ -25,8 +25,5 @@ func (a Addr) LineAddr() Addr { return a &^ (LineSize - 1) }
 // LineIndex returns the global line number of the address.
 func (a Addr) LineIndex() uint64 { return uint64(a) >> LineShift }
 
-// Offset returns the byte offset of the address within its line.
-func (a Addr) Offset() uint32 { return uint32(a) & (LineSize - 1) }
-
 // String renders the address in hex.
 func (a Addr) String() string { return fmt.Sprintf("0x%x", uint64(a)) }

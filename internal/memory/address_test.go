@@ -27,8 +27,9 @@ func TestLineAddr(t *testing.T) {
 func TestLineIndexOffsetRoundTrip(t *testing.T) {
 	f := func(a uint64) bool {
 		addr := Addr(a)
-		recon := Addr(addr.LineIndex()<<LineShift) + Addr(addr.Offset())
-		return recon == addr && addr.Offset() < LineSize
+		offset := addr - addr.LineAddr()
+		recon := Addr(addr.LineIndex()<<LineShift) + offset
+		return recon == addr && offset < LineSize
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

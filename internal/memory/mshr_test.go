@@ -114,11 +114,6 @@ func TestMSHRStats(t *testing.T) {
 	if alloc != 1 || merges != 1 || stalls != 4 {
 		t.Errorf("stats = (%d,%d,%d), want (1,1,4)", alloc, merges, stalls)
 	}
-	m.Reset()
-	alloc, merges, stalls = m.Stats()
-	if alloc != 0 || merges != 0 || stalls != 0 || m.Outstanding() != 0 {
-		t.Error("reset did not clear state")
-	}
 }
 
 // Property: after any sequence of accepted requests, every line has
@@ -197,32 +192,5 @@ func TestMSHRChurnInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMSHRResetRecyclesTable(t *testing.T) {
-	m := NewMSHR(8, 2)
-	for i := 0; i < 8; i++ {
-		add(m, Request{Addr: Addr(i) * LineSize, WarpID: i})
-	}
-	m.Reset()
-	if m.Outstanding() != 0 {
-		t.Fatalf("Outstanding = %d after Reset", m.Outstanding())
-	}
-	if a, _, _ := m.Stats(); a != 0 {
-		t.Fatal("Reset did not clear stats")
-	}
-	// The full pool is available again and lookups find nothing stale.
-	for i := 0; i < 8; i++ {
-		a := Addr(i) * LineSize
-		if _, e := m.Find(a); e != nil {
-			t.Fatalf("stale entry for %#x after Reset", a)
-		}
-		if _, _, ok := add(m, Request{Addr: a, WarpID: i}); !ok {
-			t.Fatalf("cannot insert %#x after Reset", a)
-		}
-	}
-	if m.Outstanding() != 8 {
-		t.Fatalf("Outstanding = %d, want 8", m.Outstanding())
 	}
 }

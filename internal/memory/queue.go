@@ -38,14 +38,12 @@ type Event struct {
 // popped one. Bounded queues preallocate everything, so the steady
 // state never allocates.
 type LatencyQueue struct {
-	name     string
 	capacity int
 	keys     []queueKey // live keys are keys[head:], sorted
 	head     int
 	events   []Event // slot pool
 	free     []int32 // vacant slots of events
-	pushes   uint64  // also the insertion sequence of the next push
-	fullHits uint64
+	seq      uint64  // insertion sequence of the next Add
 }
 
 // queueKey orders one queued event.
@@ -58,8 +56,8 @@ type queueKey struct {
 // NewLatencyQueue returns a queue with the given capacity; capacity <= 0
 // means unbounded. Bounded queues preallocate their storage; the key
 // array holds twice the capacity so compacting it is amortised O(1).
-func NewLatencyQueue(name string, capacity int) *LatencyQueue {
-	q := &LatencyQueue{name: name, capacity: capacity}
+func NewLatencyQueue(capacity int) *LatencyQueue {
+	q := &LatencyQueue{capacity: capacity}
 	if capacity > 0 {
 		q.keys = make([]queueKey, 0, 2*capacity)
 		q.events = make([]Event, 0, capacity)
@@ -67,9 +65,6 @@ func NewLatencyQueue(name string, capacity int) *LatencyQueue {
 	}
 	return q
 }
-
-// Name returns the queue's diagnostic name.
-func (q *LatencyQueue) Name() string { return q.name }
 
 // Len reports the number of queued events.
 func (q *LatencyQueue) Len() int { return len(q.keys) - q.head }
@@ -81,11 +76,10 @@ func (q *LatencyQueue) Full() bool {
 
 // Add enqueues an event that becomes ready at cycle ready and returns
 // its slot, zeroed but for ReadyCycle, for the caller to fill in
-// place. It returns nil (and counts a structural stall) when the queue
-// is full. The slot is the caller's to write until the next Add.
+// place. It returns nil when the queue is full. The slot is the
+// caller's to write until the next Add.
 func (q *LatencyQueue) Add(ready uint64) *Event {
 	if q.Full() {
-		q.fullHits++
 		return nil
 	}
 	var slot int32
@@ -101,28 +95,17 @@ func (q *LatencyQueue) Add(ready uint64) *Event {
 		q.keys = q.keys[:copy(q.keys, q.keys[q.head:])]
 		q.head = 0
 	}
-	k := queueKey{ready: ready, seq: q.pushes, slot: slot}
+	k := queueKey{ready: ready, seq: q.seq, slot: slot}
 	q.keys = append(q.keys, k)
 	i := len(q.keys) - 1
 	for ; i > q.head && q.keys[i-1].ready > k.ready; i-- {
 		q.keys[i] = q.keys[i-1]
 	}
 	q.keys[i] = k
-	q.pushes++
+	q.seq++
 	ev := &q.events[slot]
 	*ev = Event{ReadyCycle: ready}
 	return ev
-}
-
-// Push enqueues a copy of ev; it reports false (and counts a
-// structural stall) when the queue is full.
-func (q *LatencyQueue) Push(ev Event) bool {
-	slot := q.Add(ev.ReadyCycle)
-	if slot == nil {
-		return false
-	}
-	*slot = ev
-	return true
 }
 
 // NextReady returns the earliest ReadyCycle among queued events: no
@@ -160,25 +143,4 @@ func (q *LatencyQueue) Pop(now uint64) *Event {
 	}
 	q.free = append(q.free, slot)
 	return &q.events[slot]
-}
-
-// PopReady dequeues and returns a copy of the oldest event whose
-// ReadyCycle has arrived, or ok=false when none is ready.
-func (q *LatencyQueue) PopReady(now uint64) (ev Event, ok bool) {
-	if !q.Ready(now) {
-		return Event{}, false
-	}
-	return *q.Pop(now), true
-}
-
-// Stats reports cumulative pushes and full-queue rejections.
-func (q *LatencyQueue) Stats() (pushes, fullRejections uint64) {
-	return q.pushes, q.fullHits
-}
-
-// Reset empties the queue and clears statistics.
-func (q *LatencyQueue) Reset() {
-	q.keys, q.head = q.keys[:0], 0
-	q.events, q.free = q.events[:0], q.free[:0]
-	q.pushes, q.fullHits = 0, 0
 }

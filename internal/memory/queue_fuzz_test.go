@@ -16,8 +16,6 @@ type refQueue struct {
 	head     int     // index of the oldest event
 	n        int     // live event count
 	minReady uint64  // lower bound on min ReadyCycle; valid when n > 0
-	pushes   uint64
-	fullHits uint64
 }
 
 func newRefQueue(capacity int) *refQueue {
@@ -52,7 +50,6 @@ func (q *refQueue) grow() {
 
 func (q *refQueue) Push(ev Event) bool {
 	if q.Full() {
-		q.fullHits++
 		return false
 	}
 	if q.n == len(q.buf) {
@@ -63,7 +60,6 @@ func (q *refQueue) Push(ev Event) bool {
 		q.minReady = ev.ReadyCycle
 	}
 	q.n++
-	q.pushes++
 	return true
 }
 
@@ -106,24 +102,16 @@ func (q *refQueue) trueMin() (uint64, bool) {
 	return lo, q.n > 0
 }
 
-func (q *refQueue) Reset() {
-	for i := range q.buf {
-		q.buf[i] = Event{}
-	}
-	q.head, q.n, q.minReady = 0, 0, 0
-	q.pushes, q.fullHits = 0, 0
-}
-
 // FuzzLatencyQueue drives LatencyQueue and the reference ring queue
 // with the same push/pop/NextReady sequence and requires the same
-// events in the same order, the same push verdicts and counts, and
-// NextReady equal to the reference's true minimum. capacity 0 is
-// unbounded. Each op byte's low three bits pick the op and its high
-// five bits parameterise it: pushes due soon (ties are common) or far
-// in the future (unready events at the head), single pops, drains,
-// clock skips, and resets. Pushes alternate between Push and an Add
-// whose zeroed slot is filled in place; pops go through PopReady or
-// through Ready and the in-place Pop.
+// events in the same order, the same push verdicts, and NextReady
+// equal to the reference's true minimum. capacity 0 is unbounded. Each
+// op byte's low three bits pick the op and its high five bits
+// parameterise it: pushes due soon (ties are common) or far in the
+// future (unready events at the head), single pops, drains and clock
+// skips. Pushes go through Add, whose zeroed slot is filled in place,
+// and pops through Ready and the in-place Pop, as the SM's fill path
+// does.
 func FuzzLatencyQueue(f *testing.F) {
 	f.Add(uint8(0), []byte{0, 0, 8, 3, 3, 3, 3})
 	f.Add(uint8(2), []byte{2 | 31<<3, 0, 0, 5, 6 | 31<<3, 3, 3})
@@ -136,14 +124,12 @@ func FuzzLatencyQueue(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, capacity uint8, ops []byte) {
 		capN := int(capacity % 65)
-		q, ref := NewLatencyQueue("fuzz", capN), newRefQueue(capN)
+		q, ref := NewLatencyQueue(capN), newRefQueue(capN)
 		now, line := uint64(0), Addr(0)
-		pop := func(i int, inPlace bool) bool {
+		pop := func(i int) bool {
 			var got Event
-			var gotOK bool
-			if !inPlace {
-				got, gotOK = q.PopReady(now)
-			} else if gotOK = q.Ready(now); gotOK {
+			gotOK := q.Ready(now)
+			if gotOK {
 				got = *q.Pop(now)
 			}
 			want, wantOK := ref.PopReady(now)
@@ -162,9 +148,7 @@ func FuzzLatencyQueue(f *testing.F) {
 				ev := Event{Line: line, ReadyCycle: now + arg, WarpID: int32(i % 48), Payload: uint8(i)}
 				line += LineSize
 				var got bool
-				if i&1 == 0 {
-					got = q.Push(ev)
-				} else if slot := q.Add(ev.ReadyCycle); slot != nil {
+				if slot := q.Add(ev.ReadyCycle); slot != nil {
 					if *slot != (Event{ReadyCycle: ev.ReadyCycle}) {
 						t.Fatalf("op %d: Add(%d) slot = %+v, want zeroed but for ReadyCycle", i, ev.ReadyCycle, *slot)
 					}
@@ -175,19 +159,14 @@ func FuzzLatencyQueue(f *testing.F) {
 					t.Fatalf("op %d: push = %v, reference %v", i, got, want)
 				}
 			case 3, 4:
-				pop(i, op&7 == 4)
+				pop(i)
 			case 5:
-				for pop(i, arg&1 == 1) {
+				for pop(i) {
 				}
 			case 6:
 				now += arg * arg
 			case 7:
-				if arg == 0 {
-					q.Reset()
-					ref.Reset()
-				} else {
-					now++
-				}
+				now++
 			}
 			if q.Len() != ref.n || q.Full() != ref.Full() {
 				t.Fatalf("op %d: Len/Full = %d/%v, reference %d/%v", i, q.Len(), q.Full(), ref.n, ref.Full())
@@ -200,13 +179,9 @@ func FuzzLatencyQueue(f *testing.F) {
 			if got := q.Ready(now); got != (wantOK && want <= now) {
 				t.Fatalf("op %d: Ready(%d) = %v, true minimum %d,%v", i, now, got, want, wantOK)
 			}
-			p, fh := q.Stats()
-			if p != ref.pushes || fh != ref.fullHits {
-				t.Fatalf("op %d: Stats = %d,%d, reference %d,%d", i, p, fh, ref.pushes, ref.fullHits)
-			}
 		}
 		now = ^uint64(0)
-		for n := 0; pop(len(ops), n&1 == 1); n++ {
+		for pop(len(ops)) {
 		}
 	})
 }

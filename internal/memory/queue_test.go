@@ -2,14 +2,35 @@ package memory
 
 import "testing"
 
-func TestLatencyQueueVisibility(t *testing.T) {
-	q := NewLatencyQueue("test", 4)
-	q.Push(Event{Line: 0x100, ReadyCycle: 10})
+// addLine enqueues a fill of line ready at cycle ready the way the SM
+// does, through Add and the slot it returns, and reports whether the
+// queue took it.
+func addLine(q *LatencyQueue, line Addr, ready uint64) bool {
+	ev := q.Add(ready)
+	if ev == nil {
+		return false
+	}
+	ev.Line = line
+	return true
+}
 
-	if _, ok := q.PopReady(9); ok {
+// popReady dequeues the way the SM retires fills, through Ready and
+// Pop, returning a copy of the event, or ok=false when none is ready.
+func popReady(q *LatencyQueue, now uint64) (ev Event, ok bool) {
+	if !q.Ready(now) {
+		return Event{}, false
+	}
+	return *q.Pop(now), true
+}
+
+func TestLatencyQueueVisibility(t *testing.T) {
+	q := NewLatencyQueue(4)
+	addLine(q, 0x100, 10)
+
+	if _, ok := popReady(q, 9); ok {
 		t.Fatal("event visible before ReadyCycle")
 	}
-	ev, ok := q.PopReady(10)
+	ev, ok := popReady(q, 10)
 	if !ok || ev.Line != 0x100 {
 		t.Fatal("event not visible at ReadyCycle")
 	}
@@ -19,15 +40,15 @@ func TestLatencyQueueVisibility(t *testing.T) {
 }
 
 func TestLatencyQueueFIFOAmongReady(t *testing.T) {
-	q := NewLatencyQueue("test", 0)
-	q.Push(Event{Line: 1, ReadyCycle: 5})
-	q.Push(Event{Line: 2, ReadyCycle: 3})
-	q.Push(Event{Line: 3, ReadyCycle: 5})
+	q := NewLatencyQueue(0)
+	addLine(q, 1, 5)
+	addLine(q, 2, 3)
+	addLine(q, 3, 5)
 
 	// At cycle 5 all are ready; pops must preserve insertion order.
 	want := []Addr{1, 2, 3}
 	for _, w := range want {
-		ev, ok := q.PopReady(5)
+		ev, ok := popReady(q, 5)
 		if !ok || ev.Line != w {
 			t.Fatalf("pop = (%v,%v), want line %d", ev.Line, ok, w)
 		}
@@ -35,11 +56,11 @@ func TestLatencyQueueFIFOAmongReady(t *testing.T) {
 }
 
 func TestLatencyQueueSkipsNotReady(t *testing.T) {
-	q := NewLatencyQueue("test", 0)
-	q.Push(Event{Line: 1, ReadyCycle: 100})
-	q.Push(Event{Line: 2, ReadyCycle: 3})
+	q := NewLatencyQueue(0)
+	addLine(q, 1, 100)
+	addLine(q, 2, 3)
 
-	ev, ok := q.PopReady(10)
+	ev, ok := popReady(q, 10)
 	if !ok || ev.Line != 2 {
 		t.Fatalf("expected ready line 2 to bypass unready head, got (%v,%v)", ev.Line, ok)
 	}
@@ -49,47 +70,29 @@ func TestLatencyQueueSkipsNotReady(t *testing.T) {
 }
 
 func TestLatencyQueueCapacity(t *testing.T) {
-	q := NewLatencyQueue("test", 2)
-	if !q.Push(Event{Line: 1}) || !q.Push(Event{Line: 2}) {
+	q := NewLatencyQueue(2)
+	if !addLine(q, 1, 0) || !addLine(q, 2, 0) {
 		t.Fatal("pushes below capacity should succeed")
 	}
-	if q.Push(Event{Line: 3}) {
+	if addLine(q, 3, 0) {
 		t.Fatal("push above capacity should fail")
-	}
-	_, rejections := q.Stats()
-	if rejections != 1 {
-		t.Fatalf("rejections = %d, want 1", rejections)
-	}
-}
-
-func TestLatencyQueueReset(t *testing.T) {
-	q := NewLatencyQueue("test", 1)
-	q.Push(Event{Line: 7})
-	q.Push(Event{Line: 8}) // rejected
-	q.Reset()
-	if q.Len() != 0 {
-		t.Fatal("reset did not empty queue")
-	}
-	pushes, rejections := q.Stats()
-	if pushes != 0 || rejections != 0 {
-		t.Fatal("reset did not clear stats")
 	}
 }
 
 func TestLatencyQueueNextReady(t *testing.T) {
-	q := NewLatencyQueue("t", 0)
+	q := NewLatencyQueue(0)
 	if _, ok := q.NextReady(); ok {
 		t.Fatal("empty queue reported a ready cycle")
 	}
-	q.Push(Event{Line: 0x100, ReadyCycle: 30})
-	q.Push(Event{Line: 0x200, ReadyCycle: 10})
-	q.Push(Event{Line: 0x300, ReadyCycle: 20})
+	addLine(q, 0x100, 30)
+	addLine(q, 0x200, 10)
+	addLine(q, 0x300, 20)
 	if rc, ok := q.NextReady(); !ok || rc != 10 {
 		t.Fatalf("NextReady = %d,%v, want 10,true", rc, ok)
 	}
 	// After popping the minimum event, NextReady must stay a valid
 	// lower bound: nothing is consumable before it.
-	if ev, ok := q.PopReady(15); !ok || ev.Line != 0x200 {
+	if ev, ok := popReady(q, 15); !ok || ev.Line != 0x200 {
 		t.Fatalf("PopReady(15) = %+v,%v, want line 0x200", ev, ok)
 	}
 	if rc, ok := q.NextReady(); !ok || rc > 20 {
@@ -97,7 +100,7 @@ func TestLatencyQueueNextReady(t *testing.T) {
 	}
 	// Nothing is consumable before the true minimum, and NextReady
 	// reports it exactly.
-	if _, ok := q.PopReady(19); ok {
+	if _, ok := popReady(q, 19); ok {
 		t.Fatal("PopReady before the true minimum succeeded")
 	}
 	if rc, ok := q.NextReady(); !ok || rc != 20 {
@@ -106,30 +109,30 @@ func TestLatencyQueueNextReady(t *testing.T) {
 }
 
 func TestLatencyQueueLazyMinRepair(t *testing.T) {
-	q := NewLatencyQueue("t", 0)
-	q.Push(Event{Line: 0x100, ReadyCycle: 5})
-	q.Push(Event{Line: 0x200, ReadyCycle: 40})
-	q.Push(Event{Line: 0x300, ReadyCycle: 30})
+	q := NewLatencyQueue(0)
+	addLine(q, 0x100, 5)
+	addLine(q, 0x200, 40)
+	addLine(q, 0x300, 30)
 
 	// After popping the minimum, NextReady is still a lower bound.
-	if ev, ok := q.PopReady(5); !ok || ev.Line != 0x100 {
+	if ev, ok := popReady(q, 5); !ok || ev.Line != 0x100 {
 		t.Fatalf("PopReady(5) = %+v,%v, want line 0x100", ev, ok)
 	}
 	if rc, ok := q.NextReady(); !ok || rc > 30 {
 		t.Fatalf("after pop, NextReady = %d,%v, want bound <= 30", rc, ok)
 	}
 	// A missed pop changes nothing, and NextReady is exact.
-	if _, ok := q.PopReady(29); ok {
+	if _, ok := popReady(q, 29); ok {
 		t.Fatal("PopReady(29) found an event before the true minimum")
 	}
 	if rc, ok := q.NextReady(); !ok || rc != 30 {
 		t.Fatalf("after failed pop, NextReady = %d,%v, want exact 30,true", rc, ok)
 	}
 	// Pops at the bound succeed in ReadyCycle order.
-	if ev, ok := q.PopReady(30); !ok || ev.Line != 0x300 {
+	if ev, ok := popReady(q, 30); !ok || ev.Line != 0x300 {
 		t.Fatalf("PopReady(30) = %+v,%v, want line 0x300", ev, ok)
 	}
-	if ev, ok := q.PopReady(40); !ok || ev.Line != 0x200 {
+	if ev, ok := popReady(q, 40); !ok || ev.Line != 0x200 {
 		t.Fatalf("PopReady(40) = %+v,%v, want line 0x200", ev, ok)
 	}
 	if _, ok := q.NextReady(); ok {
@@ -140,14 +143,14 @@ func TestLatencyQueueLazyMinRepair(t *testing.T) {
 // TestLatencyQueueDrain pops every event ready at one cycle, the way
 // the SM retires fills.
 func TestLatencyQueueDrain(t *testing.T) {
-	q := NewLatencyQueue("t", 0)
-	q.Push(Event{Line: 0x100, ReadyCycle: 5})
-	q.Push(Event{Line: 0x200, ReadyCycle: 50})
-	q.Push(Event{Line: 0x300, ReadyCycle: 5})
-	q.Push(Event{Line: 0x400, ReadyCycle: 7})
+	q := NewLatencyQueue(0)
+	addLine(q, 0x100, 5)
+	addLine(q, 0x200, 50)
+	addLine(q, 0x300, 5)
+	addLine(q, 0x400, 7)
 	var got []Addr
 	for {
-		ev, ok := q.PopReady(10)
+		ev, ok := popReady(q, 10)
 		if !ok {
 			break
 		}
@@ -173,17 +176,17 @@ func TestLatencyQueueDrain(t *testing.T) {
 // queue's preallocated storage, checking FIFO order and NextReady
 // survive the queue reusing it.
 func TestLatencyQueueWraparound(t *testing.T) {
-	q := NewLatencyQueue("t", 4)
+	q := NewLatencyQueue(4)
 	next := Addr(0)
 	push := func(rc uint64) {
-		if !q.Push(Event{Line: next, ReadyCycle: rc}) {
+		if !addLine(q, next, rc) {
 			t.Fatalf("push %d rejected", next)
 		}
 		next += 0x40
 	}
 	var want Addr
 	pop := func(now uint64) {
-		ev, ok := q.PopReady(now)
+		ev, ok := popReady(q, now)
 		if !ok || ev.Line != want {
 			t.Fatalf("pop = %v,%v, want line %v", ev.Line, ok, want)
 		}
@@ -206,13 +209,13 @@ func TestLatencyQueueWraparound(t *testing.T) {
 	if rc, _ := q.NextReady(); rc != 5 {
 		t.Fatalf("NextReady = %d, want 5", rc)
 	}
-	if ev, ok := q.PopReady(10); !ok || ev.ReadyCycle != 5 {
+	if ev, ok := popReady(q, 10); !ok || ev.ReadyCycle != 5 {
 		t.Fatalf("PopReady skipped wrong event: %+v %v", ev, ok)
 	}
-	if ev, ok := q.PopReady(10); !ok || ev.ReadyCycle != 5 {
+	if ev, ok := popReady(q, 10); !ok || ev.ReadyCycle != 5 {
 		t.Fatalf("second ready event missing: %+v %v", ev, ok)
 	}
-	if _, ok := q.PopReady(10); ok {
+	if _, ok := popReady(q, 10); ok {
 		t.Fatal("unready event popped")
 	}
 }

@@ -164,18 +164,35 @@ func (m *InterferenceMatrix) TopInterferedWarps(k int) []int {
 // negative entries are skipped (matching how the paper aggregates
 // normalised IPCs).
 func GeoMean(vals []float64) float64 {
-	sum, n := 0.0, 0
+	var g RunningGeoMean
 	for _, v := range vals {
-		if v <= 0 {
-			continue
-		}
-		sum += math.Log(v)
-		n++
+		g.Add(v)
 	}
-	if n == 0 {
+	return g.Mean()
+}
+
+// RunningGeoMean accumulates GeoMean one value at a time, in log
+// space. The zero value is an empty mean.
+type RunningGeoMean struct {
+	logSum float64
+	n      int
+}
+
+// Add folds one value into the mean; zero and negative values are
+// skipped.
+func (g *RunningGeoMean) Add(v float64) {
+	if v > 0 {
+		g.logSum += math.Log(v)
+		g.n++
+	}
+}
+
+// Mean returns the geometric mean so far (0 with no values).
+func (g *RunningGeoMean) Mean() float64 {
+	if g.n == 0 {
 		return 0
 	}
-	return math.Exp(sum / float64(n))
+	return math.Exp(g.logSum / float64(g.n))
 }
 
 // Table is a minimal fixed-width text table used by the CLI and the

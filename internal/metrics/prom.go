@@ -20,13 +20,12 @@ type PromWriter struct {
 // PromContentType is the Content-Type of the text exposition format.
 const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// NewPromWriter wraps w. Write errors are sticky and surfaced by Err.
+// NewPromWriter wraps w. After a write fails, later writes are
+// skipped: the reader of a /metrics response that broke off gets
+// nothing more.
 func NewPromWriter(w io.Writer) *PromWriter {
 	return &PromWriter{w: w, typed: map[string]bool{}}
 }
-
-// Err returns the first write error, if any.
-func (p *PromWriter) Err() error { return p.err }
 
 func (p *PromWriter) print(s string) {
 	if p.err != nil {

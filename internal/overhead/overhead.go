@@ -15,9 +15,6 @@ const (
 	// ListEntries is the interference/pair-list entry count (64: the
 	// max CTA warp budget, §IV-A).
 	ListEntries = 64
-	// VTAEntriesPerWarp is CIAO's per-warp victim tag count (half of
-	// CCWS's 16).
-	VTAEntriesPerWarp = 8
 	// WIDBits is the warp-ID width (48 warps → 6 bits).
 	WIDBits = 6
 	// SatCounterBits is the interference-list confidence counter.
@@ -44,8 +41,6 @@ const (
 	// SharedMemGates is the translation unit + multiplexer + MSHR
 	// extension logic per SM.
 	SharedMemGates = 4500
-	// SharedMemExtraStorageBytes is the added MSHR field storage per SM.
-	SharedMemExtraStorageBytes = 64
 	// PowerMW is the GPUWattch average power of all new components.
 	PowerMW = 79.0
 )
@@ -90,31 +85,4 @@ func Compute() Report {
 	r.TotalAreaFraction = (r.VTAAreaMM2 + r.DetectorListsAreaUM2/1e6) / ChipAreaMM2
 	r.PowerFraction = (PowerMW / 1000.0) / ChipPowerW
 	return r
-}
-
-// PaperClaims groups the §V-F assertions that the report must satisfy;
-// used by tests and the CLI.
-type PaperClaims struct {
-	// VTAFractionMax: VTA ≈ 0.12% of chip area.
-	VTAFractionMax float64
-	// TotalFractionMax: all additions < 2% of chip area.
-	TotalFractionMax float64
-	// PowerFractionMax: ≈ 0.3% of chip power.
-	PowerFractionMax float64
-}
-
-// Claims returns the paper's §V-F bounds.
-func Claims() PaperClaims {
-	return PaperClaims{
-		VTAFractionMax:   0.0013, // "only 0.12%"
-		TotalFractionMax: 0.02,   // "less than 2%"
-		PowerFractionMax: 0.004,  // "only 0.3%"
-	}
-}
-
-// Satisfies reports whether the computed report meets the claims.
-func (r Report) Satisfies(c PaperClaims) bool {
-	return r.VTAAreaFraction <= c.VTAFractionMax &&
-		r.TotalAreaFraction <= c.TotalFractionMax &&
-		r.PowerFraction <= c.PowerFractionMax
 }

@@ -36,9 +36,9 @@ func TestGateCounts(t *testing.T) {
 
 func TestPaperClaimsSatisfied(t *testing.T) {
 	r := Compute()
-	c := Claims()
-	if !r.Satisfies(c) {
-		t.Fatalf("overhead report violates §V-F claims: %+v", r)
+	// All additions take "less than 2%" of the chip area.
+	if r.TotalAreaFraction >= 0.02 {
+		t.Errorf("total area fraction = %f, want < 0.02", r.TotalAreaFraction)
 	}
 	// VTA ≈ 0.12% of the 529 mm² die.
 	if r.VTAAreaFraction < 0.001 || r.VTAAreaFraction > 0.0013 {
@@ -47,13 +47,5 @@ func TestPaperClaimsSatisfied(t *testing.T) {
 	// Power ≈ 0.3%: 79 mW of 250 W.
 	if r.PowerFraction < 0.0003 || r.PowerFraction > 0.0004 {
 		t.Errorf("power fraction = %f, want ≈ 0.0003", r.PowerFraction)
-	}
-}
-
-func TestSatisfiesRejectsViolations(t *testing.T) {
-	r := Compute()
-	r.TotalAreaFraction = 0.05
-	if r.Satisfies(Claims()) {
-		t.Fatal("5% area accepted against a 2% bound")
 	}
 }

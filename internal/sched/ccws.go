@@ -116,18 +116,3 @@ func (s *CCWS) OnCycle(g *sm.GPU, now uint64) {
 
 // Due implements sm.Controller: the next throttle-set refresh.
 func (s *CCWS) Due(*sm.GPU) (cycle, inst uint64) { return s.lastCheck + s.UpdateEpoch, sm.Never }
-
-// Score exposes a warp's current lost-locality score, for tests.
-func (s *CCWS) Score(wid int) float64 { return s.scores[wid] }
-
-// ThrottledWarps reports the current stalled count, for tests.
-func (s *CCWS) ThrottledWarps(g *sm.GPU) int {
-	n := 0
-	for i := 0; i < g.NumWarps(); i++ {
-		w := g.Warp(i)
-		if !w.Finished() && !w.Active() {
-			n++
-		}
-	}
-	return n
-}

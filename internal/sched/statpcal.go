@@ -126,10 +126,3 @@ func (s *StatPCAL) MemPath(g *sm.GPU, wid int) sm.MemPath {
 	}
 	return sm.PathBypass
 }
-
-// BypassOpen reports the valve state, for tests.
-func (s *StatPCAL) BypassOpen() bool { return s.bypassOK }
-
-// BypassGrants reports how many non-token warps may currently run,
-// for tests.
-func (s *StatPCAL) BypassGrants() int { return s.nBypass }

@@ -21,18 +21,21 @@ func TestDeterministicMemoryStream(t *testing.T) {
 	for _, warp := range []int{0, 5, 47} {
 		a := workload.NewWarpStream(spec, warp)
 		b := workload.NewWarpStream(spec, warp)
-		for i := 0; ; i++ {
-			ia, oka := a.Next()
-			ib, okb := b.Next()
-			if oka != okb {
-				t.Fatalf("warp %d: streams diverge in length at %d", warp, i)
+		for i := 0; ; {
+			var ba, bb [16]workload.Instruction
+			na, nb := a.Fill(ba[:]), b.Fill(bb[:])
+			if na != nb {
+				t.Fatalf("warp %d: streams diverge in length at %d", warp, i+min(na, nb))
 			}
-			if !oka {
+			if na == 0 {
 				break
 			}
-			if ia != ib {
-				t.Fatalf("warp %d instr %d: %+v != %+v", warp, i, ia, ib)
+			for j := range ba[:na] {
+				if ba[j] != bb[j] {
+					t.Fatalf("warp %d instr %d: %+v != %+v", warp, i+j, ba[j], bb[j])
+				}
 			}
+			i += na
 		}
 	}
 }

@@ -282,9 +282,6 @@ type Job struct {
 	finished time.Time
 }
 
-// ID returns the job identifier.
-func (j *Job) ID() string { return j.id }
-
 // JobStatus is the JSON view of a job.
 type JobStatus struct {
 	ID       string          `json:"id"`

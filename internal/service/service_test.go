@@ -377,7 +377,7 @@ func TestEngineJobRetention(t *testing.T) {
 			}
 			time.Sleep(time.Millisecond)
 		}
-		ids = append(ids, j.ID())
+		ids = append(ids, j.id)
 	}
 
 	for i, id := range ids {

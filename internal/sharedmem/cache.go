@@ -44,9 +44,6 @@ func NewCache(tr *Translator) *Cache {
 	return &Cache{tr: tr, blocks: make([]sharedBlock, tr.Blocks())}
 }
 
-// Translator exposes the underlying translation unit.
-func (c *Cache) Translator() *Translator { return c.tr }
-
 // Access looks the global address up. Like the L1D model, a miss does
 // not allocate: the caller issues a fill request through the (shared)
 // MSHR and calls Fill when the data returns from L2 or migrates from
@@ -86,17 +83,6 @@ func (c *Cache) Probe(addr memory.Addr) bool {
 	return b.valid && b.tag == c.tr.Tag(addr)
 }
 
-// Invalidate drops the line if resident.
-func (c *Cache) Invalidate(addr memory.Addr) bool {
-	loc := c.tr.Translate(addr)
-	b := &c.blocks[loc.BlockIndex]
-	if b.valid && b.tag == c.tr.Tag(addr) {
-		*b = sharedBlock{}
-		return true
-	}
-	return false
-}
-
 // Occupied reports how many blocks hold valid lines.
 func (c *Cache) Occupied() int {
 	n := 0
@@ -119,13 +105,3 @@ func (c *Cache) Utilization() float64 {
 
 // Stats returns a snapshot of the statistics.
 func (c *Cache) Stats() CacheStats { return c.stats }
-
-// ResetStats zeroes counters without dropping contents.
-func (c *Cache) ResetStats() { c.stats = CacheStats{} }
-
-// Flush invalidates everything.
-func (c *Cache) Flush() {
-	for i := range c.blocks {
-		c.blocks[i] = sharedBlock{}
-	}
-}

@@ -7,33 +7,25 @@
 // striped across opposite bank groups (§IV-B).
 package sharedmem
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Geometry constants of the on-chip memory structure (§II-A, §IV-B).
 const (
-	// NumBanks is the number of shared-memory banks.
-	NumBanks = 32
 	// BankGroups is the number of CIAO bank groups.
 	BankGroups = 2
-	// BanksPerGroup is NumBanks / BankGroups.
+	// BanksPerGroup is the bank count of one group: the 32 banks form
+	// two groups of 16.
 	BanksPerGroup = 16
 	// BankRowBytes is the width of one bank row (64-bit accesses [14]).
 	BankRowBytes = 8
 	// GroupRowBytes is the bytes one row spans across a full group —
 	// exactly one 128-byte data block.
 	GroupRowBytes = BanksPerGroup * BankRowBytes
-	// DefaultSize is the Table I shared-memory capacity.
-	DefaultSize = 48 << 10
 	// MaxRowsPerGroup bounds the R field (8 bits, §IV-B).
 	MaxRowsPerGroup = 256
-	// TagBytes is the storage for one tag: a 25-bit tag + 6-bit WID =
-	// 31 bits, stored in half of an 8-byte bank row (two tags per row).
-	TagBytes = 4
 	// TagsPerGroupRow is how many tags fit in one row of a bank group:
-	// 16 banks × 2 tags per bank row.
+	// 16 banks × 2 tags per bank row (a 25-bit tag and a 6-bit WID fill
+	// half of an 8-byte bank row).
 	TagsPerGroupRow = BanksPerGroup * 2
 )
 
@@ -56,9 +48,13 @@ const CIAOReservationID = -1
 
 // SMMT is the Shared Memory Management Table: a small per-SM table in
 // which each CTA reserves one entry recording its allocation (§II-A).
+// Entries are never freed: every CTA's warps stay resident until the
+// kernel ends, so the allocations pack the space from offset 0 and the
+// free space is the tail after the last one.
 type SMMT struct {
 	capacity int
 	size     int
+	used     int // allocated bytes; the free tail starts here
 	entries  []SMMTEntry
 }
 
@@ -71,9 +67,9 @@ func NewSMMT(size, maxEntries int) *SMMT {
 	return &SMMT{capacity: maxEntries, size: size}
 }
 
-// Reserve allocates size bytes for ctaID at the lowest free offset,
-// returning the base. It fails when the table is full, the id already
-// holds an entry, or no contiguous region fits.
+// Reserve allocates size bytes for ctaID at the start of the free
+// tail, returning the base. It fails when the table is full, the id
+// already holds an entry, or the free tail is too short.
 func (t *SMMT) Reserve(ctaID, size int) (base int, err error) {
 	if size <= 0 {
 		return 0, fmt.Errorf("sharedmem: reserve of %d bytes", size)
@@ -86,71 +82,16 @@ func (t *SMMT) Reserve(ctaID, size int) (base int, err error) {
 			return 0, fmt.Errorf("sharedmem: CTA %d already has an SMMT entry", ctaID)
 		}
 	}
-	// First-fit over gaps between sorted allocations.
-	sorted := append([]SMMTEntry(nil), t.entries...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Base < sorted[j].Base })
-	cursor := 0
-	for _, e := range sorted {
-		if e.Base-cursor >= size {
-			break
-		}
-		cursor = e.Base + e.Size
+	if t.used+size > t.size {
+		return 0, fmt.Errorf("sharedmem: no room for %dB (used %dB of %dB)", size, t.used, t.size)
 	}
-	if cursor+size > t.size {
-		return 0, fmt.Errorf("sharedmem: no room for %dB (used %dB of %dB)", size, t.Used(), t.size)
-	}
-	t.entries = append(t.entries, SMMTEntry{CTAID: ctaID, Base: cursor, Size: size})
-	return cursor, nil
+	base = t.used
+	t.entries = append(t.entries, SMMTEntry{CTAID: ctaID, Base: base, Size: size})
+	t.used += size
+	return base, nil
 }
-
-// Release frees ctaID's entry, reporting whether one existed.
-func (t *SMMT) Release(ctaID int) bool {
-	for i, e := range t.entries {
-		if e.CTAID == ctaID {
-			t.entries = append(t.entries[:i], t.entries[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// Used returns the total allocated bytes.
-func (t *SMMT) Used() int {
-	n := 0
-	for _, e := range t.entries {
-		n += e.Size
-	}
-	return n
-}
-
-// Unused returns the free bytes — the space CIAO can claim (§IV-B,
-// "Determination of unused shared memory space").
-func (t *SMMT) Unused() int { return t.size - t.Used() }
 
 // LargestFreeRegion returns the base and size of the largest
-// contiguous free region.
-func (t *SMMT) LargestFreeRegion() (base, size int) {
-	sorted := append([]SMMTEntry(nil), t.entries...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Base < sorted[j].Base })
-	cursor := 0
-	for _, e := range sorted {
-		if gap := e.Base - cursor; gap > size {
-			base, size = cursor, gap
-		}
-		if end := e.Base + e.Size; end > cursor {
-			cursor = end
-		}
-	}
-	if gap := t.size - cursor; gap > size {
-		base, size = cursor, gap
-	}
-	return base, size
-}
-
-// Size returns the shared-memory capacity covered by the table.
-func (t *SMMT) Size() int { return t.size }
-
-// Entries returns a copy of the live entries.
-func (t *SMMT) Entries() []SMMTEntry {
-	return append([]SMMTEntry(nil), t.entries...)
-}
+// contiguous free region: the free tail, the space CIAO can claim
+// (§IV-B, "Determination of unused shared memory space").
+func (t *SMMT) LargestFreeRegion() (base, size int) { return t.used, t.size - t.used }

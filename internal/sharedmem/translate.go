@@ -37,7 +37,6 @@ type Location struct {
 type Translator struct {
 	blocks        int // total data blocks (both groups)
 	rowsPerGroup  int // data rows used per group
-	tagRows       int // tag rows used per group
 	dataOffsetRow int // data offset register, in rows
 	tagOffsetRow  int // tag offset register, in rows
 }
@@ -78,7 +77,7 @@ func PlanCapacity(unusedBytes int) (blocks, dataRowsPerGroup, tagRowsPerGroup in
 // returns an error when the region is too small to hold even one
 // data block plus its tag row.
 func NewTranslator(baseOffset, unusedBytes int) (*Translator, error) {
-	blocks, dataRows, tagRows := PlanCapacity(unusedBytes)
+	blocks, dataRows, _ := PlanCapacity(unusedBytes)
 	if blocks == 0 {
 		return nil, fmt.Errorf("sharedmem: %dB unused is too small for a shared-memory cache", unusedBytes)
 	}
@@ -86,7 +85,6 @@ func NewTranslator(baseOffset, unusedBytes int) (*Translator, error) {
 	return &Translator{
 		blocks:        blocks,
 		rowsPerGroup:  dataRows,
-		tagRows:       tagRows,
 		dataOffsetRow: baseRow,
 		tagOffsetRow:  baseRow + dataRows,
 	}, nil
@@ -94,15 +92,6 @@ func NewTranslator(baseOffset, unusedBytes int) (*Translator, error) {
 
 // Blocks returns the number of 128-byte blocks the cache region holds.
 func (t *Translator) Blocks() int { return t.blocks }
-
-// DataRowsPerGroup returns the rows per group used for data.
-func (t *Translator) DataRowsPerGroup() int { return t.rowsPerGroup }
-
-// TagRowsPerGroup returns the rows per group used for tags.
-func (t *Translator) TagRowsPerGroup() int { return t.tagRows }
-
-// CapacityBytes returns the data capacity in bytes.
-func (t *Translator) CapacityBytes() int { return t.blocks * memory.LineSize }
 
 // Translate maps a global line address to its direct-mapped location.
 // The block index is the line number modulo the block count; the G bit

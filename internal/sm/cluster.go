@@ -59,12 +59,6 @@ func NewCluster(n int, cfg Config, spec workload.Spec, mk func() Controller) (*C
 	return c, nil
 }
 
-// NumSMs returns the SM count.
-func (c *Cluster) NumSMs() int { return len(c.sms) }
-
-// SM returns the i-th SM.
-func (c *Cluster) SM(i int) *GPU { return c.sms[i] }
-
 // L2 exposes the shared second-level cache.
 func (c *Cluster) L2() *l2.L2 { return c.l2c }
 

@@ -49,8 +49,8 @@ type Controller interface {
 	OnWarpFinished(g *GPU, wid int)
 }
 
-// Base is a no-op Controller core for embedding: concrete schedulers
-// override what they need.
+// Base is a no-op core of a Controller for embedding: concrete
+// schedulers add Name and Due, and override what else they need.
 type Base struct{}
 
 // Attach implements Controller.
@@ -65,10 +65,6 @@ func (Base) OnCycle(*GPU, uint64) {}
 // Never is the Due answer of a controller whose OnCycle never acts at
 // a cycle (or an instruction count).
 const Never = ^uint64(0)
-
-// Due implements Controller conservatively: OnCycle runs every cycle,
-// so no cycle is skipped.
-func (Base) Due(*GPU) (cycle, inst uint64) { return 0, 0 }
 
 // OnVTAHit implements Controller.
 func (Base) OnVTAHit(*GPU, uint64, int, int, bool) {}

@@ -1,5 +1,28 @@
 package sm
 
+import (
+	"repro/internal/cache"
+	"repro/internal/sharedmem"
+)
+
+// Cycle returns the current cycle.
+func (g *GPU) Cycle() uint64 { return g.cycle }
+
+// Config returns the SM configuration.
+func (g *GPU) Config() Config { return g.cfg }
+
+// L1 returns the L1D cache.
+func (g *GPU) L1() *cache.Cache { return g.l1 }
+
+// SMMT returns the shared-memory management table.
+func (g *GPU) SMMT() *sharedmem.SMMT { return g.smmt }
+
+// NumSMs returns the SM count.
+func (c *Cluster) NumSMs() int { return len(c.sms) }
+
+// SM returns the i-th SM.
+func (c *Cluster) SM(i int) *GPU { return c.sms[i] }
+
 // Gate reports warp i's issue gate and pickable bit.
 func (g *GPU) Gate(i int) (gate uint64, pickable bool) {
 	return g.gate[i], g.pickable[i>>6]&(1<<(i&63)) != 0

@@ -128,7 +128,7 @@ func NewGPU(cfg Config, kernel *workload.Kernel, ctrl Controller, sharedL2 *l2.L
 		vta:    cache.NewVTA(spec.NumWarps, cfg.VTAEntriesPerWarp),
 		l2c:    l2c,
 		mshr:   memory.NewMSHR(cfg.MSHREntries, cfg.MSHRMergeMax),
-		respQ:  memory.NewLatencyQueue("resp", cfg.ResponseQueueCap),
+		respQ:  memory.NewLatencyQueue(cfg.ResponseQueueCap),
 		smmt:   sharedmem.NewSMMT(cfg.SharedMemBytes, cfg.SMMTEntries),
 		imat:   metrics.NewInterferenceMatrix(spec.NumWarps),
 	}
@@ -225,29 +225,14 @@ func (g *GPU) SetActive(wid int, v bool) {
 	g.refreshGate(wid)
 }
 
-// Cycle returns the current cycle.
-func (g *GPU) Cycle() uint64 { return g.cycle }
-
 // InstTotal returns total issued instructions (Inst-total of Fig. 6).
 func (g *GPU) InstTotal() uint64 { return g.instTotal }
 
 // ActiveWarps counts warps that are neither finished nor stalled.
 func (g *GPU) ActiveWarps() int { return g.active }
 
-// LiveWarps counts unfinished warps.
-func (g *GPU) LiveWarps() int { return len(g.warps) - g.finished }
-
 // Kernel returns the running kernel.
 func (g *GPU) Kernel() *workload.Kernel { return g.kernel }
-
-// Config returns the SM configuration.
-func (g *GPU) Config() Config { return g.cfg }
-
-// L1 exposes the L1D cache.
-func (g *GPU) L1() *cache.Cache { return g.l1 }
-
-// VTA exposes the victim tag array.
-func (g *GPU) VTA() *cache.VTA { return g.vta }
 
 // L2 exposes the L2/DRAM subsystem.
 func (g *GPU) L2() *l2.L2 { return g.l2c }
@@ -255,17 +240,11 @@ func (g *GPU) L2() *l2.L2 { return g.l2c }
 // SharedCache returns the CIAO shared-memory cache, or nil.
 func (g *GPU) SharedCache() *sharedmem.Cache { return g.shc }
 
-// SMMT exposes the shared-memory management table.
-func (g *GPU) SMMT() *sharedmem.SMMT { return g.smmt }
-
 // Interference exposes the inter-warp interference matrix.
 func (g *GPU) Interference() *metrics.InterferenceMatrix { return g.imat }
 
 // TimeSeries returns the sampled trace.
 func (g *GPU) TimeSeries() *metrics.TimeSeries { return &g.ts }
-
-// VTAHitsTotal returns the cumulative lost-locality events.
-func (g *GPU) VTAHitsTotal() uint64 { return g.vtaHitsTotal }
 
 // Done reports whether every warp finished.
 func (g *GPU) Done() bool { return g.finished == len(g.warps) }

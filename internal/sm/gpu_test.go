@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/memory"
 	"repro/internal/sched"
 	"repro/internal/sm"
 	"repro/internal/workload"
@@ -198,8 +199,10 @@ func TestCCWSThrottlesUnderThrashing(t *testing.T) {
 	throttledSeen := false
 	for i := 0; i < 60000 && !g.Done(); i++ {
 		g.Step()
-		if ccws.ThrottledWarps(g) > 0 {
-			throttledSeen = true
+		for w := 0; w < g.NumWarps(); w++ {
+			if !g.Warp(w).Finished() && !g.Warp(w).Active() {
+				throttledSeen = true
+			}
 		}
 	}
 	if !throttledSeen {
@@ -295,12 +298,15 @@ func TestSharedCacheReservationRespectsKernelUsage(t *testing.T) {
 	if g.SharedCache() == nil {
 		t.Fatal("no shared cache despite free space")
 	}
-	capacity := g.SharedCache().Translator().CapacityBytes()
-	if capacity > cfg.SharedMemBytes/2 {
+	// Consecutive lines fill every block of the direct-mapped cache.
+	for line := 0; line < cfg.SharedMemBytes/memory.LineSize; line++ {
+		g.SharedCache().Fill(memory.Addr(line*memory.LineSize), 0)
+	}
+	if capacity := g.SharedCache().Occupied() * memory.LineSize; capacity > cfg.SharedMemBytes/2 {
 		t.Fatalf("CIAO cache %dB exceeds unused space", capacity)
 	}
-	if g.SMMT().Unused() != 0 {
-		t.Fatalf("CIAO reservation left %dB unclaimed", g.SMMT().Unused())
+	if _, unused := g.SMMT().LargestFreeRegion(); unused != 0 {
+		t.Fatalf("CIAO reservation left %dB unclaimed", unused)
 	}
 }
 
@@ -386,21 +392,5 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := sm.NewGPU(bad, workload.MustKernel(tinySpec()), sched.NewGTO(), nil); err == nil {
 		t.Fatal("NewGPU accepted invalid config")
-	}
-}
-
-func TestWarpStateStrings(t *testing.T) {
-	g := sm.MustGPU(testConfig(), workload.MustKernel(tinySpec()), sched.NewGTO(), nil)
-	w := g.Warp(0)
-	if w.State() != "active" {
-		t.Fatalf("state = %s", w.State())
-	}
-	w.I = true
-	if w.State() != "isolated" {
-		t.Fatalf("state = %s", w.State())
-	}
-	g.SetActive(0, false)
-	if w.State() != "stalled" {
-		t.Fatalf("state = %s", w.State())
 	}
 }

@@ -72,19 +72,6 @@ func (w *Warp) Active() bool { return w.v }
 // Finished reports that the warp has run its whole stream.
 func (w *Warp) Finished() bool { return w.finished }
 
-// State renders the CIAO three-state for diagnostics: "active",
-// "isolated" or "stalled".
-func (w *Warp) State() string {
-	switch {
-	case !w.v:
-		return "stalled"
-	case w.I:
-		return "isolated"
-	default:
-		return "active"
-	}
-}
-
 // next returns a pointer to the warp's next instruction, honouring a
 // structurally stalled retry first. The pointee lives in the warp's
 // batch buffer and is valid until the instruction after it is handed

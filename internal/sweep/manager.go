@@ -90,9 +90,6 @@ type Run struct {
 	prog Progress
 }
 
-// ID returns the sweep identifier.
-func (r *Run) ID() string { return r.id }
-
 // Progress snapshots the run.
 func (r *Run) Progress() Progress {
 	r.mu.Lock()

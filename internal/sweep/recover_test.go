@@ -53,7 +53,7 @@ func finish(t *testing.T, run *Run) Progress {
 	select {
 	case <-run.Done():
 	case <-time.After(10 * time.Second):
-		t.Fatalf("run %s did not finish", run.ID())
+		t.Fatalf("run %s did not finish", run.id)
 	}
 	return run.Progress()
 }
@@ -112,8 +112,8 @@ func TestRecoverResumeContract(t *testing.T) {
 					t.Fatal(err)
 				}
 				finish(t, run)
-				if !strings.HasPrefix(run.ID(), "sweep-8-") {
-					t.Errorf("next id = %s, want the sequence past the resumed sweep-7", run.ID())
+				if !strings.HasPrefix(run.id, "sweep-8-") {
+					t.Errorf("next id = %s, want the sequence past the resumed sweep-7", run.id)
 				}
 			},
 		},
@@ -164,8 +164,8 @@ func TestRecoverResumeContract(t *testing.T) {
 				if final.State != StateDone || final.Done != 8 || final.Skipped != 4 {
 					t.Fatalf("re-POSTed run = %+v", final)
 				}
-				if man := manifestOf(t, base, plain); man.Cancelled || man.ID != run.ID() {
-					t.Errorf("manifest after re-POST: cancelled=%v id=%s, want lifted and %s", man.Cancelled, man.ID, run.ID())
+				if man := manifestOf(t, base, plain); man.Cancelled || man.ID != run.id {
+					t.Errorf("manifest after re-POST: cancelled=%v id=%s, want lifted and %s", man.Cancelled, man.ID, run.id)
 				}
 			},
 		},
@@ -182,7 +182,7 @@ func TestRecoverResumeContract(t *testing.T) {
 					t.Fatal(err)
 				}
 				waitFor(t, "seven settled cells", func() bool { return run.Progress().Done == 7 })
-				if _, ok, err := first.Cancel(run.ID()); !ok || err != nil {
+				if _, ok, err := first.Cancel(run.id); !ok || err != nil {
 					t.Fatalf("Cancel = (%v, %v)", ok, err)
 				}
 				select {

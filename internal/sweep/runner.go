@@ -4,12 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"time"
 
 	"repro/internal/harness"
+	"repro/internal/metrics"
 	"repro/internal/service"
 )
 
@@ -82,29 +82,6 @@ func ShardIndexes(total, idx, n int) []int {
 	return out
 }
 
-// geo accumulates a running geometric mean in log space. Zero and
-// negative values are skipped, matching metrics.GeoMean.
-type geo struct {
-	logSum float64
-	n      int
-}
-
-// Add folds one value into the mean (non-positive values are ignored).
-func (g *geo) Add(v float64) {
-	if v > 0 {
-		g.logSum += math.Log(v)
-		g.n++
-	}
-}
-
-// Mean returns the geometric mean so far (0 with no values).
-func (g *geo) Mean() float64 {
-	if g.n == 0 {
-		return 0
-	}
-	return math.Exp(g.logSum / float64(g.n))
-}
-
 // Run executes cells until completion or ctx cancellation, returning
 // the final progress. Cell failures are recorded and counted, not
 // fatal; only store I/O errors abort the sweep.
@@ -135,7 +112,7 @@ func (r *Runner) Run(ctx context.Context, cells []Cell) (Progress, error) {
 	var (
 		mu   sync.Mutex
 		prog = Progress{State: StateRunning, Total: len(mine)}
-		gm   geo
+		gm   metrics.RunningGeoMean
 	)
 	// notify delivers a snapshot while holding mu, so observers see
 	// monotonically advancing progress (no reordered deliveries).

@@ -150,12 +150,6 @@ func (s Spec) maxCells() int {
 	}
 }
 
-// Validate checks the spec by expanding it and discarding the cells.
-func (s Spec) Validate() error {
-	_, err := s.Expand()
-	return err
-}
-
 func classByName(name string) (workload.Class, error) {
 	for _, c := range []workload.Class{workload.LWS, workload.SWS, workload.CI} {
 		if c.String() == name {

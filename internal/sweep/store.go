@@ -523,7 +523,8 @@ func MergeStore(dst *Store, srcDir string) (merged, skipped int, err error) {
 }
 
 // CorruptLines reports how many complete-but-unparseable result lines
-// load encountered (mid-file corruption; a torn tail is not counted).
+// load encountered (mid-file corruption; a torn tail is not counted),
+// for tests until sweep records carry it.
 func (s *Store) CorruptLines() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -125,7 +125,7 @@ func TestStoreMidFileCorruptionIsCountedNotResumed(t *testing.T) {
 	if len(done) != 2 || done["k1"] != 2 || done["k2"] != 3 {
 		t.Errorf("completed = %v, want k1 and k2 (lines after corruption must still load)", done)
 	}
-	if got := re.CorruptLines(); got != 2 {
+	if got := re.corrupt; got != 2 {
 		t.Errorf("CorruptLines = %d, want 2 (mid-file garbage + keyless line; torn tail excluded)", got)
 	}
 }
@@ -163,7 +163,7 @@ func TestStoreOverlongLineIsCorruptNotSlurped(t *testing.T) {
 	if len(done) != 2 || done["k2"] != 3 {
 		t.Errorf("completed = %v, want k1 and k2", done)
 	}
-	if got := re.CorruptLines(); got != 1 {
+	if got := re.corrupt; got != 1 {
 		t.Errorf("CorruptLines = %d, want 1 for the over-long line", got)
 	}
 }

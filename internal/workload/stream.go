@@ -135,9 +135,6 @@ func NewWarpStream(spec Spec, warpID int) *WarpStream {
 	return ws
 }
 
-// WarpID returns the stream's warp.
-func (s *WarpStream) WarpID() int { return s.warpID }
-
 // Done reports stream exhaustion.
 func (s *WarpStream) Done() bool { return s.issued >= s.spec.InstrPerWarp }
 
@@ -189,13 +186,6 @@ func (s *WarpStream) compilePhase(ph Phase, bound uint64) phaseRT {
 	}
 	rt.slideAt = int(win) * reuse
 	return rt
-}
-
-// Next produces the next instruction; ok=false when exhausted.
-func (s *WarpStream) Next() (ins Instruction, ok bool) {
-	var b [1]Instruction
-	ok = s.Fill(b[:]) == 1
-	return b[0], ok
 }
 
 // Fill generates up to len(dst) instructions into dst, advancing the
@@ -363,9 +353,6 @@ func (k *Kernel) Spec() Spec { return k.spec }
 
 // Stream returns warp w's stream.
 func (k *Kernel) Stream(w int) *WarpStream { return k.streams[w] }
-
-// NumWarps returns the warp count.
-func (k *Kernel) NumWarps() int { return len(k.streams) }
 
 // TotalInstructions returns the aggregate instruction budget.
 func (k *Kernel) TotalInstructions() uint64 {

@@ -7,6 +7,13 @@ import (
 	"testing"
 )
 
+// next produces the stream's next instruction; ok=false when exhausted.
+func next(s *WarpStream) (ins Instruction, ok bool) {
+	var b [1]Instruction
+	ok = s.Fill(b[:]) == 1
+	return b[0], ok
+}
+
 // streamDigest hashes every instruction of every warp of a kernel.
 func streamDigest(t *testing.T, spec Spec) [32]byte {
 	t.Helper()
@@ -16,10 +23,10 @@ func streamDigest(t *testing.T, spec Spec) [32]byte {
 	}
 	h := sha256.New()
 	var buf [8]byte
-	for w := 0; w < k.NumWarps(); w++ {
+	for w := 0; w < len(k.streams); w++ {
 		st := k.Stream(w)
 		for {
-			ins, ok := st.Next()
+			ins, ok := next(st)
 			if !ok {
 				break
 			}

@@ -58,8 +58,8 @@ func TestStreamDeterminism(t *testing.T) {
 	s1 := NewWarpStream(testSpec(), 3)
 	s2 := NewWarpStream(testSpec(), 3)
 	for i := 0; i < 2000; i++ {
-		i1, ok1 := s1.Next()
-		i2, ok2 := s2.Next()
+		i1, ok1 := next(s1)
+		i2, ok2 := next(s2)
 		if ok1 != ok2 || i1 != i2 {
 			t.Fatalf("streams diverge at %d: %+v vs %+v", i, i1, i2)
 		}
@@ -71,8 +71,8 @@ func TestStreamsDifferAcrossWarps(t *testing.T) {
 	b := NewWarpStream(testSpec(), 5)
 	same := true
 	for i := 0; i < 500; i++ {
-		ia, _ := a.Next()
-		ib, _ := b.Next()
+		ia, _ := next(a)
+		ib, _ := next(b)
 		if ia != ib {
 			same = false
 			break
@@ -89,7 +89,7 @@ func TestStreamExhaustion(t *testing.T) {
 	s := NewWarpStream(spec, 0)
 	n := 0
 	for {
-		_, ok := s.Next()
+		_, ok := next(s)
 		if !ok {
 			break
 		}
@@ -101,7 +101,7 @@ func TestStreamExhaustion(t *testing.T) {
 	if !s.Done() {
 		t.Fatal("exhausted stream not Done")
 	}
-	if _, ok := s.Next(); ok {
+	if _, ok := next(s); ok {
 		t.Fatal("Next after exhaustion succeeded")
 	}
 	if n := s.Fill(make([]Instruction, 4)); n != 0 {
@@ -119,7 +119,7 @@ func TestMeasuredAPKIMatchesSpec(t *testing.T) {
 	s := NewWarpStream(spec, 1)
 	lines, total := 0, 0
 	for {
-		ins, ok := s.Next()
+		ins, ok := next(s)
 		if !ok {
 			break
 		}
@@ -156,7 +156,7 @@ func TestStorePct(t *testing.T) {
 	s := NewWarpStream(spec, 0)
 	loads, stores := 0, 0
 	for {
-		ins, ok := s.Next()
+		ins, ok := next(s)
 		if !ok {
 			break
 		}
@@ -178,7 +178,7 @@ func TestAddressesWithinInput(t *testing.T) {
 	s := NewWarpStream(spec, 2)
 	limit := GlobalBase + memory.Addr(spec.InputBytes)
 	for {
-		ins, ok := s.Next()
+		ins, ok := next(s)
 		if !ok {
 			break
 		}
@@ -191,7 +191,7 @@ func TestAddressesWithinInput(t *testing.T) {
 				if a < GlobalBase || a >= limit {
 					t.Fatalf("address %s outside input [%s,%s)", a, GlobalBase, limit)
 				}
-				if a.Offset() != 0 {
+				if a.LineAddr() != a {
 					t.Fatalf("address %s not line-aligned", a)
 				}
 			}
@@ -213,7 +213,7 @@ func TestRegionSharingOverlap(t *testing.T) {
 		s := NewWarpStream(spec, w)
 		out := map[memory.Addr]bool{}
 		for {
-			ins, ok := s.Next()
+			ins, ok := next(s)
 			if !ok {
 				break
 			}
@@ -250,7 +250,7 @@ func TestBarrierAlignmentAcrossWarps(t *testing.T) {
 		s := NewWarpStream(spec, w)
 		var out []uint64
 		for i := uint64(0); ; i++ {
-			ins, ok := s.Next()
+			ins, ok := next(s)
 			if !ok {
 				break
 			}
@@ -284,7 +284,7 @@ func TestPhaseTransition(t *testing.T) {
 	s := NewWarpStream(spec, 0)
 	memFirst, memSecond := 0, 0
 	for i := 0; i < 10000; i++ {
-		ins, ok := s.Next()
+		ins, ok := next(s)
 		if !ok {
 			break
 		}
@@ -308,7 +308,7 @@ func TestSharedOps(t *testing.T) {
 	s := NewWarpStream(spec, 0)
 	shared := 0
 	for {
-		ins, ok := s.Next()
+		ins, ok := next(s)
 		if !ok {
 			break
 		}
@@ -399,8 +399,8 @@ func TestKernelConstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k.NumWarps() != 8 {
-		t.Fatalf("warps = %d", k.NumWarps())
+	if len(k.streams) != 8 {
+		t.Fatalf("warps = %d", len(k.streams))
 	}
 	if k.TotalInstructions() != 8*4000 {
 		t.Fatalf("total instructions = %d", k.TotalInstructions())
@@ -424,7 +424,7 @@ func TestStreamWellFormedInvariant(t *testing.T) {
 		spec.ConflictDegree = 3
 		s := NewWarpStream(spec, int(warp)%spec.NumWarps)
 		for {
-			ins, ok := s.Next()
+			ins, ok := next(s)
 			if !ok {
 				return true
 			}
@@ -434,7 +434,7 @@ func TestStreamWellFormedInvariant(t *testing.T) {
 					return false
 				}
 				for _, a := range ins.AddrSlice() {
-					if a.Offset() != 0 || a < GlobalBase {
+					if a.LineAddr() != a || a < GlobalBase {
 						return false
 					}
 				}
