@@ -36,8 +36,10 @@ type serverOpts struct {
 // fully wrapped handler (routing, admission control, RED
 // instrumentation).
 type server struct {
-	engine  *service.Engine
-	sweeps  *sweep.Manager
+	// engine is kept for tests, which watch its slot queue fill.
+	engine *service.Engine
+	sweeps *sweep.Manager
+	// red is kept for tests, which read the /run series it records.
 	red     *metrics.RED
 	handler http.Handler
 }

@@ -63,25 +63,18 @@ func (c Config) Validate() error {
 }
 
 // Eviction records a replaced line: the victim's address and the warp
-// that owned it, plus the warp whose fill evicted it. This is exactly
+// that owned it. With the filling warp, which is the evictor, it is
 // the (address, evictor WID) pair CIAO feeds into the owner's VTA set.
 type Eviction struct {
 	Line     memory.Addr
 	OwnerWID int
-	Evictor  int
 	Dirty    bool
 }
 
-// Stats aggregates cache activity.
+// Stats aggregates cache activity; misses are Accesses - Hits.
 type Stats struct {
-	Accesses    uint64
-	Hits        uint64
-	Misses      uint64
-	Evictions   uint64
-	WriteHits   uint64
-	WriteMiss   uint64
-	Fills       uint64
-	Invalidates uint64
+	Accesses uint64
+	Hits     uint64
 }
 
 // HitRate returns Hits/Accesses (0 for no accesses).
@@ -229,10 +222,6 @@ func (c *Cache) AccessSet(addr memory.Addr, now uint64, isWrite bool) (hit bool,
 	s.way = c.find(s.base, s.tag)
 	c.stats.Accesses++
 	if s.way < 0 {
-		c.stats.Misses++
-		if isWrite {
-			c.stats.WriteMiss++
-		}
 		return false, s
 	}
 	c.hit(s.way, now, isWrite)
@@ -250,11 +239,8 @@ func (c *Cache) WriteHit(s Set, now uint64) {
 // hit records an access that found its line in way.
 func (c *Cache) hit(way int, now uint64, isWrite bool) {
 	c.lastUse[way] = now
-	if isWrite {
-		c.stats.WriteHits++
-		if c.cfg.Write == WriteBackAllocate {
-			c.dirty[way] = true
-		}
+	if isWrite && c.cfg.Write == WriteBackAllocate {
+		c.dirty[way] = true
 	}
 	c.stats.Hits++
 }
@@ -267,7 +253,6 @@ func (c *Cache) hit(way int, now uint64, isWrite bool) {
 func (c *Cache) Fill(addr memory.Addr, wid int, now uint64) (ev Eviction, evicted bool) {
 	base, tag := c.locate(addr)
 	if i := c.find(base, tag); i >= 0 {
-		c.stats.Fills++
 		c.lastUse[i] = now
 		return Eviction{}, false
 	}
@@ -277,12 +262,10 @@ func (c *Cache) Fill(addr memory.Addr, wid int, now uint64) (ev Eviction, evicte
 // FillMiss installs the absent line s locates for warp wid at cycle
 // now, like Fill without its lookup, and points s at the line's way.
 func (c *Cache) FillMiss(s *Set, wid int, now uint64) (ev Eviction, evicted bool) {
-	c.stats.Fills++
 	v := c.victim(s.base)
 	if c.tags[v] != 0 {
-		ev = Eviction{Line: memory.Addr(c.tags[v] &^ 1), OwnerWID: int(c.owner[v]), Evictor: wid, Dirty: c.dirty[v]}
+		ev = Eviction{Line: memory.Addr(c.tags[v] &^ 1), OwnerWID: int(c.owner[v]), Dirty: c.dirty[v]}
 		evicted = true
-		c.stats.Evictions++
 	}
 	c.tags[v], c.lastUse[v], c.owner[v], c.dirty[v] = s.tag, now, int32(wid), false
 	s.way = v
@@ -304,7 +287,6 @@ func (c *Cache) Invalidate(addr memory.Addr) (present, dirty bool) {
 	}
 	dirty = c.dirty[i]
 	c.clear(i)
-	c.stats.Invalidates++
 	return true, dirty
 }
 

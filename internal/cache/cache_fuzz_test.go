@@ -81,19 +81,12 @@ func (c *refCache) Access(addr memory.Addr, wid int, now uint64, isWrite bool) b
 	for i := range set {
 		if set[i].valid && set[i].addr == la {
 			set[i].lastUse = now
-			if isWrite {
-				c.stats.WriteHits++
-				if c.cfg.Write == WriteBackAllocate {
-					set[i].dirty = true
-				}
+			if isWrite && c.cfg.Write == WriteBackAllocate {
+				set[i].dirty = true
 			}
 			c.stats.Hits++
 			return true
 		}
-	}
-	c.stats.Misses++
-	if isWrite {
-		c.stats.WriteMiss++
 	}
 	return false
 }
@@ -101,7 +94,6 @@ func (c *refCache) Access(addr memory.Addr, wid int, now uint64, isWrite bool) b
 func (c *refCache) Fill(addr memory.Addr, wid int, now uint64) (ev Eviction, evicted bool) {
 	la := addr.LineAddr()
 	set := c.set(la)
-	c.stats.Fills++
 	for i := range set {
 		if set[i].valid && set[i].addr == la {
 			set[i].lastUse = now
@@ -122,9 +114,8 @@ func (c *refCache) Fill(addr memory.Addr, wid int, now uint64) (ev Eviction, evi
 				victim = i
 			}
 		}
-		ev = Eviction{Line: set[victim].addr, OwnerWID: set[victim].ownerW, Evictor: wid, Dirty: set[victim].dirty}
+		ev = Eviction{Line: set[victim].addr, OwnerWID: set[victim].ownerW, Dirty: set[victim].dirty}
 		evicted = true
-		c.stats.Evictions++
 	}
 	set[victim] = refLine{valid: true, addr: la, ownerW: wid, lastUse: now}
 	return ev, evicted
@@ -137,7 +128,6 @@ func (c *refCache) Invalidate(addr memory.Addr) (present, dirty bool) {
 		if set[i].valid && set[i].addr == la {
 			present, dirty = true, set[i].dirty
 			set[i] = refLine{}
-			c.stats.Invalidates++
 			return present, dirty
 		}
 	}
@@ -249,7 +239,7 @@ func FuzzCache(f *testing.F) {
 			case 0, 2:
 				write := op&7 == 2
 				if got, want := c.Access(addr, wid, now, write), ref.Access(addr, wid, now, write); got != want {
-					t.Fatalf("op %d: Access(%s, write=%v) = %v, reference %v", i/2, addr, write, got, want)
+					t.Fatalf("op %d: Access(%#x, write=%v) = %v, reference %v", i/2, addr, write, got, want)
 				}
 			case 1:
 				// The warp's low bit picks a store; the fill lands a few
@@ -257,13 +247,13 @@ func FuzzCache(f *testing.F) {
 				write, fillAt := wid&1 == 1, now+uint64(wid>>1&3)
 				hit, set := c.AccessSet(addr, now, write)
 				if want := ref.Access(addr, wid, now, write); hit != want {
-					t.Fatalf("op %d: AccessSet(%s, write=%v) = %v, reference %v", i/2, addr, write, hit, want)
+					t.Fatalf("op %d: AccessSet(%#x, write=%v) = %v, reference %v", i/2, addr, write, hit, want)
 				}
 				if !hit {
 					ev, evicted := c.FillMiss(&set, wid, fillAt)
 					wantEv, wantEvicted := ref.Fill(addr, wid, fillAt)
 					if ev != wantEv || evicted != wantEvicted {
-						t.Fatalf("op %d: FillMiss(%s) = %+v,%v, reference %+v,%v", i/2, addr, ev, evicted, wantEv, wantEvicted)
+						t.Fatalf("op %d: FillMiss(%#x) = %+v,%v, reference %+v,%v", i/2, addr, ev, evicted, wantEv, wantEvicted)
 					}
 					if write {
 						c.WriteHit(set, fillAt)
@@ -274,23 +264,23 @@ func FuzzCache(f *testing.F) {
 				ev, evicted := c.Fill(addr, wid, now)
 				wantEv, wantEvicted := ref.Fill(addr, wid, now)
 				if ev != wantEv || evicted != wantEvicted {
-					t.Fatalf("op %d: Fill(%s) = %+v,%v, reference %+v,%v", i/2, addr, ev, evicted, wantEv, wantEvicted)
+					t.Fatalf("op %d: Fill(%#x) = %+v,%v, reference %+v,%v", i/2, addr, ev, evicted, wantEv, wantEvicted)
 				}
 			case 5:
 				if got, want := c.Probe(addr), ref.Probe(addr); got != want {
-					t.Fatalf("op %d: Probe(%s) = %v, reference %v", i/2, addr, got, want)
+					t.Fatalf("op %d: Probe(%#x) = %v, reference %v", i/2, addr, got, want)
 				}
 			case 6:
 				p, d := c.Invalidate(addr)
 				wp, wd := ref.Invalidate(addr)
 				if p != wp || d != wd {
-					t.Fatalf("op %d: Invalidate(%s) = %v,%v, reference %v,%v", i/2, addr, p, d, wp, wd)
+					t.Fatalf("op %d: Invalidate(%#x) = %v,%v, reference %v,%v", i/2, addr, p, d, wp, wd)
 				}
 			case 7:
 				w, ok := owner(c, addr)
 				ww, wok := ref.Owner(addr)
 				if w != ww || ok != wok {
-					t.Fatalf("op %d: Owner(%s) = %d,%v, reference %d,%v", i/2, addr, w, ok, ww, wok)
+					t.Fatalf("op %d: Owner(%#x) = %d,%v, reference %d,%v", i/2, addr, w, ok, ww, wok)
 				}
 			}
 			if c.Stats() != ref.stats {

@@ -102,11 +102,12 @@ type CIAO struct {
 	lowSnapInst  uint64
 	lowIRS       []float64
 
-	// Event counters for tests and reports.
-	Redirections   uint64
-	Stalls         uint64
-	Reactivations  uint64
-	Unredirections uint64
+	// Redirections and Stalls count interventions for reports.
+	Redirections uint64
+	Stalls       uint64
+	// Reactivations counts stalled warps released again; it is kept
+	// for tests.
+	Reactivations uint64
 }
 
 // New builds a CIAO controller in the given mode with params.
@@ -251,7 +252,6 @@ func (c *CIAO) lowEpoch(g *sm.GPU) {
 		if k < 0 || g.Warp(k).Finished() || c.lowIRS[k] <= c.params.LowCutoff {
 			w.I = false
 			c.pairs.ClearRedirector(wid)
-			c.Unredirections++
 		}
 	}
 }
@@ -305,11 +305,7 @@ func (c *CIAO) intervene(g *sm.GPU, i, j int) {
 			// Stall an already-isolated interferer only when the
 			// interference pressure is well above the redirect
 			// threshold (§III-C: shared memory itself is thrashing).
-			factor := c.params.SharedStallFactor
-			if factor < 1 {
-				factor = 1
-			}
-			if c.highIRS[i] > factor*c.params.HighCutoff {
+			if c.highIRS[i] > c.params.SharedStallFactor*c.params.HighCutoff {
 				c.stall(g, i, j)
 			}
 		}

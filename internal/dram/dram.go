@@ -65,12 +65,11 @@ func (c Config) Validate() error {
 
 // Stats aggregates DRAM activity.
 type Stats struct {
-	Reads      uint64
-	Writes     uint64
-	RowHits    uint64
-	RowMisses  uint64
-	BusBusy    uint64 // total bus cycles consumed
-	LastFinish uint64 // completion cycle of the latest transfer
+	Reads     uint64
+	Writes    uint64
+	RowHits   uint64
+	RowMisses uint64
+	BusBusy   uint64 // total bus cycles consumed
 }
 
 type bank struct {
@@ -164,7 +163,6 @@ func (d *DRAM) Service(now uint64, addr memory.Addr, isWrite bool) (done uint64)
 	b.readyAt = colReady
 
 	d.stats.BusBusy += d.xfer
-	d.stats.LastFinish = done
 	if isWrite {
 		d.stats.Writes++
 	} else {

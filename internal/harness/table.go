@@ -23,7 +23,8 @@ const (
 	FieldSched                        // one scheduler
 	FieldSchedulers                   // a list of schedulers
 	FieldConfig                       // a machine override
-	FieldOptions                      // instructions per warp, seed, sample interval
+	FieldOptions                      // instructions per warp, seed
+	FieldSamples                      // the sample interval, for payloads with time series
 )
 
 // Request is what an experiment reads: a spec's fields, with the spec's
@@ -83,13 +84,13 @@ var experiments = []Experiment{
 		func(r Request) (CellResult, error) { return RunCell(r.Bench, r.Sched, r.Options) },
 		writeCell),
 	direct(Experiment{Name: "timeseries", Doc: "-bench traced under each of the comma-separated -sched schedulers (CSV)",
-		Fields: FieldBench | FieldSchedulers | FieldConfig | FieldOptions},
+		Fields: FieldBench | FieldSchedulers | FieldConfig | FieldOptions | FieldSamples},
 		func(r Request) (*TimeSeriesSet, error) { return RunTimeSeries(r.Bench, r.Schedulers, r.Options) },
 		writeTimeSeries),
 	direct(Experiment{Name: "fig1a", Doc: "Backprop inter-warp interference heatmap", Fields: FieldOptions},
 		func(r Request) (*Fig1aResult, error) { return RunFig1a(r.Options) },
 		writeFig1a),
-	direct(Experiment{Name: "fig1b", Doc: "Backprop under Best-SWL vs CCWS", Fields: FieldOptions},
+	direct(Experiment{Name: "fig1b", Doc: "Backprop under Best-SWL vs CCWS", Fields: FieldOptions | FieldSamples},
 		func(r Request) (*Fig1bResult, error) { return RunFig1b(r.Options) },
 		writeFig1b),
 	direct(Experiment{Name: "fig4", Doc: "interference skew: focus warp and per-workload min/max", Fields: FieldOptions},
@@ -97,12 +98,12 @@ var experiments = []Experiment{
 		writeFig4),
 	grid(Experiment{Name: ExpFig8, Doc: "IPC of 7 schedulers × 21 benchmarks, shared-cache utilisation"},
 		RunFig8, writeFig8),
-	direct(Experiment{Name: "fig9", Doc: "ATAX/Backprop time series under Best-SWL, CCWS, CIAO-T (CSV)", Fields: FieldOptions},
+	direct(Experiment{Name: "fig9", Doc: "ATAX/Backprop time series under Best-SWL, CCWS, CIAO-T (CSV)", Fields: FieldOptions | FieldSamples},
 		func(r Request) (*SeriesSets, error) {
 			return RunSeriesSets([]string{"ATAX", "Backprop"}, []string{"Best-SWL", "CCWS", "CIAO-T"}, r.Options)
 		},
 		writeSeriesSets),
-	direct(Experiment{Name: "fig10", Doc: "SYRK/KMN time series under CIAO-T, CIAO-P, CIAO-C (CSV)", Fields: FieldOptions},
+	direct(Experiment{Name: "fig10", Doc: "SYRK/KMN time series under CIAO-T, CIAO-P, CIAO-C (CSV)", Fields: FieldOptions | FieldSamples},
 		func(r Request) (*SeriesSets, error) {
 			return RunSeriesSets([]string{"SYRK", "KMN"}, []string{"CIAO-T", "CIAO-P", "CIAO-C"}, r.Options)
 		},

@@ -7,8 +7,6 @@
 // (Table I): 128-byte cache lines throughout.
 package memory
 
-import "fmt"
-
 // Addr is a global memory byte address.
 type Addr uint64
 
@@ -24,6 +22,3 @@ func (a Addr) LineAddr() Addr { return a &^ (LineSize - 1) }
 
 // LineIndex returns the global line number of the address.
 func (a Addr) LineIndex() uint64 { return uint64(a) >> LineShift }
-
-// String renders the address in hex.
-func (a Addr) String() string { return fmt.Sprintf("0x%x", uint64(a)) }

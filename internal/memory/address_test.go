@@ -19,7 +19,7 @@ func TestLineAddr(t *testing.T) {
 	}
 	for _, c := range cases {
 		if got := c.in.LineAddr(); got != c.want {
-			t.Errorf("LineAddr(%s) = %s, want %s", c.in, got, c.want)
+			t.Errorf("LineAddr(%#x) = %#x, want %#x", c.in, got, c.want)
 		}
 	}
 }

@@ -29,7 +29,7 @@ func TestMSHRInsertAndMerge(t *testing.T) {
 		t.Fatal("first request did not insert a fresh entry")
 	}
 	if e1.Line != 0x1000 {
-		t.Fatalf("entry line = %s, want 0x1000", e1.Line)
+		t.Fatalf("entry line = %#x, want 0x1000", e1.Line)
 	}
 	e2, merged, ok := add(m, r2)
 	if !ok || !merged || e2 != e1 {

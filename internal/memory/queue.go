@@ -1,14 +1,12 @@
 package memory
 
-// Event is a timestamped fill flowing through a latency queue: a line
-// whose data becomes visible at ReadyCycle. It is 24 bytes, and it is
-// filled and consumed in place (Add, Pop), so the per-line path never
-// copies one.
+// Event is a fill flowing through a latency queue: a line whose data
+// becomes visible at the ready cycle the queue keeps for it. It is 16
+// bytes, and it is filled and consumed in place (Add, Pop), so the
+// per-line path never copies one.
 type Event struct {
 	// Line is the affected line address (fills are line-granular).
 	Line Addr
-	// ReadyCycle is the first cycle at which the event may be consumed.
-	ReadyCycle uint64
 	// WarpID is the warp whose request the fill answers.
 	WarpID int32
 	// Payload carries a model-specific marker (the SM's fill path).
@@ -16,7 +14,7 @@ type Event struct {
 }
 
 // LatencyQueue is a bounded queue whose entries become visible only
-// after their ReadyCycle, modelling a fixed-latency pipe such as the
+// from their ready cycle on, modelling a fixed-latency pipe such as the
 // L1↔L2 interconnect or the response queue in Figure 7a.
 //
 // Ordering guarantee: among events that are ready at a given cycle,
@@ -28,8 +26,8 @@ type Event struct {
 // Events live in a slot pool with a free list. Add hands out a slot
 // for the caller to fill and Pop hands back the slot of the event it
 // dequeues, so an event is written once and read where it lies. A
-// sorted array of small keys {ReadyCycle, insertion sequence, slot}
-// orders them by (ReadyCycle, sequence); Add inserts its key from the
+// sorted array of small keys {ready cycle, insertion sequence, slot}
+// orders them by (ready cycle, sequence); Add inserts its key from the
 // tail, where new fills almost always belong. The ready events are
 // therefore a prefix of the keys, so NextReady and Ready read the head
 // key (always exact) and Pop takes the lowest sequence number in that
@@ -75,8 +73,7 @@ func (q *LatencyQueue) Full() bool {
 }
 
 // Add enqueues an event that becomes ready at cycle ready and returns
-// its slot, zeroed but for ReadyCycle, for the caller to fill in
-// place. It returns nil when the queue is full. The slot is the
+// its slot, zeroed, for the caller to fill in place. It returns nil when the queue is full. The slot is the
 // caller's to write until the next Add.
 func (q *LatencyQueue) Add(ready uint64) *Event {
 	if q.Full() {
@@ -104,11 +101,11 @@ func (q *LatencyQueue) Add(ready uint64) *Event {
 	q.keys[i] = k
 	q.seq++
 	ev := &q.events[slot]
-	*ev = Event{ReadyCycle: ready}
+	*ev = Event{}
 	return ev
 }
 
-// NextReady returns the earliest ReadyCycle among queued events: no
+// NextReady returns the earliest ready cycle among queued events: no
 // event is consumable before it, and one is at it. ok is false when
 // the queue is empty.
 func (q *LatencyQueue) NextReady() (cycle uint64, ok bool) {
@@ -124,7 +121,7 @@ func (q *LatencyQueue) Ready(now uint64) bool {
 	return q.head < len(q.keys) && q.keys[q.head].ready <= now
 }
 
-// Pop dequeues the oldest event whose ReadyCycle has arrived and
+// Pop dequeues the oldest event whose ready cycle has arrived and
 // returns its slot, which stays intact until the next Add. FIFO order
 // is preserved among ready events. Call it only after Ready(now)
 // reported true.

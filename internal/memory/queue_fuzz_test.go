@@ -8,20 +8,26 @@ import (
 // refQueue is the response queue as it was before the sorted-key
 // rewrite, kept as the reference model FuzzLatencyQueue checks
 // LatencyQueue against: a ring buffer in insertion order with a lazily
-// repaired lower bound on the minimum ReadyCycle. PopReady scans from
+// repaired lower bound on the minimum ready cycle. PopReady scans from
 // the oldest event and serves the first ready one.
 type refQueue struct {
 	capacity int
-	buf      []Event // ring storage
-	head     int     // index of the oldest event
-	n        int     // live event count
-	minReady uint64  // lower bound on min ReadyCycle; valid when n > 0
+	buf      []refEvent // ring storage
+	head     int        // index of the oldest event
+	n        int        // live event count
+	minReady uint64     // lower bound on the minimum ready cycle; valid when n > 0
+}
+
+// refEvent is a queued event with the cycle it becomes ready at.
+type refEvent struct {
+	Event
+	ready uint64
 }
 
 func newRefQueue(capacity int) *refQueue {
 	q := &refQueue{capacity: capacity}
 	if capacity > 0 {
-		q.buf = make([]Event, capacity)
+		q.buf = make([]refEvent, capacity)
 	}
 	return q
 }
@@ -41,23 +47,23 @@ func (q *refQueue) grow() {
 	if size == 0 {
 		size = 16
 	}
-	buf := make([]Event, size)
+	buf := make([]refEvent, size)
 	for pos := 0; pos < q.n; pos++ {
 		buf[pos] = q.buf[q.idx(pos)]
 	}
 	q.buf, q.head = buf, 0
 }
 
-func (q *refQueue) Push(ev Event) bool {
+func (q *refQueue) Push(ev Event, ready uint64) bool {
 	if q.Full() {
 		return false
 	}
 	if q.n == len(q.buf) {
 		q.grow()
 	}
-	q.buf[q.idx(q.n)] = ev
-	if q.n == 0 || ev.ReadyCycle < q.minReady {
-		q.minReady = ev.ReadyCycle
+	q.buf[q.idx(q.n)] = refEvent{ev, ready}
+	if q.n == 0 || ready < q.minReady {
+		q.minReady = ready
 	}
 	q.n++
 	return true
@@ -65,11 +71,11 @@ func (q *refQueue) Push(ev Event) bool {
 
 func (q *refQueue) removeAt(pos int) Event {
 	i := q.idx(pos)
-	ev := q.buf[i]
+	ev := q.buf[i].Event
 	for p := pos; p > 0; p-- {
 		q.buf[q.idx(p)] = q.buf[q.idx(p-1)]
 	}
-	q.buf[q.head] = Event{}
+	q.buf[q.head] = refEvent{}
 	q.head = q.idx(1)
 	q.n--
 	return ev
@@ -81,7 +87,7 @@ func (q *refQueue) PopReady(now uint64) (Event, bool) {
 	}
 	min := ^uint64(0)
 	for pos := 0; pos < q.n; pos++ {
-		rc := q.buf[q.idx(pos)].ReadyCycle
+		rc := q.buf[q.idx(pos)].ready
 		if rc <= now {
 			return q.removeAt(pos), true
 		}
@@ -93,11 +99,11 @@ func (q *refQueue) PopReady(now uint64) (Event, bool) {
 	return Event{}, false
 }
 
-// trueMin is the exact minimum ReadyCycle of the queued events.
+// trueMin is the exact minimum ready cycle of the queued events.
 func (q *refQueue) trueMin() (uint64, bool) {
 	lo := ^uint64(0)
 	for pos := 0; pos < q.n; pos++ {
-		lo = min(lo, q.buf[q.idx(pos)].ReadyCycle)
+		lo = min(lo, q.buf[q.idx(pos)].ready)
 	}
 	return lo, q.n > 0
 }
@@ -145,17 +151,17 @@ func FuzzLatencyQueue(f *testing.F) {
 				if op&7 == 2 {
 					arg *= 97
 				}
-				ev := Event{Line: line, ReadyCycle: now + arg, WarpID: int32(i % 48), Payload: uint8(i)}
+				ev, ready := Event{Line: line, WarpID: int32(i % 48), Payload: uint8(i)}, now+arg
 				line += LineSize
 				var got bool
-				if slot := q.Add(ev.ReadyCycle); slot != nil {
-					if *slot != (Event{ReadyCycle: ev.ReadyCycle}) {
-						t.Fatalf("op %d: Add(%d) slot = %+v, want zeroed but for ReadyCycle", i, ev.ReadyCycle, *slot)
+				if slot := q.Add(ready); slot != nil {
+					if *slot != (Event{}) {
+						t.Fatalf("op %d: Add(%d) slot = %+v, want zeroed", i, ready, *slot)
 					}
-					slot.Line, slot.WarpID, slot.Payload = ev.Line, ev.WarpID, ev.Payload
+					*slot = ev
 					got = true
 				}
-				if want := ref.Push(ev); got != want {
+				if want := ref.Push(ev, ready); got != want {
 					t.Fatalf("op %d: push = %v, reference %v", i, got, want)
 				}
 			case 3, 4:

@@ -1,6 +1,9 @@
 package memory
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 // addLine enqueues a fill of line ready at cycle ready the way the SM
 // does, through Add and the slot it returns, and reports whether the
@@ -28,11 +31,11 @@ func TestLatencyQueueVisibility(t *testing.T) {
 	addLine(q, 0x100, 10)
 
 	if _, ok := popReady(q, 9); ok {
-		t.Fatal("event visible before ReadyCycle")
+		t.Fatal("event visible before its ready cycle")
 	}
 	ev, ok := popReady(q, 10)
 	if !ok || ev.Line != 0x100 {
-		t.Fatal("event not visible at ReadyCycle")
+		t.Fatal("event not visible at its ready cycle")
 	}
 	if q.Len() != 0 {
 		t.Fatal("pop did not remove event")
@@ -128,7 +131,7 @@ func TestLatencyQueueLazyMinRepair(t *testing.T) {
 	if rc, ok := q.NextReady(); !ok || rc != 30 {
 		t.Fatalf("after failed pop, NextReady = %d,%v, want exact 30,true", rc, ok)
 	}
-	// Pops at the bound succeed in ReadyCycle order.
+	// Pops at the bound succeed in ready-cycle order.
 	if ev, ok := popReady(q, 30); !ok || ev.Line != 0x300 {
 		t.Fatalf("PopReady(30) = %+v,%v, want line 0x300", ev, ok)
 	}
@@ -201,7 +204,9 @@ func TestLatencyQueueWraparound(t *testing.T) {
 	if q.Len() != 0 {
 		t.Fatalf("queue not empty after wraparound rounds: %d", q.Len())
 	}
-	// Refill a wrapped queue to capacity and check unready skipping.
+	// Refill a wrapped queue to capacity and check unready skipping:
+	// the lines ready at cycle 5 are the second and the fourth.
+	first := next
 	push(100)
 	push(5)
 	push(100)
@@ -209,13 +214,21 @@ func TestLatencyQueueWraparound(t *testing.T) {
 	if rc, _ := q.NextReady(); rc != 5 {
 		t.Fatalf("NextReady = %d, want 5", rc)
 	}
-	if ev, ok := popReady(q, 10); !ok || ev.ReadyCycle != 5 {
+	if ev, ok := popReady(q, 10); !ok || ev.Line != first+0x40 {
 		t.Fatalf("PopReady skipped wrong event: %+v %v", ev, ok)
 	}
-	if ev, ok := popReady(q, 10); !ok || ev.ReadyCycle != 5 {
+	if ev, ok := popReady(q, 10); !ok || ev.Line != first+0xc0 {
 		t.Fatalf("second ready event missing: %+v %v", ev, ok)
 	}
 	if _, ok := popReady(q, 10); ok {
 		t.Fatal("unready event popped")
+	}
+}
+
+// TestEventSize pins the fill event at two words: the queue keeps the
+// ready cycle in its keys, so the event does not carry it.
+func TestEventSize(t *testing.T) {
+	if n := unsafe.Sizeof(Event{}); n != 16 {
+		t.Errorf("Event is %d bytes, want 16", n)
 	}
 }

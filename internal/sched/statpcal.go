@@ -24,7 +24,6 @@ type StatPCAL struct {
 	// UpdateEpoch is the bandwidth-probe period in cycles.
 	UpdateEpoch uint64
 
-	bypassOK  bool
 	nBypass   int    // how many non-token warps may run this epoch
 	tokens    []bool // tokens[wid]: warp wid holds an L1-allocation token
 	nTokens   int    // how many entries of tokens are set
@@ -46,7 +45,6 @@ func (s *StatPCAL) Attach(g *sm.GPU) {
 	s.tokens = make([]bool, g.NumWarps())
 	s.nTokens = 0
 	s.refillTokens(g)
-	s.bypassOK = true
 	s.nBypass = 0
 	s.lastCheck = 0
 }
@@ -97,7 +95,6 @@ func (s *StatPCAL) OnCycle(g *sm.GPU, now uint64) {
 		frac := (s.CloseThreshold - util) / (s.CloseThreshold - s.OpenThreshold)
 		s.nBypass = int(frac * float64(nonTokens))
 	}
-	s.bypassOK = s.nBypass > 0
 
 	// Reflect the throttle state in V flags so active-warp accounting
 	// (and the paper's Figure 9b-style plots) see it.

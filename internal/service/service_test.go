@@ -38,6 +38,60 @@ func TestSpecKeyCanonicalization(t *testing.T) {
 	}
 }
 
+// TestSampleIntervalKeysOnlyTimeSeries: the sample interval changes
+// nothing but time series, so it splits the keys of the experiments
+// whose payloads hold them and of no other. A run cell gives the same
+// key and bytes with and without one, and a grid figure that sets one
+// costs no simulation after the figure without it.
+func TestSampleIntervalKeysOnlyTimeSeries(t *testing.T) {
+	opts := OptionSpec{InstrPerWarp: 300, Seed: 7}
+	sampled := opts
+	sampled.SampleInterval = 9
+
+	cell := Spec{Experiment: ExpRun, Bench: "SYRK", Sched: "CIAO-C", Options: opts}
+	cellSampled := cell
+	cellSampled.Options = sampled
+	if cell.Key() != cellSampled.Key() {
+		t.Error("a run cell's key depends on the sample interval")
+	}
+	plain, err := Execute(cell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withSamples, err := Execute(cellSampled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(plain, withSamples) {
+		t.Errorf("a run cell's bytes depend on the sample interval:\n%s\n%s", plain, withSamples)
+	}
+	// Nor does the cell sample at it: nothing would read the samples.
+	if got := cellSampled.request().Options.SampleInterval; got != 0 {
+		t.Errorf("a run cell samples every %d cycles, want the default", got)
+	}
+
+	for _, name := range []string{"timeseries", "fig1b", "fig9", "fig10"} {
+		a := Spec{Experiment: name, Bench: "SYRK", Schedulers: []string{"GTO"}, Options: opts}
+		b := a
+		b.Options = sampled
+		if a.Key() == b.Key() {
+			t.Errorf("%s: the sample interval is not part of the key", name)
+		}
+		if got := b.request().Options.SampleInterval; got != 9 {
+			t.Errorf("%s samples every %d cycles, want 9", name, got)
+		}
+	}
+
+	var calls atomic.Int64
+	e := NewEngine(Config{Workers: 2, Run: fakeCells(&calls)})
+	runWithin(t, e, Spec{Experiment: "fig12b", Options: opts})
+	n := e.Simulations()
+	runWithin(t, e, Spec{Experiment: "fig12b", Options: sampled})
+	if more := e.Simulations() - n; more != 0 {
+		t.Errorf("fig12b with a sample interval cost %d simulations after fig12b without, want 0", more)
+	}
+}
+
 // TestSpecKeyPinned pins Key for specs that exercise each of
 // canonical's rules, as computed before the experiment table drove
 // them. Sweep records are stored under these keys, so a drift would

@@ -20,15 +20,17 @@ import (
 )
 
 // OptionSpec is the JSON-addressable form of harness.Options, minus
-// the machine override, which a spec carries as Config. Every field
-// changes the simulated result, so every field is part of the cache
-// key.
+// the machine override, which a spec carries as Config. InstrPerWarp
+// and Seed change every simulated result, so they are part of the
+// cache key of every experiment that takes options.
 type OptionSpec struct {
 	// InstrPerWarp overrides the suite's per-warp budget when non-zero.
 	InstrPerWarp uint64 `json:"instr_per_warp,omitempty"`
 	// Seed overrides the workload seed when non-zero.
 	Seed uint64 `json:"seed,omitempty"`
-	// SampleInterval overrides time-series sampling when non-zero.
+	// SampleInterval overrides time-series sampling when non-zero. It
+	// changes only time series, so it is part of the cache key only of
+	// the experiments whose payloads hold them (harness.FieldSamples).
 	SampleInterval uint64 `json:"sample_interval,omitempty"`
 }
 
@@ -116,9 +118,14 @@ func (s Spec) experiment() (harness.Experiment, error) {
 	return exp, nil
 }
 
-// request is the part of the spec its experiment reads.
+// request is the part of the spec its experiment reads. An experiment
+// whose payload holds no time series samples at the default interval
+// whatever the spec asks, since nothing reads its samples.
 func (s Spec) request() harness.Request {
 	opt := s.Options.Options()
+	if exp, _ := harness.LookupExperiment(s.Experiment); !exp.Takes(harness.FieldSamples) {
+		opt.SampleInterval = 0
+	}
 	if s.Config != nil {
 		opt.Override = *s.Config
 	}
@@ -165,6 +172,9 @@ func (s Spec) canonical() Spec {
 	}
 	if !exp.Takes(harness.FieldOptions) {
 		s.Options = OptionSpec{}
+	}
+	if !exp.Takes(harness.FieldSamples) {
+		s.Options.SampleInterval = 0
 	}
 	// A present-but-empty override is the baseline machine; give both
 	// forms the same content address.

@@ -105,80 +105,124 @@ func TestPlanCapacityInvariant(t *testing.T) {
 	}
 }
 
-func TestTranslatorTagDataOppositeGroups(t *testing.T) {
-	tr, err := NewTranslator(0, 48<<10)
+// location is the Figure 7c placement of one cached block and its tag
+// in shared memory, as the paper's address translation unit (§IV-B)
+// computes it.
+type location struct {
+	dataGroup, dataRow        int // bank group (G bit) and row (R field) of the data
+	tagGroup, tagRow, tagSlot int // the tag's group, row and slot (1 F + 4 B bits)
+}
+
+// place returns the placement of every block of a cache in unusedBytes
+// of shared memory from byte baseOffset. Block b's data sits in group
+// b&1 at row b>>1 past the data offset register. Its tag sits in the
+// other group, 32 per row, past the tag offset register, which follows
+// the data rows.
+func place(baseOffset, unusedBytes int) []location {
+	blocks, dataRows, _ := PlanCapacity(unusedBytes)
+	dataOffset := baseOffset / GroupRowBytes / BankGroups
+	tagOffset := dataOffset + dataRows
+	locs := make([]location, blocks)
+	for b := range locs {
+		g, r := b&1, b>>1
+		locs[b] = location{
+			dataGroup: g, dataRow: dataOffset + r,
+			tagGroup: g ^ 1, tagRow: tagOffset + r/TagsPerGroupRow, tagSlot: r % TagsPerGroupRow,
+		}
+	}
+	return locs
+}
+
+func newCache(t *testing.T, unusedBytes int) *Cache {
+	t.Helper()
+	c, err := NewCache(unusedBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for a := memory.Addr(0); a < 1024*memory.LineSize; a += memory.LineSize {
-		loc := tr.Translate(a)
-		if loc.DataGroup == loc.TagGroup {
-			t.Fatalf("addr %s: tag and data share group %d (bank conflict)", a, loc.DataGroup)
-		}
-		if loc.BlockIndex < 0 || loc.BlockIndex >= tr.Blocks() {
-			t.Fatalf("addr %s: block %d out of range", a, loc.BlockIndex)
-		}
-		if loc.TagSlot < 0 || loc.TagSlot >= TagsPerGroupRow {
-			t.Fatalf("addr %s: tag slot %d out of range", a, loc.TagSlot)
+	return c
+}
+
+func TestTranslatorTagDataOppositeGroups(t *testing.T) {
+	for _, region := range [][2]int{{0, 48 << 10}, {16 << 10, 32 << 10}} {
+		for b, loc := range place(region[0], region[1]) {
+			if loc.dataGroup == loc.tagGroup {
+				t.Fatalf("region %v, block %d: tag and data share group %d (bank conflict)", region, b, loc.dataGroup)
+			}
+			if loc.tagSlot < 0 || loc.tagSlot >= TagsPerGroupRow {
+				t.Fatalf("region %v, block %d: tag slot %d out of range", region, b, loc.tagSlot)
+			}
 		}
 	}
 }
 
 func TestTranslatorDirectMappedDistinctLocations(t *testing.T) {
-	tr, err := NewTranslator(0, 48<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[[2]int]int{}
-	for b := 0; b < tr.Blocks(); b++ {
-		a := memory.Addr(b) * memory.LineSize
-		loc := tr.Translate(a)
-		key := [2]int{loc.DataGroup, loc.DataRow}
-		if prev, dup := seen[key]; dup {
-			t.Fatalf("blocks %d and %d share data location %v", prev, b, key)
+	data, tags := map[[2]int]int{}, map[[3]int]int{}
+	for b, loc := range place(0, 48<<10) {
+		d := [2]int{loc.dataGroup, loc.dataRow}
+		if prev, dup := data[d]; dup {
+			t.Fatalf("blocks %d and %d share data location %v", prev, b, d)
 		}
-		seen[key] = b
+		data[d] = b
+		tg := [3]int{loc.tagGroup, loc.tagRow, loc.tagSlot}
+		if prev, dup := tags[tg]; dup {
+			t.Fatalf("blocks %d and %d share tag location %v", prev, b, tg)
+		}
+		tags[tg] = b
+	}
+	// The cache maps consecutive lines to distinct blocks.
+	c := newCache(t, 48<<10)
+	seen := map[*sharedBlock]int{}
+	for i := range c.blocks {
+		blk, _ := c.locate(memory.Addr(i) * memory.LineSize)
+		if prev, dup := seen[blk]; dup {
+			t.Fatalf("lines %d and %d share a block", prev, i)
+		}
+		seen[blk] = i
 	}
 }
 
 func TestTranslatorSameBlockDifferentTag(t *testing.T) {
-	tr, _ := NewTranslator(0, 48<<10)
-	a1 := memory.Addr(0)
-	a2 := memory.Addr(uint64(tr.Blocks()) * memory.LineSize) // wraps to block 0
-	l1, l2 := tr.Translate(a1), tr.Translate(a2)
-	if l1.BlockIndex != l2.BlockIndex {
-		t.Fatalf("expected same block, got %d vs %d", l1.BlockIndex, l2.BlockIndex)
+	c := newCache(t, 48<<10)
+	n := uint64(len(c.blocks))
+	for line := uint64(0); line < 4*n; line += 7 {
+		blk, tag := c.locate(memory.Addr(line * memory.LineSize))
+		if blk != &c.blocks[line%n] || tag != line/n {
+			t.Fatalf("line %d: tag %d, want block %d and tag %d", line, tag, line%n, line/n)
+		}
 	}
-	if tr.Tag(a1) == tr.Tag(a2) {
+	b1, t1 := c.locate(0)
+	b2, t2 := c.locate(memory.Addr(n * memory.LineSize)) // wraps to block 0
+	if b1 != b2 {
+		t.Fatal("expected the same block")
+	}
+	if t1 == t2 {
 		t.Fatal("conflicting lines must have distinct tags")
 	}
 }
 
 func TestTranslatorOffsetRegisters(t *testing.T) {
-	base := 16 << 10 // CIAO region starts after a 16KB CTA allocation
-	tr, err := NewTranslator(base, 32<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base, unused := 16<<10, 32<<10 // CIAO region starts after a 16KB CTA allocation
+	_, dataRows, tagRows := PlanCapacity(unused)
 	baseRow := base / GroupRowBytes / BankGroups
-	loc := tr.Translate(0)
-	if loc.DataRow < baseRow {
-		t.Fatalf("data row %d precedes region base row %d", loc.DataRow, baseRow)
-	}
-	if loc.TagRow < baseRow+tr.rowsPerGroup {
-		t.Fatalf("tag row %d overlaps data rows", loc.TagRow)
+	endRow := baseRow + unused/(BankGroups*GroupRowBytes)
+	for b, loc := range place(base, unused) {
+		if loc.dataRow < baseRow || loc.dataRow >= baseRow+dataRows {
+			t.Fatalf("block %d: data row %d outside [%d,%d)", b, loc.dataRow, baseRow, baseRow+dataRows)
+		}
+		if loc.tagRow < baseRow+dataRows || loc.tagRow >= baseRow+dataRows+tagRows || loc.tagRow >= endRow {
+			t.Fatalf("block %d: tag row %d overlaps the data rows or leaves the region", b, loc.tagRow)
+		}
 	}
 }
 
 func TestNewTranslatorTooSmall(t *testing.T) {
-	if _, err := NewTranslator(0, 64); err == nil {
+	if _, err := NewCache(64); err == nil {
 		t.Fatal("tiny region accepted")
 	}
 }
 
 func TestSharedCacheMissFillHit(t *testing.T) {
-	tr, _ := NewTranslator(0, 48<<10)
-	c := NewCache(tr)
+	c := newCache(t, 48<<10)
 	if c.Access(0x1000, 3) {
 		t.Fatal("cold access hit")
 	}
@@ -194,14 +238,13 @@ func TestSharedCacheMissFillHit(t *testing.T) {
 }
 
 func TestSharedCacheConflictEviction(t *testing.T) {
-	tr, _ := NewTranslator(0, 48<<10)
-	c := NewCache(tr)
+	c := newCache(t, 48<<10)
 	a1 := memory.Addr(0)
-	a2 := memory.Addr(uint64(tr.Blocks()) * memory.LineSize)
+	a2 := memory.Addr(uint64(len(c.blocks)) * memory.LineSize)
 	c.Fill(a1, 1)
 	line, wid, ev := c.Fill(a2, 2)
 	if !ev || wid != 1 || line != a1 {
-		t.Fatalf("eviction = (%s,%d,%v), want (0x0,1,true)", line, wid, ev)
+		t.Fatalf("eviction = (%#x,%d,%v), want (0x0,1,true)", line, wid, ev)
 	}
 	if c.Probe(a1) {
 		t.Fatal("evicted line still resident")
@@ -209,12 +252,11 @@ func TestSharedCacheConflictEviction(t *testing.T) {
 }
 
 func TestSharedCacheUtilization(t *testing.T) {
-	tr, _ := NewTranslator(0, 48<<10)
-	c := NewCache(tr)
+	c := newCache(t, 48<<10)
 	if c.Utilization() != 0 {
 		t.Fatal("empty cache should report 0 utilization")
 	}
-	half := tr.Blocks() / 2
+	half := len(c.blocks) / 2
 	for i := 0; i < half; i++ {
 		c.Fill(memory.Addr(i)*memory.LineSize, 0)
 	}

@@ -1,13 +1,15 @@
 // Package sharedmem models the GPU on-chip shared memory of the CIAO
 // paper: 48KB organised as 32 independently addressable banks (two
 // groups of 16), managed through a Shared Memory Management Table
-// (SMMT), plus the CIAO extensions — an address translation unit that
-// maps global addresses into the unused shared-memory space and a
-// direct-mapped cache operated in that space with tags and data blocks
-// striped across opposite bank groups (§IV-B).
+// (SMMT), plus the CIAO extension: a direct-mapped cache operated in
+// the unused shared-memory space, with tags and data blocks striped
+// across opposite bank groups (§IV-B).
 package sharedmem
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Geometry constants of the on-chip memory structure (§II-A, §IV-B).
 const (
@@ -29,19 +31,6 @@ const (
 	TagsPerGroupRow = BanksPerGroup * 2
 )
 
-// SMMTEntry is one Shared Memory Management Table record: the base and
-// size of a shared-memory allocation owned by a CTA (or, for CIAO, the
-// reserved cache region).
-type SMMTEntry struct {
-	// CTAID identifies the owner; CIAO's cache reservation uses
-	// CIAOReservationID.
-	CTAID int
-	// Base is the starting byte offset within shared memory.
-	Base int
-	// Size is the allocation length in bytes.
-	Size int
-}
-
 // CIAOReservationID is the pseudo-CTA id under which CIAO reserves the
 // unused space for its shared-memory cache.
 const CIAOReservationID = -1
@@ -50,12 +39,14 @@ const CIAOReservationID = -1
 // which each CTA reserves one entry recording its allocation (§II-A).
 // Entries are never freed: every CTA's warps stay resident until the
 // kernel ends, so the allocations pack the space from offset 0 and the
-// free space is the tail after the last one.
+// free space is the tail after the last one. Of each entry the model
+// keeps only its owner, the CTA id (CIAO's cache reservation uses
+// CIAOReservationID).
 type SMMT struct {
 	capacity int
 	size     int
-	used     int // allocated bytes; the free tail starts here
-	entries  []SMMTEntry
+	used     int   // allocated bytes; the free tail starts here
+	ctas     []int // the owner of each entry
 }
 
 // NewSMMT builds a table for a shared memory of size bytes with at
@@ -74,19 +65,17 @@ func (t *SMMT) Reserve(ctaID, size int) (base int, err error) {
 	if size <= 0 {
 		return 0, fmt.Errorf("sharedmem: reserve of %d bytes", size)
 	}
-	if len(t.entries) >= t.capacity {
+	if len(t.ctas) >= t.capacity {
 		return 0, fmt.Errorf("sharedmem: SMMT full (%d entries)", t.capacity)
 	}
-	for _, e := range t.entries {
-		if e.CTAID == ctaID {
-			return 0, fmt.Errorf("sharedmem: CTA %d already has an SMMT entry", ctaID)
-		}
+	if slices.Contains(t.ctas, ctaID) {
+		return 0, fmt.Errorf("sharedmem: CTA %d already has an SMMT entry", ctaID)
 	}
 	if t.used+size > t.size {
 		return 0, fmt.Errorf("sharedmem: no room for %dB (used %dB of %dB)", size, t.used, t.size)
 	}
 	base = t.used
-	t.entries = append(t.entries, SMMTEntry{CTAID: ctaID, Base: base, Size: size})
+	t.ctas = append(t.ctas, ctaID)
 	t.used += size
 	return base, nil
 }

@@ -63,7 +63,8 @@ func TestClusterSharesL2(t *testing.T) {
 	shared := c.L2().Stats().Accesses
 	var sum uint64
 	for i := 0; i < c.NumSMs(); i++ {
-		sum += c.SM(i).L1().Stats().Misses
+		l1 := c.SM(i).L1().Stats()
+		sum += l1.Accesses - l1.Hits
 	}
 	if shared == 0 || sum == 0 {
 		t.Fatal("no shared L2 traffic")

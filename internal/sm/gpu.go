@@ -147,12 +147,12 @@ func NewGPU(cfg Config, kernel *workload.Kernel, ctrl Controller, sharedL2 *l2.L
 	}
 	// CIAO reserves the remaining space for its cache (§IV-B).
 	if cfg.EnableSharedCache {
-		base, size := g.smmt.LargestFreeRegion()
-		if tr, err := sharedmem.NewTranslator(base, size); err == nil {
+		_, size := g.smmt.LargestFreeRegion()
+		if shc, err := sharedmem.NewCache(size); err == nil {
 			if _, err := g.smmt.Reserve(sharedmem.CIAOReservationID, size); err != nil {
 				return nil, fmt.Errorf("sm: CIAO reservation: %w", err)
 			}
-			g.shc = sharedmem.NewCache(tr)
+			g.shc = shc
 		}
 	}
 
@@ -806,7 +806,6 @@ func (g *GPU) sample(now uint64) {
 // Result is the final report of one simulation.
 type Result struct {
 	Scheduler     string
-	Benchmark     string
 	Cycles        uint64
 	Instructions  uint64
 	IPC           float64
@@ -824,7 +823,6 @@ type Result struct {
 func (g *GPU) Result() Result {
 	r := Result{
 		Scheduler:     g.ctrl.Name(),
-		Benchmark:     g.kernel.Spec().Name,
 		Cycles:        g.cycle,
 		Instructions:  g.instTotal,
 		L1:            g.l1.Stats(),

@@ -36,7 +36,8 @@ type Warp struct {
 	maxPending int
 	// nextReady is the earliest cycle the warp may issue again.
 	nextReady uint64
-	// InstExecuted counts issued instructions.
+	// InstExecuted counts issued instructions. It is kept for tests
+	// that bound how far apart barriers let warps run.
 	InstExecuted uint64
 	// VTAHits counts this warp's cumulative lost-locality detections
 	// (the per-warp VTACount register of Figure 6).

@@ -65,24 +65,6 @@ const (
 	BarrierOp
 )
 
-// String implements fmt.Stringer.
-func (k InstrKind) String() string {
-	switch k {
-	case Compute:
-		return "compute"
-	case GlobalLoad:
-		return "load"
-	case GlobalStore:
-		return "store"
-	case SharedOp:
-		return "shared"
-	case BarrierOp:
-		return "barrier"
-	default:
-		return fmt.Sprintf("InstrKind(%d)", uint8(k))
-	}
-}
-
 // MaxFanout bounds how many line requests one warp memory instruction
 // may coalesce into. A fully uncoalesced warp touches 32 lines; the
 // synthetic model caps bursts at 8, which preserves the bandwidth and

@@ -189,17 +189,17 @@ func TestAddressesWithinInput(t *testing.T) {
 			}
 			for _, a := range ins.AddrSlice() {
 				if a < GlobalBase || a >= limit {
-					t.Fatalf("address %s outside input [%s,%s)", a, GlobalBase, limit)
+					t.Fatalf("address %#x outside input [%#x,%#x)", a, GlobalBase, limit)
 				}
 				if a.LineAddr() != a {
-					t.Fatalf("address %s not line-aligned", a)
+					t.Fatalf("address %#x not line-aligned", a)
 				}
 			}
 		case GlobalStore:
 			// Stores stream to the private output space.
 			for _, a := range ins.AddrSlice() {
 				if a < OutputBase {
-					t.Fatalf("store address %s below output base", a)
+					t.Fatalf("store address %#x below output base", a)
 				}
 			}
 		}
@@ -457,8 +457,5 @@ func TestStreamWellFormedInvariant(t *testing.T) {
 func TestClassString(t *testing.T) {
 	if LWS.String() != "LWS" || SWS.String() != "SWS" || CI.String() != "CI" {
 		t.Fatal("class strings wrong")
-	}
-	if GlobalLoad.String() != "load" || BarrierOp.String() != "barrier" {
-		t.Fatal("kind strings wrong")
 	}
 }
